@@ -7,9 +7,12 @@ TBSN_{n,m}:   phi(x) Phi(lam1 x)^n Phi(lam2 x)^m / c_{n,m}(lam1, lam2)
 Normalizing integrals are computed by adaptive quadrature and memoized
 per parameter set.  Distribution functions for these families have no
 closed form; they are served from a cumulative Gauss-Kronrod table over
-the truncation window, with quantiles refined by Newton steps against
-that same table, so cdf and quantile are exact inverses of each other
-to roundoff.
+the truncation window.  A quantile finds the table segment holding its
+root by searchsorted on the segment sums, taken from the left for
+q <= 1/2 and from the right above, and solves the log of the partial
+sum inside that segment by bracketed Newton.  So cdf and quantile are
+inverses of each other to roundoff, and the quantile keeps relative
+accuracy in q, or in 1 - q, down to the far tails.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import Distribution
 from .quadrature import DEFAULT_SPEC, _gk15, integrate_line
-from .special import norm_logcdf, norm_logpdf
+from .special import _bracketed_newton, norm_logcdf, norm_logpdf
 
 __all__ = [
     "SNB",
@@ -127,7 +129,9 @@ class _NumericCdf:
     The kernel need not be normalized; the table divides by its own
     total mass.  cdf values between grid edges are completed with a
     partial 15-point rule on the residual subinterval, which keeps the
-    result monotone and smooth enough for Newton inversion.
+    result monotone and smooth enough for Newton inversion.  The segment
+    masses are summed from both ends, so the mass below and the mass
+    above every edge keep relative accuracy in their own tail.
     """
 
     def __init__(self, kernel, spec, segments=1600):
@@ -135,23 +139,11 @@ class _NumericCdf:
         self.t = spec.truncation
         edges = np.linspace(-self.t, self.t, segments + 1)
         seg_vals, _ = _gk15(kernel, edges[:-1], edges[1:])
-        cum = np.concatenate([[0.0], np.cumsum(seg_vals)])
         self.edges = edges
-        self.cum = cum
-        self.total = float(cum[-1])
-        cdf_vals = cum / self.total
-        # Seed knots must be strictly increasing with a real gap, or the
-        # monotone interpolant sees infinite slopes in the flat tails.
-        keep = [0]
-        last = cdf_vals[0]
-        for i in range(1, len(cdf_vals)):
-            if cdf_vals[i] - last >= 1e-12:
-                keep.append(i)
-                last = cdf_vals[i]
-        keep = np.asarray(keep)
-        self._inv_seed = PchipInterpolator(cdf_vals[keep], edges[keep], extrapolate=False)
-        self._seed_lo = float(cdf_vals[keep[0]])
-        self._seed_hi = float(cdf_vals[keep[-1]])
+        self.seg = seg_vals
+        self.cum = np.concatenate([[0.0], np.cumsum(seg_vals)])
+        self.cum_right = np.concatenate([np.cumsum(seg_vals[::-1])[::-1], [0.0]])
+        self.total = float(self.cum[-1])
 
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -166,12 +158,43 @@ class _NumericCdf:
         if np.any(~np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):
             raise ValueError("quantile requires 0 < q < 1")
         qq = np.atleast_1d(q)
-        x = self._inv_seed(np.clip(qq, self._seed_lo, self._seed_hi))
-        for _ in range(7):
-            resid = self.cdf(x) - qq
-            dens = np.maximum(self.kernel(x) / self.total, 1e-300)
-            x = np.clip(x - np.clip(resid / dens, -1.0, 1.0), -self.t, self.t)
+        x = np.empty_like(qq)
+        low = qq <= 0.5
+        x[low] = self._solve(qq[low] * self.total, upper=False)
+        x[~low] = self._solve((1.0 - qq[~low]) * self.total, upper=True)
         return x if q.ndim else float(x[0])
+
+    def _solve(self, mass, upper):
+        """Points with `mass` of the kernel below them, or above them if upper.
+
+        searchsorted on the running sums picks the one segment holding
+        each root; inside it, bracketed Newton solves the log of the
+        partial sum, starting from linear interpolation of the mass.
+        """
+        last = len(self.seg) - 1
+        if upper:
+            i = np.clip(np.searchsorted(-self.cum_right, -mass, side="left") - 1, 0, last)
+            base = self.cum_right[i + 1]
+        else:
+            i = np.clip(np.searchsorted(self.cum, mass, side="right") - 1, 0, last)
+            base = self.cum[i]
+        lo, hi = self.edges[i], self.edges[i + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.clip(np.nan_to_num((mass - base) / self.seg[i]), 0.0, 1.0)
+        start = hi - frac * (hi - lo) if upper else lo + frac * (hi - lo)
+        log_mass = np.log(mass)
+
+        def log_gap(x, idx):
+            if upper:
+                partial, _ = _gk15(self.kernel, x, hi[idx])
+            else:
+                partial, _ = _gk15(self.kernel, lo[idx], x)
+            held = base[idx] + partial
+            with np.errstate(divide="ignore"):
+                gap = np.log(held) - log_mass[idx]
+            return (-gap if upper else gap), self.kernel(x) / held
+
+        return _bracketed_newton(log_gap, start, lo, hi)
 
 
 @lru_cache(maxsize=64)

@@ -178,15 +178,6 @@ class BetaSkewNormal(Distribution):
         out = self.mu + self.sigma * z
         return out if q.ndim else float(out[0])
 
-    def sample_inverse(self, n, seed):
-        """Draw by the beta-variable route: Y ~ Beta(a,b), X = F^{-1}(Y).
-
-        Y is itself produced by inverse transform, so this coincides with
-        the generic quantile-transform sampler and is deterministic per
-        seed.
-        """
-        return self.sample_batch(n, seed)
-
     def mgf(self, t, spec=None):
         """Moment generating function by quadrature.
 

@@ -10,6 +10,11 @@ value, the cdf is recomputed as a log-space tail integral, so cdf and
 logcdf keep relative accuracy over the whole line.  The beta-generated
 composition raises this cdf to fractional powers, which is why relative
 (not just absolute) accuracy matters here.
+
+The quantile inverts that logcdf: for q <= 1/2 it solves
+log F(z) = log q by bracketed Newton, and above 1/2 it reflects through
+SN(-lam) at 1 - q, so both tails are solved on their own side and keep
+the cdf's relative accuracy.  Every BSN quantile and draw runs through it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .core import Distribution
 from .quadrature import _NODES, _WEIGHTS_K
 from .special import (
+    _bracketed_newton,
     norm_cdf,
     norm_logcdf,
     norm_logpdf,
@@ -33,7 +39,6 @@ __all__ = ["Normal", "SkewNormal", "sn_neg_closure_check"]
 
 _LOG2 = np.log(2.0)
 _TINY = np.nextafter(0.0, 1.0)
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,51 @@ def _logcdf_left(z, lam):
     return out
 
 
+def _split(z, on_left, on_right):
+    """Evaluate on_left where z <= 0 and on_right(-z) mirrored, elementwise."""
+    zz = np.atleast_1d(np.asarray(z, dtype=float))
+    out = np.empty_like(zz)
+    neg = zz <= 0.0
+    if np.any(neg):
+        out[neg] = on_left(zz[neg])
+    if np.any(~neg):
+        out[~neg] = on_right(-zz[~neg])
+    return out if np.ndim(z) else float(out[0])
+
+
+def _std_logcdf(z, lam):
+    """log F(z; lam) on the whole line."""
+    return _split(
+        z,
+        lambda zn: _logcdf_left(zn, lam),
+        lambda zm: np.log1p(-_cdf_left(zm, -lam)),
+    )
+
+
+def _std_quantile_lower(p, lam):
+    """z with F(z; lam) = p for 0 < p <= 1/2, by bracketed Newton on log F.
+
+    F <= Phi and F >= 2 Phi - 1 for lam >= 0, and Phi <= F <= 2 Phi for
+    lam < 0, bracket the root.  The density is log-concave, so log F is
+    concave, and Newton steps from the lower end of that bracket climb to
+    the root without overshooting.
+    """
+    if lam >= 0.0:
+        lo = norm_quantile(p)
+        hi = norm_quantile(0.5 * (1.0 + p))
+    else:
+        lo = norm_quantile(np.maximum(0.5 * p, _TINY))
+        hi = norm_quantile(p)
+    log_p = np.log(p)
+
+    def log_gap(z, idx):
+        log_f = _std_logcdf(z, lam)
+        log_dens = _LOG2 + norm_logpdf(z) + norm_logcdf(lam * z)
+        return log_f - log_p[idx], np.exp(log_dens - log_f)
+
+    return _bracketed_newton(log_gap, lo, lo, hi)
+
+
 @dataclass(frozen=True)
 class SkewNormal(Distribution):
     """Skew-normal with location xi, scale psi, and shape lam."""
@@ -180,74 +230,50 @@ class SkewNormal(Distribution):
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
-    def _split(self, z, on_left, on_right):
-        """Evaluate on_left where z <= 0 and on_right(-z) mirrored, elementwise."""
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(zz)
-        neg = zz <= 0.0
-        if np.any(neg):
-            out[neg] = on_left(zz[neg])
-        if np.any(~neg):
-            out[~neg] = on_right(-zz[~neg])
-        return out if np.ndim(z) else float(out[0])
-
-    def _std_cdf(self, z):
-        return self._split(
-            z,
+    def cdf(self, x):
+        return _split(
+            self._z(x),
             lambda zn: _cdf_left(zn, self.lam),
             lambda zm: 1.0 - _cdf_left(zm, -self.lam),
         )
 
-    def cdf(self, x):
-        return self._std_cdf(self._z(x))
-
     def sf(self, x):
         """Survival function, relatively accurate in the right tail."""
-        return self._split(
+        return _split(
             self._z(x),
             lambda zn: 1.0 - _cdf_left(zn, self.lam),
             lambda zm: _cdf_left(zm, -self.lam),
         )
 
     def logcdf(self, x):
-        return self._split(
-            self._z(x),
-            lambda zn: _logcdf_left(zn, self.lam),
-            lambda zm: np.log1p(-_cdf_left(zm, -self.lam)),
-        )
+        return _std_logcdf(self._z(x), self.lam)
 
     def logsf(self, x):
-        return self._split(
+        return _split(
             self._z(x),
             lambda zn: np.log1p(-_cdf_left(zn, self.lam)),
             lambda zm: _logcdf_left(zm, -self.lam),
         )
 
     def quantile(self, q):
+        """Inverse cdf, solved in log space on q's own side of 1/2.
+
+        For q <= 1/2 this solves log F(z; lam) = log q.  For q > 1/2 it
+        returns -z of SN(-lam) at 1 - q, which is exact there, so the
+        upper tail keeps the same relative accuracy as the lower one.
+        """
         q_in = np.asarray(q, dtype=float)
         if np.any(~np.isfinite(q_in)) or np.any(q_in <= 0.0) or np.any(q_in >= 1.0):
             raise ValueError("quantile requires 0 < q < 1")
         q1 = np.atleast_1d(q_in)
         if self.lam == 0.0:
-            # shape zero is exactly normal; skip the bisection
-            res = self.xi + self.psi * norm_quantile(q1)
-            return res if q_in.ndim else float(res[0])
-        # F <= Phi and F >= max(0, 2 Phi - 1) for lam >= 0 (mirrored for
-        # lam < 0) give a closed starting bracket for bisection.
-        if self.lam >= 0.0:
-            lo = norm_quantile(q1)
-            hi = norm_quantile(np.minimum(0.5 * (1.0 + q1), _BELOW_ONE))
+            # shape zero is exactly normal; skip the root finder
+            z = norm_quantile(q1)
         else:
-            lo = norm_quantile(np.maximum(0.5 * q1, _TINY))
-            hi = norm_quantile(q1)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            goes_up = self._std_cdf(mid) < q1
-            lo = np.where(goes_up, mid, lo)
-            hi = np.where(goes_up, hi, mid)
-            if np.max(hi - lo) < 1e-15 * (1.0 + np.max(np.abs(mid))):
-                break
-        z = 0.5 * (lo + hi)
+            z = np.empty_like(q1)
+            low = q1 <= 0.5
+            z[low] = _std_quantile_lower(q1[low], self.lam)
+            z[~low] = -_std_quantile_lower(1.0 - q1[~low], -self.lam)
         res = self.xi + self.psi * z
         return res if q_in.ndim else float(res[0])
 

@@ -26,6 +26,9 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+# bisection alone takes a bracket of width 80 down to a few ulp in 57 steps
+_NEWTON_MAX_STEPS = 100
+_NEWTON_ULPS = 4.0 * np.finfo(float).eps
 
 
 def norm_pdf(x):
@@ -126,6 +129,48 @@ def inv_reg_inc_beta(p, a, b):
         step = (_sp.betainc(a, b, y) - p) / dens
     step = np.where(np.isfinite(step), step, 0.0)
     return np.clip(y - step, 0.0, 1.0)
+
+
+def _bracketed_newton(fun, x, lo, hi):
+    """Roots of increasing functions g_i, one per element, with lo_i <= root_i <= hi_i.
+
+    fun(x, idx) returns g and dg/dx at the points x of the elements idx,
+    an index array into the 1-d inputs.  Each step is Newton's, or a
+    bisection of the bracket when the Newton point is not finite or
+    leaves it; the sign of g shrinks the bracket, and a point with g == 0
+    keeps its x.  An element stops once its step or its bracket is a few
+    ulp of max(|x|, 1), and only unconverged elements are evaluated
+    again.  An element still unconverged after _NEWTON_MAX_STEPS steps
+    raises ArithmeticError; no partial result is returned.
+    """
+    x = np.array(x, dtype=float)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    idx = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if idx.size == 0:
+            return x
+        xi = x[idx]
+        g, dg = fun(xi, idx)
+        lo_i = np.where(g < 0.0, xi, lo[idx])
+        hi_i = np.where(g > 0.0, xi, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(g == 0.0, 0.0, g / dg)
+        newton = xi - step
+        tol = _NEWTON_ULPS * np.maximum(np.abs(xi), 1.0)
+        tiny_step = np.abs(step) <= tol
+        inside = (newton > lo_i) & (newton < hi_i)
+        x_new = np.where(inside, newton, 0.5 * (lo_i + hi_i))
+        # a converging Newton step can round onto the bracket end it
+        # started from; that is convergence, not a step outside
+        x_new = np.where(tiny_step, np.clip(newton, lo_i, hi_i), x_new)
+        x[idx], lo[idx], hi[idx] = x_new, lo_i, hi_i
+        idx = idx[~(tiny_step | (hi_i - lo_i <= tol))]
+    if idx.size:
+        raise ArithmeticError(
+            f"bracketed Newton left {idx.size} points unconverged after {_NEWTON_MAX_STEPS} steps"
+        )
+    return x
 
 
 def chisq1_cdf(x):

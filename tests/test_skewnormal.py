@@ -149,3 +149,34 @@ def test_half_normal_limit():
     x = np.linspace(0.05, 4.0, 100)
     assert np.max(np.abs(d.pdf(x) - 2.0 * norm_pdf(x))) < 1e-3
     assert d.cdf(0.0) < 2e-3
+
+
+# (lam, z) where the log-space tail repair runs, down to z = -30.  For
+# lam = -0.7 it runs only once Phi(z) - 2 T(z, lam) underflows, past
+# z = -37.5, so -30 and -6 check the direct formula there.
+ORACLE_POINTS = [
+    (3.0, -30.0), (3.0, -8.0), (3.0, -2.0),
+    (50.0, -30.0), (50.0, -3.0), (50.0, -0.3),
+    (0.7, -30.0), (0.7, -12.0), (0.7, -6.0),
+    (-0.7, -38.0), (-0.7, -30.0), (-0.7, -6.0),
+]
+
+
+@pytest.mark.parametrize("lam, z", ORACLE_POINTS)
+def test_tail_logcdf_against_mpmath_oracle(lam, z):
+    pytest.importorskip("mpmath")
+    from sn_oracle import tail_logcdf
+
+    want = tail_logcdf(z, lam)
+    # F to 1e-10 relative, beyond the few ulp that storing log F costs
+    # (log F is -1.1e6 at lam = 50, z = -30)
+    assert abs(SkewNormal(0.0, 1.0, lam).logcdf(z) - want) <= 1e-10 + 4.0 * np.spacing(abs(want))
+
+
+@pytest.mark.parametrize("lam, z", [(3.0, -4.0), (0.7, -8.0), (50.0, -0.3)])
+def test_sn_oracle_routes_agree(lam, z):
+    pytest.importorskip("mpmath")
+    from sn_oracle import closed_form_logcdf, tail_logcdf
+
+    want = closed_form_logcdf(z, lam)
+    assert abs(tail_logcdf(z, lam) - want) <= 4.0 * np.spacing(abs(want))

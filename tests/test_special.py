@@ -184,3 +184,19 @@ def test_chisq1_cdf():
     assert np.max(np.abs(chisq1_cdf(x) - (2.0 * norm_cdf(np.sqrt(x)) - 1.0))) < 1e-15
     with pytest.raises(ValueError):
         chisq1_cdf(-0.5)
+
+
+def test_bracketed_newton():
+    from betasn.special import _bracketed_newton
+
+    target = np.array([2.0, 0.5, 9.0])
+    root = _bracketed_newton(
+        lambda x, idx: (x**3 - target[idx], 3.0 * x * x), np.ones(3), np.zeros(3), np.full(3, 3.0)
+    )
+    assert np.max(np.abs(root**3 / target - 1.0)) < 1e-15
+    # a start exactly on the root keeps it
+    on_root = _bracketed_newton(lambda x, idx: (x - 1.0, np.ones_like(x)), [1.0], [0.0], [2.0])
+    assert on_root[0] == 1.0
+    # a point that cannot converge raises instead of coming back half-solved
+    with pytest.raises(ArithmeticError):
+        _bracketed_newton(lambda x, idx: (np.full_like(x, np.nan), np.ones_like(x)), [1.0], [0.0], [2.0])
