@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Distribution
+from .core import Distribution, _quantile_domain
 from .quadrature import DEFAULT_SPEC, _gk15, integrate_line
 from .special import _bracketed_newton, norm_logcdf, norm_logpdf
 
@@ -154,9 +154,7 @@ class _NumericCdf:
         return out if z.ndim else float(out[0])
 
     def quantile(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any(~np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):
-            raise ValueError("quantile requires 0 < q < 1")
+        q = _quantile_domain(q)
         qq = np.atleast_1d(q)
         x = np.empty_like(qq)
         low = qq <= 0.5

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution
+from .core import Distribution, _quantile_domain
 from .special import (
     inv_reg_inc_beta,
     log_beta,
@@ -88,7 +88,9 @@ class Beta(Distribution):
         return reg_inc_beta(np.clip(x, 0.0, 1.0), self.a, self.b)
 
     def quantile(self, q):
-        return inv_reg_inc_beta(q, self.a, self.b)
+        q = _quantile_domain(q)
+        out = inv_reg_inc_beta(q, self.a, self.b)
+        return out if q.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,9 @@ class GB1(Distribution):
         return reg_inc_beta(u, self.a, self.b)
 
     def quantile(self, q):
-        w = inv_reg_inc_beta(q, self.a, self.b)
-        return self.q * w ** (1.0 / self.p)
+        q = _quantile_domain(q)
+        out = self.q * inv_reg_inc_beta(q, self.a, self.b) ** (1.0 / self.p)
+        return out if q.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -191,10 +194,9 @@ class Kumaraswamy(Distribution):
             return -np.expm1(self.b * np.log1p(-(xs**self.p)))
 
     def quantile(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any(q < 0.0) or np.any(q > 1.0):
-            raise ValueError("quantile requires 0 <= q <= 1")
-        return (-np.expm1(np.log1p(-q) / self.b)) ** (1.0 / self.p)
+        q = _quantile_domain(q)
+        out = (-np.expm1(np.log1p(-q) / self.b)) ** (1.0 / self.p)
+        return out if q.ndim else float(out)
 
 
 def beta_generated_pdf(base_cdf, base_pdf, a, b, x):
@@ -262,8 +264,9 @@ class BetaNormal(Distribution):
         return reg_inc_beta(norm_cdf(self._z(x)), self.a, self.b)
 
     def quantile(self, q):
-        w = inv_reg_inc_beta(q, self.a, self.b)
-        return self.mu + self.sigma * norm_quantile(w)
+        q = _quantile_domain(q)
+        out = self.mu + self.sigma * norm_quantile(inv_reg_inc_beta(q, self.a, self.b))
+        return out if q.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -314,5 +317,6 @@ class BetaHalfNormal(Distribution):
         return reg_inc_beta(np.clip(self._base_cdf(x), 0.0, 1.0), self.a, self.b)
 
     def quantile(self, q):
-        w = inv_reg_inc_beta(q, self.a, self.b)
-        return norm_quantile(0.5 * (1.0 + w))
+        q = _quantile_domain(q)
+        out = norm_quantile(0.5 * (1.0 + inv_reg_inc_beta(q, self.a, self.b)))
+        return out if q.ndim else float(out)

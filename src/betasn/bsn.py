@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betafamily import BetaHalfNormal
-from .core import Distribution, SampleBatch
+from .core import Distribution, SampleBatch, _quantile_domain
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
 from .skewnormal import SkewNormal
 from .special import (
@@ -159,9 +159,7 @@ class BetaSkewNormal(Distribution):
         return self._beta_ratio_two_sided(x, swap=True)
 
     def quantile(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any(~np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):
-            raise ValueError("quantile requires 0 < q < 1")
+        q = _quantile_domain(q)
         qq = np.atleast_1d(q)
         z = np.empty_like(qq)
         # left half runs through the cdf-side beta inverse; the right half
@@ -189,27 +187,23 @@ class BetaSkewNormal(Distribution):
         t_arr = np.asarray(t, dtype=float)
         base = self.base
         a, b, lam = self.a, self.b, self.lam
+        tv = t_arr.ravel()
+        s = self.sigma * tv
+        shift = s[:, None, None]
 
-        def one(tv):
-            s = self.sigma * tv
+        def integrand(y):
+            # one component per t, all on the same nodes
+            w = y + shift
+            acc = norm_logpdf(y) + norm_logcdf(lam * w)
+            if a != 1.0:
+                acc = acc + (a - 1.0) * base.logcdf(w)
+            if b != 1.0:
+                acc = acc + (b - 1.0) * base.logsf(w)
+            return np.exp(acc)
 
-            def integrand(y):
-                w = y + s
-                acc = norm_logpdf(y) + norm_logcdf(lam * w)
-                if a != 1.0:
-                    acc = acc + (a - 1.0) * base.logcdf(w)
-                if b != 1.0:
-                    acc = acc + (b - 1.0) * base.logsf(w)
-                return np.exp(acc)
-
-            total = integrate_line(integrand, spec)
-            return np.exp(
-                self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total)
-            )
-
-        if t_arr.ndim == 0:
-            return one(float(t_arr))
-        return np.array([one(tv) for tv in t_arr.ravel()]).reshape(t_arr.shape)
+        total = integrate_line(integrand, spec)
+        out = np.exp(self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total))
+        return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
     def mode_report(self, spec=None):
         """Census of interior modes and a grid log-concavity verdict.

@@ -82,17 +82,35 @@ class Distribution:
         return moment_summary(self, spec)
 
 
+def _quantile_domain(q):
+    """q as a float array; NaN, 0, 1 and anything outside (0, 1) raise ValueError.
+
+    Every family's quantile shares this domain and returns a Python float
+    for a scalar q (``out if q.ndim else float(out)``).
+    """
+    q = np.asarray(q, dtype=float)
+    if np.any(~np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):
+        raise ValueError("quantile requires 0 < q < 1")
+    return q
+
+
 def _raw_moments(dist, spec, orders):
-    """Raw moments by quadrature, windowed by the family's support."""
+    """Raw moments by quadrature, windowed by the family's support.
+
+    All orders share one adaptive pass: the integrand stacks x^k f(x)
+    for every k in orders.
+    """
     spec = DEFAULT_SPEC if spec is None else spec
     lo, hi = dist.support
     if np.isinf(lo) and np.isinf(hi):
         loc, scale = dist.location, dist.scale
 
-        def make(k):
-            return lambda z: (loc + scale * z) ** k * dist.pdf(loc + scale * z) * scale
+        def integrand(z):
+            x = loc + scale * z
+            pdf = dist.pdf(x)
+            return np.stack([x**k * pdf * scale for k in orders])
 
-        return [integrate_line(make(k), spec) for k in orders]
+        return [float(m) for m in integrate_line(integrand, spec)]
 
     # bounded or half-bounded: map onto the unit interval
     left = lo
@@ -100,15 +118,15 @@ def _raw_moments(dist, spec, orders):
     width = right - left
     sing_l, sing_r = dist._endpoint_singular()
 
-    def make(k):
-        return lambda u: (left + width * u) ** k * dist.pdf(left + width * u) * width
+    def integrand(u):
+        x = left + width * u
+        pdf = dist.pdf(x)
+        return np.stack([x**k * pdf * width for k in orders])
 
     if not np.isfinite(hi):
         sing_r = False
-    return [
-        integrate_unit(make(k), spec, singular_left=sing_l, singular_right=sing_r)
-        for k in orders
-    ]
+    moments = integrate_unit(integrand, spec, singular_left=sing_l, singular_right=sing_r)
+    return [float(m) for m in moments]
 
 
 def moment_summary(dist, spec=None):

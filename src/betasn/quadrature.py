@@ -1,9 +1,18 @@
 """Deterministic adaptive quadrature.
 
-A Gauss-Kronrod 7/15 rule with bisection of the interval carrying the
-largest error estimate.  All integrands must accept numpy arrays (they
-are evaluated on batches of nodes); results are fully deterministic,
-which the reporting layer relies on.
+A Gauss-Kronrod 7/15 rule on 8 starting intervals, refined in sweeps.
+All integrands must accept numpy arrays (they are evaluated on batches
+of nodes).  An integrand may be vector-valued: given nodes x it returns
+shape x.shape (a scalar integral, returned as a Python float) or
+(m,) + x.shape (m integrals over the same nodes, returned as an array of
+shape (m,)), such as the moment orders of one density or the mgf at
+several t.  Component k has its own tolerance
+max(abs_tol, rel_tol * |I_k|).  Each sweep bisects, in one batch of
+nodes, every interval whose error estimate exceeds its share
+tol_k / n_intervals of some component that has not yet converged;
+``max_subdivisions`` caps the number of bisected intervals.  Intervals
+stay in a fixed order (kept ones, then left halves, then right halves),
+so results are fully deterministic, which the reporting layer relies on.
 
 Line integrals are truncated at ``spec.truncation`` standard units.
 Integrals over the unit interval can apply power substitutions
@@ -72,7 +81,9 @@ DEFAULT_SPEC = QuadratureSpec()
 class IntegrationError(RuntimeError):
     """Raised when the subdivision budget is exhausted before convergence.
 
-    Carries the best available estimate and its error bound.
+    Carries the best available estimate and its error bound as floats; for
+    a vector-valued integrand, those of the component furthest over its
+    tolerance.
     """
 
     def __init__(self, message, estimate, error_estimate):
@@ -125,61 +136,79 @@ _WEIGHTS_G = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 
 def _gk15(f, a, b):
-    """Apply the 7/15 pair on each interval [a_i, b_i]. Returns (I, err)."""
+    """Apply the 7/15 pair on each interval [a_i, b_i]. Returns (I, err).
+
+    f may return shape x.shape or (m,) + x.shape; I and err then have
+    shape (n,) or (m, n) for n intervals.
+    """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = center[None, :] + half[None, :] * _NODES[:, None]
     y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise TypeError("integrand must be vectorized (preserve input shape)")
+    if y.shape[-2:] != x.shape or y.ndim > 3:
+        raise TypeError("integrand must be vectorized (return x.shape or (m,) + x.shape)")
     k15 = half * (_WEIGHTS_K @ y)
-    g7 = half * (_WEIGHTS_G @ y[_GAUSS_IDX])
+    g7 = half * (_WEIGHTS_G @ y[..., _GAUSS_IDX, :])
     return k15, np.abs(k15 - g7)
 
 
+def _fail(message, vals, errs, spec):
+    """Raise IntegrationError for the component furthest over its tolerance."""
+    total = np.nansum(vals, axis=1)
+    err = np.where(np.isfinite(vals).all(axis=1), errs.sum(axis=1), np.inf)
+    tol = np.fmax(spec.abs_tol, spec.rel_tol * np.abs(total))
+    k = int(np.argmax(err / tol))
+    raise IntegrationError(message, float(total[k]), float(err[k]))
+
+
 def _adaptive(f, lo, hi, spec):
+    """Integral of f over [lo, hi] by sweeps of bisection (see the module doc)."""
     span = hi - lo
     edges = np.linspace(lo, hi, 9)
-    left, right = edges[:-1].copy(), edges[1:].copy()
+    left, right = edges[:-1], edges[1:]
     vals, errs = _gk15(f, left, right)
+    scalar = vals.ndim == 1
+    vals, errs = np.atleast_2d(vals), np.atleast_2d(errs)
     if not np.all(np.isfinite(vals)):
-        raise IntegrationError(
-            "integrand produced non-finite values", float(np.nansum(vals)), np.inf
-        )
+        _fail("integrand produced non-finite values", vals, errs, spec)
 
     splits = 0
     while True:
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total
-        if splits >= spec.max_subdivisions:
-            raise IntegrationError(
-                f"no convergence after {splits} subdivisions", total, total_err
-            )
-        worst = int(np.argmax(errs))
-        a, b = left[worst], right[worst]
-        if (b - a) < 1e-15 * span:
-            raise IntegrationError(
-                "interval too small to refine further", total, total_err
-            )
+        total = vals.sum(axis=1)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        open_ = errs.sum(axis=1) > tol
+        if not open_.any():
+            return float(total[0]) if scalar else total
+        # every interval above its share of an open component's tolerance;
+        # an open component always has at least one
+        split = np.any(errs[open_] > (tol[open_] / left.size)[:, None], axis=0)
+        n_split = int(np.count_nonzero(split))
+        if splits + n_split > spec.max_subdivisions:
+            _fail(f"no convergence after {splits} subdivisions", vals, errs, spec)
+        a, b = left[split], right[split]
+        if np.any((b - a) < 1e-15 * span):
+            _fail("interval too small to refine further", vals, errs, spec)
         mid = 0.5 * (a + b)
-        new_vals, new_errs = _gk15(f, np.array([a, mid]), np.array([mid, b]))
+        new_vals, new_errs = _gk15(f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        new_vals, new_errs = np.atleast_2d(new_vals), np.atleast_2d(new_errs)
         if not np.all(np.isfinite(new_vals)):
-            raise IntegrationError(
-                "integrand produced non-finite values", total, total_err
-            )
-        left = np.concatenate([np.delete(left, worst), [a, mid]])
-        right = np.concatenate([np.delete(right, worst), [mid, b]])
-        vals = np.concatenate([np.delete(vals, worst), new_vals])
-        errs = np.concatenate([np.delete(errs, worst), new_errs])
-        splits += 1
+            _fail("integrand produced non-finite values", vals, errs, spec)
+        keep = ~split
+        # fixed order: kept intervals, then left halves, then right halves
+        left = np.concatenate([left[keep], a, mid])
+        right = np.concatenate([right[keep], mid, b])
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+        splits += n_split
 
 
 def integrate_line(f, spec=None):
-    """Integrate a vectorized integrand over [-truncation, truncation]."""
+    """Integrate a vectorized integrand over [-truncation, truncation].
+
+    A vector-valued integrand returns an array of its m integrals.
+    """
     spec = DEFAULT_SPEC if spec is None else spec
     t = spec.truncation
     return _adaptive(f, -t, t, spec)
@@ -214,6 +243,8 @@ def integrate_unit(
     change of variables, or the exponent alpha of the z^alpha blow-up to
     get a substitution power matched to it.  The flags only take effect
     when the corresponding endpoint is actually part of the range.
+    A vector-valued f returns an array of its m integrals, as in
+    ``integrate_line``.
     """
     spec = DEFAULT_SPEC if spec is None else spec
     if not (0.0 <= lower < upper <= 1.0):

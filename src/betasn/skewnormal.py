@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution
+from .core import Distribution, _quantile_domain
 from .quadrature import _NODES, _WEIGHTS_K
 from .special import (
     _bracketed_newton,
@@ -75,7 +75,9 @@ class Normal(Distribution):
         return norm_cdf(self._z(x))
 
     def quantile(self, q):
-        return self.mu + self.sigma * norm_quantile(q)
+        q = _quantile_domain(q)
+        out = self.mu + self.sigma * norm_quantile(q)
+        return out if q.ndim else float(out)
 
 
 def _tail_logcdf(z, lam):
@@ -262,9 +264,7 @@ class SkewNormal(Distribution):
         returns -z of SN(-lam) at 1 - q, which is exact there, so the
         upper tail keeps the same relative accuracy as the lower one.
         """
-        q_in = np.asarray(q, dtype=float)
-        if np.any(~np.isfinite(q_in)) or np.any(q_in <= 0.0) or np.any(q_in >= 1.0):
-            raise ValueError("quantile requires 0 < q < 1")
+        q_in = _quantile_domain(q)
         q1 = np.atleast_1d(q_in)
         if self.lam == 0.0:
             # shape zero is exactly normal; skip the root finder

@@ -137,6 +137,17 @@ def test_mgf():
     assert abs(deriv - d.moments().mean) < 1e-5
 
 
+def test_mgf_over_an_array_of_t():
+    # every t shares one vector-valued quadrature; each keeps its own tolerance
+    d = BetaSkewNormal(-2.0, 0.3, 0.7, mu=0.5, sigma=1.5)
+    t = np.array([[-1.0, -0.2, 0.0], [0.4, 0.9, 1.3]])
+    got = d.mgf(t)
+    assert got.shape == t.shape
+    single = [d.mgf(float(v)) for v in t.ravel()]
+    assert all(type(v) is float for v in single)
+    assert np.allclose(got.ravel(), single, rtol=1e-9, atol=0.0)
+
+
 def test_mode_report_unimodal():
     rep = BetaSkewNormal(0.0, 1.0, 1.0).mode_report()
     assert rep.mode_count == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import betasn.quadrature
 from betasn import (
     DEFAULT_SPEC,
     IntegrationError,
@@ -16,6 +17,29 @@ from betasn import (
     norm_cdf,
     log_beta,
 )
+from betasn.reference import compare_grid
+
+ORDERS = (0, 1, 2, 3, 4)
+
+
+def _within_tolerance(stacked, single):
+    stacked, single = np.asarray(stacked), np.asarray(single)
+    tol = np.maximum(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * np.abs(single))
+    return bool(np.all(np.abs(stacked - single) <= tol))
+
+
+def _line_component(k):
+    return lambda x: x**k * 2.0 * norm_pdf(x) * norm_cdf(3.0 * x)
+
+
+def _unit_component(k, a, b):
+    norm = math.exp(log_beta(a, b))
+
+    def dens(z):
+        with np.errstate(divide="ignore"):
+            return z**k * z ** (a - 1.0) * (1.0 - z) ** (b - 1.0) / norm
+
+    return dens
 
 
 def test_line_examples():
@@ -146,3 +170,88 @@ def test_truncation_window():
     assert abs(integrate_line(norm_pdf, narrow) - 1.0) < 1e-12
     wide = QuadratureSpec(truncation=24.0)
     assert abs(integrate_line(norm_pdf, wide) - integrate_line(norm_pdf, DEFAULT_SPEC)) < 1e-13
+
+
+def test_stacked_line_matches_scalar_calls():
+    def stacked(x):
+        return np.stack([_line_component(k)(x) for k in ORDERS])
+
+    got = integrate_line(stacked, DEFAULT_SPEC)
+    assert got.shape == (len(ORDERS),)
+    single = [integrate_line(_line_component(k), DEFAULT_SPEC) for k in ORDERS]
+    assert _within_tolerance(got, single)
+
+
+@pytest.mark.parametrize(
+    "a, b, left, right",
+    [
+        (0.5, 0.75, True, True),
+        (0.5, 0.75, -0.5, -0.25),
+        (0.5, 0.75, True, -0.25),
+        (0.5, 2.0, -0.5, False),
+    ],
+)
+def test_stacked_unit_matches_scalar_calls(a, b, left, right):
+    # beta raw moments with endpoint blow-ups, through the bare square
+    # substitution and through matched powers
+    def stacked(z):
+        return np.stack([_unit_component(k, a, b)(z) for k in ORDERS])
+
+    kw = dict(singular_left=left, singular_right=right)
+    got = integrate_unit(stacked, DEFAULT_SPEC, **kw)
+    single = [integrate_unit(_unit_component(k, a, b), DEFAULT_SPEC, **kw) for k in ORDERS]
+    assert _within_tolerance(got, single)
+
+
+def test_results_repeat_bit_for_bit():
+    def stacked(x):
+        return np.stack([_line_component(k)(x) for k in ORDERS])
+
+    first = integrate_line(stacked, DEFAULT_SPEC)
+    assert np.array_equal(first, integrate_line(stacked, DEFAULT_SPEC))
+    f = _unit_component(2, 0.5, 0.75)
+    kw = dict(singular_left=-0.5, singular_right=True)
+    assert integrate_unit(f, DEFAULT_SPEC, **kw) == integrate_unit(f, DEFAULT_SPEC, **kw)
+
+
+def test_scalar_integrand_returns_python_float():
+    assert type(integrate_line(norm_pdf, DEFAULT_SPEC)) is float
+    assert type(integrate_unit(lambda z: 3.0 * z * z, DEFAULT_SPEC)) is float
+    assert type(integrate_unit(_unit_component(0, 0.5, 0.75), DEFAULT_SPEC,
+                               singular_left=True, singular_right=True)) is float
+
+
+def test_unconverged_component_raises_with_its_own_estimate():
+    # the smooth component converges at once; the needle never does within
+    # the budget, and the error reports the needle's float estimate
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=10)
+
+    def stacked(x):
+        return np.stack([np.ones_like(x), np.exp(-1e8 * (x - 0.3) ** 2)])
+
+    with pytest.raises(IntegrationError) as info:
+        integrate_unit(stacked, spec)
+    assert type(info.value.estimate) is float
+    assert type(info.value.error_estimate) is float
+    assert np.isfinite(info.value.estimate)
+    assert info.value.estimate < 0.5
+    assert info.value.error_estimate > spec.abs_tol
+
+
+def test_compare_grid_work_count(monkeypatch):
+    # deterministic perf guard: one compare_grid() is one stacked moment
+    # pass per row (1,599 batches and 65,970 nodes with a pass per moment
+    # and one split per batch)
+    counts = {"batches": 0, "nodes": 0}
+    gk15 = betasn.quadrature._gk15
+
+    def counted(f, a, b):
+        counts["batches"] += 1
+        counts["nodes"] += betasn.quadrature._NODES.size * np.size(a)
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(betasn.quadrature, "_gk15", counted)
+    rows = compare_grid()
+    assert all(r.passed for r in rows)
+    assert counts["batches"] <= 250
+    assert counts["nodes"] <= 25_000

@@ -1,4 +1,4 @@
-"""Quantile contract and tail accuracy of the root-solved families.
+"""Quantile contract of every family and tail accuracy of the root-solved ones.
 
 SN and BSN quantiles solve the skew-normal cdf by bracketed Newton in log
 space; SNB, GBSN and TBSN solve their cumulative table the same way.
@@ -12,7 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betasn import GBSN, SNB, TBSN, BetaSkewNormal, SkewNormal
+from betasn import (
+    GB1,
+    GBSN,
+    SNB,
+    TBSN,
+    Beta,
+    BetaHalfNormal,
+    BetaNormal,
+    BetaSkewNormal,
+    Kumaraswamy,
+    Normal,
+    SkewNormal,
+)
 
 RTOL = 1e-10
 TAILS = np.geomspace(1e-12, 0.5, 25)
@@ -70,6 +82,12 @@ FAMILIES = [
     SNB(1.0, 3),
     GBSN(2.0, 4, 1),
     TBSN(5.0, -0.5, 3, 2, mu=1.0, sigma=0.5),
+    Normal(0.3, 2.0),
+    Beta(0.5, 3.0),
+    GB1(2.0, 3.0, 1.5, 4.0),
+    Kumaraswamy(2.0, 0.7),
+    BetaNormal(0.5, 0.7, mu=1.0, sigma=2.0),
+    BetaHalfNormal(0.6, 1.3),
 ]
 
 
