@@ -25,7 +25,7 @@ from .special import (
     norm_quantile,
     reg_inc_beta,
 )
-from scipy.special import erf
+from scipy.special import erf, erfinv
 
 __all__ = [
     "Beta",
@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 _LOG2 = np.log(2.0)
+_SQRT2 = np.sqrt(2.0)
+# latent beta variates are kept strictly inside (0, 1), so the base
+# quantiles they feed stay finite; only an exact 0 or 1 is moved
+_W_LO = np.nextafter(0.0, 1.0)
+_W_HI = np.nextafter(1.0, 0.0)
 
 
 def _xlogy(e, log_t):
@@ -199,6 +204,24 @@ class Kumaraswamy(Distribution):
         return out if q.ndim else float(out)
 
 
+def _beta_generated_quantile(q, a, b, lower, upper):
+    """Quantile of a beta-generated law, solved on q's own side of 1/2.
+
+    For q <= 1/2, lower(w) maps the latent cdf w = I^-1(q; a, b) to x.
+    For q > 1/2, upper(s) maps the latent survival s = I^-1(1 - q; b, a),
+    because 1 - w would round to 0 there and lose the upper tail.
+    """
+    q = _quantile_domain(q)
+    qq = np.atleast_1d(q)
+    out = np.empty_like(qq)
+    left = qq <= 0.5
+    if np.any(left):
+        out[left] = lower(np.clip(inv_reg_inc_beta(qq[left], a, b), _W_LO, _W_HI))
+    if np.any(~left):
+        out[~left] = upper(np.clip(inv_reg_inc_beta(1.0 - qq[~left], b, a), _W_LO, _W_HI))
+    return out if q.ndim else float(out[0])
+
+
 def beta_generated_pdf(base_cdf, base_pdf, a, b, x):
     """Generic beta-generated density F^(a-1) (1-F)^(b-1) f / B(a, b).
 
@@ -264,9 +287,10 @@ class BetaNormal(Distribution):
         return reg_inc_beta(norm_cdf(self._z(x)), self.a, self.b)
 
     def quantile(self, q):
-        q = _quantile_domain(q)
-        out = self.mu + self.sigma * norm_quantile(inv_reg_inc_beta(q, self.a, self.b))
-        return out if q.ndim else float(out)
+        z = _beta_generated_quantile(
+            q, self.a, self.b, norm_quantile, lambda s: -norm_quantile(s)
+        )
+        return self.mu + self.sigma * z
 
 
 @dataclass(frozen=True)
@@ -317,6 +341,12 @@ class BetaHalfNormal(Distribution):
         return reg_inc_beta(np.clip(self._base_cdf(x), 0.0, 1.0), self.a, self.b)
 
     def quantile(self, q):
-        q = _quantile_domain(q)
-        out = norm_quantile(0.5 * (1.0 + inv_reg_inc_beta(q, self.a, self.b)))
-        return out if q.ndim else float(out)
+        # the base cdf is erf(x / sqrt 2) and its survival 2 Phi(-x); each
+        # side inverts its own, so neither forms 1 + w or 1 - s
+        return _beta_generated_quantile(
+            q,
+            self.a,
+            self.b,
+            lambda w: _SQRT2 * erfinv(w),
+            lambda s: -norm_quantile(0.5 * s),
+        )

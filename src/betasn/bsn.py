@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betafamily import BetaHalfNormal
-from .core import Distribution, SampleBatch, _quantile_domain
+from .betafamily import BetaHalfNormal, _beta_generated_quantile
+from .core import Distribution, SampleBatch
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
-from .skewnormal import SkewNormal
+from .skewnormal import SkewNormal, _tails
 from .special import (
-    inv_reg_inc_beta,
     log_beta,
     norm_logcdf,
     norm_logpdf,
@@ -44,8 +43,22 @@ __all__ = [
 ]
 
 _LOG2 = np.log(2.0)
-_W_LO = 1e-300
-_W_HI = np.nextafter(1.0, 0.0)
+
+
+def _add_log_kernel(acc, z, lam, a, b):
+    """acc + (a-1) log F(z) + (b-1) log S(z), with F and S of SN(0, 1, lam).
+
+    Both logs come from one skew-normal tail evaluation per point.  A
+    factor whose exponent is exactly 0 is skipped, so a=1 / b=1 cannot
+    pick up 0 * (large negative) noise.
+    """
+    if a != 1.0 or b != 1.0:
+        _, _, log_f, log_s = _tails(z, lam)
+        if a != 1.0:
+            acc = acc + (a - 1.0) * log_f
+        if b != 1.0:
+            acc = acc + (b - 1.0) * log_s
+    return acc
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,6 @@ class BetaSkewNormal(Distribution):
 
     def logpdf(self, x):
         z = self._z(x)
-        base = self.base
         out = (
             _LOG2
             - log_beta(self.a, self.b)
@@ -124,13 +136,7 @@ class BetaSkewNormal(Distribution):
             + norm_logcdf(self.lam * z)
             - np.log(self.sigma)
         )
-        # skip the beta-kernel factors when their exponents are exactly 0,
-        # so a=1 / b=1 cannot pick up 0 * (large negative) noise
-        if self.a != 1.0:
-            out = out + (self.a - 1.0) * base.logcdf(z)
-        if self.b != 1.0:
-            out = out + (self.b - 1.0) * base.logsf(z)
-        return out
+        return _add_log_kernel(out, z, self.lam, self.a, self.b)
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -141,8 +147,8 @@ class BetaSkewNormal(Distribution):
         # singular slope, while 1 - I_s(b,a) with s = 1 - w stays exact
         z = np.atleast_1d(self._z(x))
         a, b = (self.b, self.a) if swap else (self.a, self.b)
-        w = np.atleast_1d(self.base.sf(z) if swap else self.base.cdf(z))
-        s = np.atleast_1d(self.base.cdf(z) if swap else self.base.sf(z))
+        f, s, _, _ = _tails(z, self.lam)
+        w, s = (s, f) if swap else (f, s)
         out = np.empty_like(w)
         lo = w <= 0.5
         if np.any(lo):
@@ -159,22 +165,11 @@ class BetaSkewNormal(Distribution):
         return self._beta_ratio_two_sided(x, swap=True)
 
     def quantile(self, q):
-        q = _quantile_domain(q)
-        qq = np.atleast_1d(q)
-        z = np.empty_like(qq)
-        # left half runs through the cdf-side beta inverse; the right half
-        # through the survival side, where 1 - w would round to 0 and lose
-        # the tail entirely
-        left = qq <= 0.5
-        if np.any(left):
-            w = np.clip(inv_reg_inc_beta(qq[left], self.a, self.b), _W_LO, _W_HI)
-            z[left] = self.base.quantile(w)
-        if np.any(~left):
-            s = np.clip(inv_reg_inc_beta(1.0 - qq[~left], self.b, self.a), _W_LO, _W_HI)
-            mirror = SkewNormal(0.0, 1.0, -self.lam)
-            z[~left] = -mirror.quantile(s)
-        out = self.mu + self.sigma * z
-        return out if q.ndim else float(out[0])
+        mirror = SkewNormal(0.0, 1.0, -self.lam)
+        z = _beta_generated_quantile(
+            q, self.a, self.b, self.base.quantile, lambda s: -mirror.quantile(s)
+        )
+        return self.mu + self.sigma * z
 
     def mgf(self, t, spec=None):
         """Moment generating function by quadrature.
@@ -185,7 +180,6 @@ class BetaSkewNormal(Distribution):
         """
         spec = DEFAULT_SPEC if spec is None else spec
         t_arr = np.asarray(t, dtype=float)
-        base = self.base
         a, b, lam = self.a, self.b, self.lam
         tv = t_arr.ravel()
         s = self.sigma * tv
@@ -195,11 +189,7 @@ class BetaSkewNormal(Distribution):
             # one component per t, all on the same nodes
             w = y + shift
             acc = norm_logpdf(y) + norm_logcdf(lam * w)
-            if a != 1.0:
-                acc = acc + (a - 1.0) * base.logcdf(w)
-            if b != 1.0:
-                acc = acc + (b - 1.0) * base.logsf(w)
-            return np.exp(acc)
+            return np.exp(_add_log_kernel(acc, w, lam, a, b))
 
         total = integrate_line(integrand, spec)
         out = np.exp(self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total))
@@ -299,7 +289,8 @@ def _expect(dist, g, spec):
 def moment_recursion_gap(lam, a, b, k, spec=None):
     """Absolute discrepancy of the raw-moment recursion at order k.
 
-    Both sides are computed by independent quadratures:
+    Each expectation is its own quadrature component, to its own
+    tolerance; the three under X share one adaptive pass over its pdf:
     E[X^k] vs (k-1)E[X^{k-2}] + lam E[X^{k-1} phi(lam X)/Phi(lam X)]
     + (a+b-1)(E_U[U^{k-1} g(U)] - E_V[V^{k-1} g(V)]), with g the
     skew-normal density with shape lam, U ~ BSN(lam, a-1, b), and
@@ -322,13 +313,14 @@ def moment_recursion_gap(lam, a, b, k, spec=None):
     def hazard_term(x):
         return np.exp(norm_logpdf(lam * x) - norm_logcdf(lam * x))
 
-    lhs = _expect(dist, lambda x: x**k, spec)
-    rhs = (k - 1) * _expect(dist, lambda x: x ** (k - 2), spec)
-    rhs += lam * _expect(dist, lambda x: x ** (k - 1) * hazard_term(x), spec)
+    lhs, e_k2, e_hazard = _expect(
+        dist, lambda x: np.stack([x**k, x ** (k - 2), x ** (k - 1) * hazard_term(x)]), spec
+    )
+    rhs = (k - 1) * e_k2 + lam * e_hazard
     e_u = _expect(dist_u, lambda x: x ** (k - 1) * sn_density(x), spec)
     e_v = _expect(dist_v, lambda x: x ** (k - 1) * sn_density(x), spec)
     rhs += (a + b - 1.0) * (e_u - e_v)
-    return abs(lhs - rhs)
+    return float(abs(lhs - rhs))
 
 
 def reflection_check(lam, a, b, spec=None, grid_tol=1e-12, moment_tol=1e-6):
@@ -418,12 +410,7 @@ def skewing_weight(u, lam, a, b):
     u = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("skewing_weight requires 0 < u < 1")
-    base = SkewNormal(0.0, 1.0, float(lam))
     x = norm_quantile(u)
     acc = _LOG2 - log_beta(a, b) + norm_logcdf(lam * x)
-    if a != 1.0:
-        acc = acc + (a - 1.0) * base.logcdf(x)
-    if b != 1.0:
-        acc = acc + (b - 1.0) * base.logsf(x)
-    out = np.exp(acc)
+    out = np.exp(_add_log_kernel(acc, x, float(lam), a, b))
     return out if u.ndim else float(out)

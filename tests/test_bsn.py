@@ -16,6 +16,7 @@ from betasn import (
     log_beta,
     moment_recursion_gap,
     norm_cdf,
+    norm_logcdf,
     norm_logpdf,
     norm_quantile,
     reflection_check,
@@ -27,6 +28,7 @@ from betasn import (
 from betasn.quadrature import integrate_unit
 
 GRID = np.linspace(-6.0, 6.0, 401)
+_LOG2 = np.log(2.0)
 
 
 def _pdf_gap(d1, d2):
@@ -35,6 +37,33 @@ def _pdf_gap(d1, d2):
 
 def _cdf_gap(d1, d2):
     return float(np.max(np.abs(d1.cdf(GRID) - d2.cdf(GRID))))
+
+
+@pytest.mark.parametrize("lam", [3.0, -0.7, 50.0])
+def test_logpdf_matches_public_skewnormal_formula(lam):
+    d = BetaSkewNormal(lam, 0.3, 2.5)
+    z = np.linspace(-40.0, 40.0, 801)
+    want = _LOG2 - log_beta(d.a, d.b) + norm_logpdf(z) + norm_logcdf(lam * z) - np.log(d.sigma)
+    want = want + (d.a - 1.0) * d.base.logcdf(z)
+    want = want + (d.b - 1.0) * d.base.logsf(z)
+    assert np.array_equal(d.logpdf(z), want)
+
+
+def test_logpdf_evaluates_each_tail_once(monkeypatch):
+    # deterministic perf guard: log F and log S come from one left-tail
+    # evaluation per point, not one each
+    from betasn import skewnormal
+
+    counts = {"points": 0}
+    inner = skewnormal._left
+
+    def counted(z, lam):
+        counts["points"] += np.size(z)
+        return inner(z, lam)
+
+    monkeypatch.setattr(skewnormal, "_left", counted)
+    BetaSkewNormal(1.0, 2.0, 3.0).logpdf(GRID)
+    assert counts["points"] == GRID.size
 
 
 def test_density_formula():
@@ -114,6 +143,26 @@ def test_moment_recursion_lattice():
                 for k in (2, 3, 4):
                     worst = max(worst, moment_recursion_gap(lam, a, b, k))
     assert worst < 1e-6
+
+
+def test_moment_recursion_work_count(monkeypatch):
+    # deterministic perf guard: E[X^k], E[X^(k-2)] and the hazard term
+    # share one pass over the BSN pdf (5 scalar passes made 20 batches
+    # and 2,070 nodes)
+    import betasn.quadrature
+
+    counts = {"batches": 0, "nodes": 0}
+    gk15 = betasn.quadrature._gk15
+
+    def counted(f, a, b):
+        counts["batches"] += 1
+        counts["nodes"] += betasn.quadrature._NODES.size * np.size(a)
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(betasn.quadrature, "_gk15", counted)
+    assert moment_recursion_gap(1.5, 2.0, 3.0, 4) < 1e-6
+    assert counts["batches"] <= 12
+    assert counts["nodes"] <= 1_260
 
 
 def test_moment_recursion_domain():

@@ -2,6 +2,7 @@
 
 SN and BSN quantiles solve the skew-normal cdf by bracketed Newton in log
 space; SNB, GBSN and TBSN solve their cumulative table the same way.
+BetaNormal and BetaHalfNormal invert the incomplete beta on q's own side.
 Round trips are judged on q's own side of 1/2: cdf(x) against q, or
 sf(x) against 1 - q where the family has an sf, relative to that tail
 probability.
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, erf, erfc, ndtr
 
 from betasn import (
     GB1,
@@ -74,6 +76,47 @@ def test_table_far_tail_repro():
     x = dist.quantile(q)
     assert x[0] < x[1]
     assert np.max(np.abs(dist.cdf(x) - q) / q) <= RTOL
+
+
+# BetaNormal and BetaHalfNormal have no sf; their round trips go through
+# scipy's incomplete beta of the base cdf (q <= 1/2) or survival (q > 1/2)
+BETA_SHAPES = [(3.0, 0.5), (1.0, 0.3), (0.5, 0.05), (0.5, 2.0), (20.0, 0.05), (0.05, 20.0)]
+
+
+def _latent_miss(q, a, b, base_cdf, base_sf):
+    upper = q > 0.5
+    got = np.where(upper, betainc(b, a, base_sf), betainc(a, b, base_cdf))
+    want = np.where(upper, 1.0 - q, q)
+    return np.abs(got - want) / want
+
+
+@pytest.mark.parametrize("a, b", BETA_SHAPES)
+def test_beta_normal_tails(a, b):
+    x = BetaNormal(a, b).quantile(Q_GRID)
+    assert np.all(np.diff(x) >= 0.0)
+    assert np.max(_latent_miss(Q_GRID, a, b, ndtr(x), ndtr(-x))) <= RTOL
+    upper = Q_GRID > 0.5
+    q = Q_GRID[upper]
+    assert np.array_equal(x[upper], -BetaNormal(b, a).quantile(1.0 - q))
+
+
+def test_beta_normal_subnormal_latent():
+    # at a = 0.05 the latent w = I^-1(q; a, b) passes 1e-300 near
+    # q = 1.2e-15 and reaches 3e-302 at q = 1e-15; every representable w
+    # must pass through unclipped.  At q = 1e-16 inv_reg_inc_beta
+    # underflows to 0 and the quantile stops at the smallest double.
+    q = np.concatenate([np.geomspace(2e-15, 1e-15, 6), [1e-16]])[::-1]
+    x = BetaNormal(0.05, 20.0).quantile(q)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.max(np.abs(betainc(0.05, 20.0, ndtr(x[1:])) - q[1:]) / q[1:]) <= RTOL
+
+
+@pytest.mark.parametrize("a, b", BETA_SHAPES)
+def test_beta_half_normal_tails(a, b):
+    x = BetaHalfNormal(a, b).quantile(Q_GRID)
+    assert np.all(x > 0.0) and np.all(np.diff(x) >= 0.0)
+    u = x / np.sqrt(2.0)
+    assert np.max(_latent_miss(Q_GRID, a, b, erf(u), erfc(u))) <= RTOL
 
 
 FAMILIES = [

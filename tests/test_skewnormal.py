@@ -151,15 +151,41 @@ def test_half_normal_limit():
     assert d.cdf(0.0) < 2e-3
 
 
+# For lam > 0 the repair first runs (going left) at these z, rounded
+# down to 4 decimals: the largest z with Phi(z) - 2 T(z, lam) at most
+# 1e-4 Phi(z).  From lam of about 6400 on it already runs at z = 0.
+FIRST_REPAIRED_Z = {
+    0.05: -37.6772, 0.3: -12.8953, 1.0: -3.7191, 2.0: -1.754,
+    5.0: -0.6336, 10.0: -0.2919, 20.0: -0.134, 50.0: -0.0474,
+    200.0: -0.0093, 1000.0: -0.0012, 1e4: 0.0,
+}
+
 # (lam, z) where the log-space tail repair runs, down to z = -30.  For
 # lam = -0.7 it runs only once Phi(z) - 2 T(z, lam) underflows, past
-# z = -37.5, so -30 and -6 check the direct formula there.
+# z = -37.5, so -30 and -6 check the direct formula there.  The points
+# at and just past FIRST_REPAIRED_Z check the switch from Owen's T.
 ORACLE_POINTS = [
     (3.0, -30.0), (3.0, -8.0), (3.0, -2.0),
     (50.0, -30.0), (50.0, -3.0), (50.0, -0.3),
     (0.7, -30.0), (0.7, -12.0), (0.7, -6.0),
     (-0.7, -38.0), (-0.7, -30.0), (-0.7, -6.0),
-]
+] + [(lam, z - dz) for lam, z in FIRST_REPAIRED_Z.items() for dz in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("lam, z", FIRST_REPAIRED_Z.items())
+def test_repair_starts_at_first_repaired_z(monkeypatch, lam, z):
+    from betasn import skewnormal
+
+    repaired = []
+    inner = skewnormal._tail_logcdf
+
+    def recorded(zb, lam_b):
+        repaired.extend(zb.tolist())
+        return inner(zb, lam_b)
+
+    monkeypatch.setattr(skewnormal, "_tail_logcdf", recorded)
+    SkewNormal(0.0, 1.0, lam).logcdf(np.array([z + 1e-4, z]))
+    assert repaired == [z]
 
 
 @pytest.mark.parametrize("lam, z", ORACLE_POINTS)
@@ -180,3 +206,33 @@ def test_sn_oracle_routes_agree(lam, z):
 
     want = closed_form_logcdf(z, lam)
     assert abs(tail_logcdf(z, lam) - want) <= 4.0 * np.spacing(abs(want))
+
+
+def test_tail_repair_work_count(monkeypatch):
+    # deterministic perf guard: one 20-point Laguerre rule per repaired
+    # point (eight 15-point panels took 122 norm_logcdf points each)
+    from betasn import skewnormal
+
+    counts = {"points": 0}
+    inner = skewnormal.norm_logcdf
+
+    def counted(x):
+        counts["points"] += np.size(x)
+        return inner(x)
+
+    monkeypatch.setattr(skewnormal, "norm_logcdf", counted)
+    z = np.linspace(-30.0, -2.0, 1000)
+    skewnormal._tail_logcdf(z, 3.0)
+    assert counts["points"] <= 25 * z.size
+
+
+def test_tails_shapes_and_scalars():
+    from betasn.skewnormal import _tails
+
+    d = SkewNormal(0.0, 1.0, 3.0)
+    z = np.linspace(-40.0, 40.0, 12).reshape(3, 4)
+    methods = (d.cdf, d.sf, d.logcdf, d.logsf)
+    for k, method in enumerate(methods):
+        assert _tails(z, 3.0)[k].shape == method(z).shape == (3, 4)
+        v = method(-3.0)
+        assert type(v) is float and v == _tails(np.array([-3.0]), 3.0)[k][0]
