@@ -199,8 +199,16 @@ class Kumaraswamy(Distribution):
             return -np.expm1(self.b * np.log1p(-(xs**self.p)))
 
     def quantile(self, q):
+        # x = exp(log(x^p) / p) with x^p = 1 - (1-q)^(1/b); its log comes
+        # from whichever of x^p and 1 - x^p is below 1/2, so that near x = 1,
+        # where 1/p times the rounding of x^p would swamp 1 - x, log x and
+        # with it 1 - x stay relatively accurate
         q = _quantile_domain(q)
-        out = (-np.expm1(np.log1p(-q) / self.b)) ** (1.0 / self.p)
+        log_s = np.log1p(-q) / self.b
+        v = -np.expm1(log_s)
+        with np.errstate(divide="ignore"):
+            log_v = np.where(v < 0.5, np.log(v), np.log1p(-np.exp(log_s)))
+        out = np.exp(log_v / self.p)
         return out if q.ndim else float(out)
 
 

@@ -45,15 +45,16 @@ __all__ = [
 _LOG2 = np.log(2.0)
 
 
-def _add_log_kernel(acc, z, lam, a, b):
+def _add_log_kernel(acc, z, lam, a, b, log_phi_lz):
     """acc + (a-1) log F(z) + (b-1) log S(z), with F and S of SN(0, 1, lam).
 
-    Both logs come from one skew-normal tail evaluation per point.  A
-    factor whose exponent is exactly 0 is skipped, so a=1 / b=1 cannot
-    pick up 0 * (large negative) noise.
+    Both logs come from one skew-normal tail evaluation per point, which
+    reuses the caller's log Phi(lam z).  A factor whose exponent is
+    exactly 0 is skipped, so a=1 / b=1 cannot pick up 0 * (large
+    negative) noise.
     """
     if a != 1.0 or b != 1.0:
-        _, _, log_f, log_s = _tails(z, lam)
+        _, _, log_f, log_s = _tails(z, lam, log_phi_lz)
         if a != 1.0:
             acc = acc + (a - 1.0) * log_f
         if b != 1.0:
@@ -129,14 +130,15 @@ class BetaSkewNormal(Distribution):
 
     def logpdf(self, x):
         z = self._z(x)
+        log_phi_lz = norm_logcdf(self.lam * z)
         out = (
             _LOG2
             - log_beta(self.a, self.b)
             + norm_logpdf(z)
-            + norm_logcdf(self.lam * z)
+            + log_phi_lz
             - np.log(self.sigma)
         )
-        return _add_log_kernel(out, z, self.lam, self.a, self.b)
+        return _add_log_kernel(out, z, self.lam, self.a, self.b, log_phi_lz)
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -188,8 +190,9 @@ class BetaSkewNormal(Distribution):
         def integrand(y):
             # one component per t, all on the same nodes
             w = y + shift
-            acc = norm_logpdf(y) + norm_logcdf(lam * w)
-            return np.exp(_add_log_kernel(acc, w, lam, a, b))
+            log_phi_lw = norm_logcdf(lam * w)
+            acc = norm_logpdf(y) + log_phi_lw
+            return np.exp(_add_log_kernel(acc, w, lam, a, b, log_phi_lw))
 
         total = integrate_line(integrand, spec)
         out = np.exp(self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total))
@@ -411,6 +414,7 @@ def skewing_weight(u, lam, a, b):
     if np.any(~np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("skewing_weight requires 0 < u < 1")
     x = norm_quantile(u)
-    acc = _LOG2 - log_beta(a, b) + norm_logcdf(lam * x)
-    out = np.exp(_add_log_kernel(acc, x, float(lam), a, b))
+    log_phi_lx = norm_logcdf(lam * x)
+    acc = _LOG2 - log_beta(a, b) + log_phi_lx
+    out = np.exp(_add_log_kernel(acc, x, float(lam), a, b, log_phi_lx))
     return out if u.ndim else float(out)

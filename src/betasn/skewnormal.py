@@ -19,9 +19,11 @@ SN(-lam).  _tails turns that one evaluation per point into
 four, and the beta-generated densities take the pair they need.
 
 The quantile inverts that logcdf: for q <= 1/2 it solves
-log F(z) = log q by bracketed Newton, and above 1/2 it reflects through
-SN(-lam) at 1 - q, so both tails are solved on their own side and keep
-the cdf's relative accuracy.  Every BSN quantile and draw runs through it.
+log F(z) = log q by bracketed Halley steps from the tail asymptote
+sqrt(2/pi) Phi(s z) / (lam s |z|), s = sqrt(1 + lam^2), and above 1/2 it
+reflects through SN(-lam) at 1 - q, so both tails are solved on their
+own side and keep the cdf's relative accuracy.  Every BSN quantile and
+draw runs through it.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ from .special import (
     norm_quantile,
     owen_t,
 )
+from scipy.special import ndtri_exp
 
 __all__ = ["Normal", "SkewNormal", "sn_neg_closure_check"]
 
 _LOG2 = np.log(2.0)
+_LOG_SQRT_2_OVER_PI = 0.5 * np.log(2.0 / np.pi)
 _TINY = np.nextafter(0.0, 1.0)
 
 
@@ -138,7 +142,12 @@ _LAGUERRE_WEIGHTS = np.array(
 )
 
 
-def _tail_logcdf(z, lam):
+def _log_density(z, log_phi_lz):
+    """log of 2 phi(z) Phi(lam z), given log Phi(lam z)."""
+    return _LOG2 + norm_logpdf(z) + log_phi_lz
+
+
+def _tail_logcdf(z, lam, log_phi_lz=None):
     """log F(z; lam) on the left tail, by a Gauss-Laguerre rule in log space.
 
     F(z) is the integral of g(t) = 2 phi(t) Phi(lam t) over (-inf, z].
@@ -151,13 +160,15 @@ def _tail_logcdf(z, lam):
     curvature term stretches its decay in s over several nodes.  One
     20-point Gauss-Laguerre rule then resolves F to a few ulp of log F
     (checked against an mpmath oracle for lam from 0.05 to 1e4), at 21
-    norm_logcdf evaluations per point.  Only called where the direct formula has already lost most
-    of its digits (cancellation for lam > 0) or underflowed outright
-    (very negative z, any lam).
+    norm_logcdf evaluations per point, or 20 when the caller passes
+    log Phi(lam z) in.  Only called where the direct formula has already
+    lost most of its digits (cancellation for lam > 0) or underflowed
+    outright (very negative z, any lam).
     """
     z = np.asarray(z, dtype=float)
-    log_phi_lz = norm_logcdf(lam * z)
-    log_g_z = _LOG2 + norm_logpdf(z) + log_phi_lz
+    if log_phi_lz is None:
+        log_phi_lz = norm_logcdf(lam * z)
+    log_g_z = _log_density(z, log_phi_lz)
     # log g has slope -t + lam H(lam t) and curvature
     # -1 - lam^2 H (lam t + H), H the normal hazard; H (x + H) >= 0
     # except for rounding far out on the left
@@ -172,13 +183,14 @@ def _tail_logcdf(z, lam):
 
 
 def _left(z, lam):
-    """(F, log F) of SN(0, 1, lam) at the points of a 1-d array z <= 0.
+    """(F, log F, unresolved) of SN(0, 1, lam) at the points of a 1-d array z <= 0.
 
-    Phi(z) - 2 T(z, lam) gives both, except at the points it cannot
-    resolve, which get the log-space tail repair instead: for lam > 0
-    where cancellation leaves under 1e-4 of Phi(z) (or Phi itself
-    underflowed), and for lam <= 0, where T only adds mass, once the
-    value drops below 1e-290 while its log stays representable.
+    F and log F come from Phi(z) - 2 T(z, lam); the mask flags the
+    points that formula cannot resolve, which need the log-space tail
+    repair instead: for lam > 0 where cancellation leaves under 1e-4 of
+    Phi(z) (or Phi itself underflowed), and for lam <= 0, where T only
+    adds mass, once the value drops below 1e-290 while its log stays
+    representable.
     """
     phi = norm_cdf(z)
     f = np.clip(phi - 2.0 * owen_t(z, lam), 0.0, 1.0)
@@ -186,26 +198,31 @@ def _left(z, lam):
         log_f = np.log(f)
     # <= so the repair still fires once norm_cdf itself underflows to 0
     bad = f <= 1e-4 * phi if lam > 0.0 else f < 1e-290
-    if np.any(bad):
-        log_f[bad] = _tail_logcdf(z[bad], lam)
-        f[bad] = np.exp(log_f[bad])
-    return f, log_f
+    return f, log_f, bad
 
 
-def _tails(z, lam):
+def _tails(z, lam, log_phi_lz=None):
     """(F, S, log F, log S) of SN(0, 1, lam) at z, as arrays shaped like z.
 
     One left-tail evaluation per point serves all four: at z <= 0 the
     near side is F of SN(lam) at z, elsewhere S, as F of SN(-lam) at -z;
-    the far side is its complement.
+    the far side is its complement.  log_phi_lz, log Phi(lam z) at z when
+    the caller has it, spares the tail repair recomputing it; the
+    mirrored side has the same product lam z.
     """
     z = np.asarray(z, dtype=float)
     zz = z.reshape(-1)
     neg = zz <= 0.0
     near = np.empty_like(zz)
     log_near = np.empty_like(zz)
-    near[neg], log_near[neg] = _left(zz[neg], lam)
-    near[~neg], log_near[~neg] = _left(-zz[~neg], -lam)
+    for side, sign in ((neg, 1.0), (~neg, -1.0)):
+        z_side, lam_side = sign * zz[side], sign * lam
+        f, log_f, bad = _left(z_side, lam_side)
+        if np.any(bad):
+            known = () if log_phi_lz is None else (log_phi_lz.reshape(-1)[side][bad],)
+            log_f[bad] = _tail_logcdf(z_side[bad], lam_side, *known)
+            f[bad] = np.exp(log_f[bad])
+        near[side], log_near[side] = f, log_f
     far = 1.0 - near
     log_far = np.log1p(-near)
     out = (
@@ -217,28 +234,59 @@ def _tails(z, lam):
     return tuple(v.reshape(z.shape) for v in out)
 
 
+def _log_tail_factor(z, lam):
+    """log of B(z) / Phi(s z) = sqrt(2/pi) / (lam s |z|), s = sqrt(1 + lam^2), for lam > 0, z < 0.
+
+    B(z) = sqrt(2/pi) Phi(s z) / (lam s |z|) is an upper bound on
+    F(z; lam), and its asymptote as lam z -> -inf (Capitanio 2010):
+    Mills' ratio bounds Phi(lam t) by phi(lam t) / (lam |t|) <=
+    phi(lam t) / (lam |z|) for t <= z.
+    """
+    with np.errstate(divide="ignore"):
+        return _LOG_SQRT_2_OVER_PI - np.log(lam * np.hypot(1.0, lam) * np.abs(z))
+
+
 def _std_quantile_lower(p, lam):
-    """z with F(z; lam) = p for 0 < p <= 1/2, by bracketed Newton on log F.
+    """z with F(z; lam) = p for 0 < p <= 1/2, by bracketed Halley steps on log F.
 
     F <= Phi and F >= 2 Phi - 1 for lam >= 0, and Phi <= F <= 2 Phi for
-    lam < 0, bracket the root.  The density is log-concave, so log F is
-    concave, and Newton steps from the lower end of that bracket climb to
-    the root without overshooting.
+    lam < 0, bracket the root.  The start is the root of the tail bound
+    B >= F_|lam| (see _log_tail_factor), after two fixed-point passes,
+    clipped into that bracket: min(B, Phi) = p for lam > 0, and
+    2 Phi - min(B, Phi) = p for lam < 0, from F_-|lam| = 2 Phi - F_|lam|.
+    Deep in the tail B is F's asymptote, so the start is already close
+    to the root; nearer the centre the clip takes over.  The steps use
+    the curvature g'' = g' (-z + lam H(lam z) - g') of g = log F - log p,
+    with g' = f / F and H the normal hazard.
     """
+    log_p = np.log(p)
     if lam >= 0.0:
         lo = norm_quantile(p)
         hi = norm_quantile(0.5 * (1.0 + p))
+        s = np.hypot(1.0, lam)
+        z = lo / s
+        for _ in range(2 if lam > 0.0 else 0):
+            # B(z) = p  <=>  log Phi(s z) = log p - log(B / Phi(s z));
+            # at p = 1/2, z = 0 and the pass runs off to -inf, clipped
+            arg = log_p - _log_tail_factor(z, lam)
+            z = ndtri_exp(np.minimum(arg, 0.0)) / s
     else:
         lo = norm_quantile(np.maximum(0.5 * p, _TINY))
         hi = norm_quantile(p)
-    log_p = np.log(p)
+        z = lo
+        for _ in range(2):
+            log_b = norm_logcdf(np.hypot(1.0, lam) * z) + _log_tail_factor(z, -lam)
+            log_b = np.minimum(log_b, norm_logcdf(z))
+            z = ndtri_exp(np.logaddexp(log_p, log_b) - _LOG2)
 
     def log_gap(z, idx):
-        log_f = _tails(z, lam)[2]
-        log_dens = _LOG2 + norm_logpdf(z) + norm_logcdf(lam * z)
-        return log_f - log_p[idx], np.exp(log_dens - log_f)
+        log_phi_lz = norm_logcdf(lam * z)
+        log_f = _tails(z, lam, log_phi_lz)[2]
+        dg = np.exp(_log_density(z, log_phi_lz) - log_f)
+        dlog_dens = -z + lam * np.exp(norm_logpdf(lam * z) - log_phi_lz)
+        return log_f - log_p[idx], dg, dg * (dlog_dens - dg)
 
-    return _bracketed_newton(log_gap, lo, lo, hi)
+    return _bracketed_newton(log_gap, np.clip(z, lo, hi), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -272,7 +320,7 @@ class SkewNormal(Distribution):
 
     def logpdf(self, x):
         z = self._z(x)
-        return _LOG2 + norm_logpdf(z) + norm_logcdf(self.lam * z) - np.log(self.psi)
+        return _log_density(z, norm_logcdf(self.lam * z)) - np.log(self.psi)
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))

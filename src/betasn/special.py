@@ -3,7 +3,8 @@
 Thin wrappers around :mod:`scipy.special` that pin down the domain checks,
 endpoint conventions, and accuracy guarantees the rest of the package
 relies on.  Every function accepts floats or numpy arrays and broadcasts
-like a ufunc.
+like a ufunc.  The incomplete-beta inverse is solved here, on the same
+bracketed root solver as the skew-normal and table quantiles.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ __all__ = [
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-# bisection alone takes a bracket of width 80 down to a few ulp in 57 steps
+_LOG2 = np.log(2.0)
+# bisection alone takes a bracket of width 80 down to a few ulp in 57
+# steps, and the incomplete-beta inverse's 744 wide bracket in log w in
+# about 60
 _NEWTON_MAX_STEPS = 100
 _NEWTON_ULPS = 4.0 * np.finfo(float).eps
 
@@ -108,8 +112,15 @@ def reg_inc_beta(y, a, b):
 def inv_reg_inc_beta(p, a, b):
     """Inverse of reg_inc_beta in its first argument.
 
-    Satisfies reg_inc_beta(inv_reg_inc_beta(p, a, b), a, b) == p to within
-    1e-10 for p in [1e-8, 1 - 1e-8] across a, b in [0.1, 10].
+    Solves log I_w(a, b) = log p for u = log w by bracketed Halley steps
+    on [log 5e-324, 0]; above p = 1/2 it solves the complement
+    1 - I_w(a, b) = 1 - p instead, so each side keeps its own tail
+    probability to relative accuracy.  The result is p's w to within
+    about an ulp of w: below 1/2 the round trip is relative to p down to
+    subnormal w, which carries few significant bits, and near w = 1 it
+    is the forward slope times the spacing of w.  p = 0 and p = 1 map to
+    0 and 1, as does any p whose w rounds to them, and NaN to NaN.  a and
+    b broadcast against p.
     """
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -118,26 +129,110 @@ def inv_reg_inc_beta(p, a, b):
         raise ValueError("inv_reg_inc_beta requires a > 0 and b > 0")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("inv_reg_inc_beta requires 0 <= p <= 1")
-    y = _sp.betaincinv(a, b, p)
-    # the backend stops near 3e-12 relative for extreme shape pairs; one
-    # safeguarded Newton correction on the forward residual pins the result
-    # to the conditioning floor instead
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dens = np.exp(
-            _sp.xlogy(a - 1.0, y) + _sp.xlog1py(b - 1.0, -y) - _sp.betaln(a, b)
+    shape = np.broadcast_shapes(p.shape, a.shape, b.shape)
+    # scalar shapes stay scalars: the solver then indexes p alone
+    if a.ndim or b.ndim:
+        p, a, b = (v.ravel() for v in np.broadcast_arrays(p, a, b))
+    else:
+        p, a, b = p.ravel(), float(a), float(b)
+    # NaN in, NaN out
+    w = np.where((p == 0.0) | (p == 1.0), p, np.nan)
+    inside = (p > 0.0) & (p < 1.0) & np.isfinite(a) & np.isfinite(b)
+    if np.any(inside):
+        w[inside] = np.exp(_log_inc_beta_root(p[inside], *_take(inside, a, b)))
+    return w.reshape(shape)[()]
+
+
+def _take(idx, *values):
+    """v[idx] for each array among values; floats pass through."""
+    return tuple(v[idx] if np.ndim(v) else v for v in values)
+
+
+_LOG_W_MIN = np.log(np.nextafter(0.0, 1.0))
+# down to this, 1 - I_w below w = 1/2 is 1 - betainc(a, b, w), the same
+# bits as 1 - reg_inc_beta; each ulp of 1 that betainc is off by is then
+# at most 1.5e-11 of it.  Below, the slower betaincc keeps it relative.
+_COMPLEMENT_FLOOR = 2.0**-16
+
+
+def _log_inc_beta_root(p, a, b):
+    """u = log w with I_w(a, b) = p, for a 1-d array p in (0, 1).
+
+    a and b are floats or arrays shaped like p.  The start is the root of
+    whichever endpoint asymptote has the smaller second series term
+    there: I_w ~ w^a / (a B) (1 + a (1 - b) w / (a + 1)) near 0, and
+    1 - I_w the same with a, b and w, 1 - w swapped near 1.  The two are
+    exact for b = 1 and a = 1 respectively.  Where p <= 1/2 the unknown
+    solves log I_w(a, b) = log p; above, it solves log(1 - I_w) =
+    log(1 - p), with 1 - I_w = I_(1-w)(b, a) from 1 - w = -expm1(u) at
+    w >= 1/2, and from w below.  Both sides share one solve.
+    """
+    log_b = _sp.betaln(a, b)
+    upper = p > 0.5
+    log_p, log_q = np.log(p), np.log1p(-p)
+    log_tail = np.where(upper, log_q, log_p)
+    from_0 = (log_p + np.log(a) + log_b) / a
+    log_1mw = (log_q + np.log(b) + log_b) / b
+    valid_0, valid_1 = from_0 < 0.0, log_1mw < 0.0
+    with np.errstate(divide="ignore"):
+        from_1 = np.log(-np.expm1(np.minimum(log_1mw, 0.0)))
+        # log of each series' second term, relative, at its own start
+        near_0 = np.log(np.abs(a * (b - 1.0) / (a + 1.0))) + from_0 <= (
+            np.log(np.abs(b * (a - 1.0) / (b + 1.0))) + log_1mw
         )
-        step = (_sp.betainc(a, b, y) - p) / dens
-    step = np.where(np.isfinite(step), step, 0.0)
-    return np.clip(y - step, 0.0, 1.0)
+    # an asymptote that puts w outside (0, 1) gives way to the other one,
+    # and to the mean where both do
+    start = np.where((valid_0 & near_0) | ~valid_1, from_0, from_1)
+    start = np.where(valid_0 | valid_1, start, np.log(a / (a + b)))
+    start = np.clip(start, _LOG_W_MIN, -np.finfo(float).eps)
+    sign = np.where(upper, -1.0, 1.0)
+
+    def log_gap(u, idx):
+        a_i, b_i, log_b_i = _take(idx, a, b, log_b)
+        up, sign_i = upper[idx], sign[idx]
+        w, y = np.exp(u), -np.expm1(u)
+        # the lower side, and the upper side below w = 1/2, take their
+        # value from w; the rest of the upper side takes it from 1 - w
+        from_w = ~up | (w < 0.5)
+        a_w, b_w = _take(from_w, a_i, b_i)
+        a_y, b_y = _take(~from_w, a_i, b_i)
+        tail = np.empty_like(u)
+        tail[~from_w] = _sp.betainc(b_y, a_y, y[~from_w])
+        inc = _sp.betainc(a_w, b_w, w[from_w])
+        comp = up[from_w]
+        inc[comp] = 1.0 - inc[comp]
+        deep = comp & (inc < _COMPLEMENT_FLOOR)
+        if np.any(deep):
+            inc[deep] = _sp.betaincc(*_take(deep, a_w, b_w), w[from_w][deep])
+        tail[from_w] = inc
+        # a value taken from w belongs to log w, not to u: `moved` carries
+        # it back to u along the slope, which keeps g smooth below the
+        # spacing of w, far coarser than that of u near w = 1
+        moved = np.where(from_w, u - np.log(w), 0.0)
+        with np.errstate(divide="ignore"):
+            log_i = np.log(tail)
+        # g' = w f(w) / I_w on the lower side and w f(w) / (1 - I_w) on the
+        # upper, with f the beta density
+        dg = np.exp(a_i * u + _sp.xlogy(b_i - 1.0, y) - log_b_i - log_i)
+        g = sign_i * (log_i - log_tail[idx]) + dg * moved
+        return g, dg, dg * (a_i - (b_i - 1.0) * w / y - sign_i * dg)
+
+    u = _bracketed_newton(log_gap, start, np.full_like(p, _LOG_W_MIN), np.zeros_like(p))
+    # a root below half the smallest double rounds to w = 0
+    rounds_to_0 = log_p < a * (_LOG_W_MIN - _LOG2) - np.log(a) - log_b
+    return np.where(rounds_to_0, -np.inf, u)
 
 
 def _bracketed_newton(fun, x, lo, hi):
     """Roots of increasing functions g_i, one per element, with lo_i <= root_i <= hi_i.
 
     fun(x, idx) returns g and dg/dx at the points x of the elements idx,
-    an index array into the 1-d inputs.  Each step is Newton's, or a
-    bisection of the bracket when the Newton point is not finite or
-    leaves it; the sign of g shrinks the bracket, and a point with g == 0
+    an index array into the 1-d inputs, and optionally d2g/dx2 as a third
+    value.  Each step is Newton's, or Halley's where fun gives the
+    curvature: the Newton step divided by 1 - g g'' / (2 g'^2), kept to
+    Newton where that factor is not finite or is below 1/2.  A step
+    whose point is not finite or leaves the bracket becomes a bisection
+    of it; the sign of g shrinks the bracket, and a point with g == 0
     keeps its x.  An element stops once its step or its bracket is a few
     ulp of max(|x|, 1), and only unconverged elements are evaluated
     again.  An element still unconverged after _NEWTON_MAX_STEPS steps
@@ -151,18 +246,21 @@ def _bracketed_newton(fun, x, lo, hi):
         if idx.size == 0:
             return x
         xi = x[idx]
-        g, dg = fun(xi, idx)
+        g, dg, *d2g = fun(xi, idx)
         lo_i = np.where(g < 0.0, xi, lo[idx])
         hi_i = np.where(g > 0.0, xi, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(g == 0.0, 0.0, g / dg)
+            if d2g:
+                factor = 1.0 - 0.5 * step * d2g[0] / dg
+                step = np.where(np.isfinite(factor) & (factor >= 0.5), step / factor, step)
         newton = xi - step
         tol = _NEWTON_ULPS * np.maximum(np.abs(xi), 1.0)
         tiny_step = np.abs(step) <= tol
         inside = (newton > lo_i) & (newton < hi_i)
         x_new = np.where(inside, newton, 0.5 * (lo_i + hi_i))
-        # a converging Newton step can round onto the bracket end it
-        # started from; that is convergence, not a step outside
+        # a converging step can round onto the bracket end it started
+        # from; that is convergence, not a step outside
         x_new = np.where(tiny_step, np.clip(newton, lo_i, hi_i), x_new)
         x[idx], lo[idx], hi[idx] = x_new, lo_i, hi_i
         idx = idx[~(tiny_step | (hi_i - lo_i <= tol))]

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc, erf, erfc, ndtr
+from scipy.special import betainc, betaincc, erf, erfc, ndtr
+
+from test_special import _roundtrip_slope
 
 from betasn import (
     GB1,
@@ -26,6 +28,7 @@ from betasn import (
     Kumaraswamy,
     Normal,
     SkewNormal,
+    inv_reg_inc_beta,
 )
 
 RTOL = 1e-10
@@ -103,12 +106,19 @@ def test_beta_normal_tails(a, b):
 def test_beta_normal_subnormal_latent():
     # at a = 0.05 the latent w = I^-1(q; a, b) passes 1e-300 near
     # q = 1.2e-15 and reaches 3e-302 at q = 1e-15; every representable w
-    # must pass through unclipped.  At q = 1e-16 inv_reg_inc_beta
-    # underflows to 0 and the quantile stops at the smallest double.
+    # must pass through unclipped.  At q = 1e-16, w is about 3e-322 and
+    # carries about two significant bits, so no round trip is asserted.
     q = np.concatenate([np.geomspace(2e-15, 1e-15, 6), [1e-16]])[::-1]
     x = BetaNormal(0.05, 20.0).quantile(q)
     assert np.all(np.diff(x) > 0.0)
     assert np.max(np.abs(betainc(0.05, 20.0, ndtr(x[1:])) - q[1:]) / q[1:]) <= RTOL
+    # w from about 1e-312 to 1e-300: subnormal, yet still distinct and
+    # resolved to its own spacing, which is under 1e-11 relative there
+    q = np.geomspace(3e-16, 1.2e-15, 12)
+    assert np.all(np.diff(BetaNormal(0.05, 20.0).quantile(q)) > 0.0)
+    w = inv_reg_inc_beta(q, 0.05, 20.0)
+    assert 0.0 < w[0] < 1e-310 and w[-1] > 1e-301
+    assert np.max(np.abs(betainc(0.05, 20.0, w) - q) / q) <= RTOL
 
 
 @pytest.mark.parametrize("a, b", BETA_SHAPES)
@@ -117,6 +127,59 @@ def test_beta_half_normal_tails(a, b):
     assert np.all(x > 0.0) and np.all(np.diff(x) >= 0.0)
     u = x / np.sqrt(2.0)
     assert np.max(_latent_miss(Q_GRID, a, b, erf(u), erfc(u))) <= RTOL
+
+
+UNIT_SHAPES = [(a, b) for a in (0.05, 0.5, 2.0, 20.0) for b in (0.05, 0.5, 2.0, 20.0)]
+
+
+def _unit_tail_miss(q, x, cdf, sf, slope):
+    """Round-trip miss on q's own side of 1/2, over what it may be.
+
+    The lower tail must return q to RTOL relative.  The upper tail may
+    instead miss by three times the resolution floor slope(x) spacing(x)
+    of tests/test_special.py, where that is larger: an x within 1e-16 of
+    1 cannot carry a 1e-12 tail.
+    """
+    lower = q <= 0.5
+    tail = np.where(lower, q, 1.0 - q)
+    miss = np.abs(np.where(lower, cdf, sf) - tail)
+    allowed = np.where(lower, RTOL * tail, np.maximum(RTOL * tail, 3.0 * slope * np.spacing(x)))
+    return miss / allowed
+
+
+@pytest.mark.parametrize("a, b", UNIT_SHAPES)
+def test_beta_tails(a, b):
+    x = Beta(a, b).quantile(Q_GRID)
+    assert np.all(np.diff(x) >= 0.0)
+    slope = _roundtrip_slope(x, a, b)
+    assert np.max(_unit_tail_miss(Q_GRID, x, betainc(a, b, x), betaincc(a, b, x), slope)) <= 1.0
+
+
+@pytest.mark.parametrize("a, b", UNIT_SHAPES)
+def test_gb1_tails(a, b):
+    # GB1(a, b, p, q) is q W^(1/p) with W ~ Beta(a, b); the round trip goes
+    # through the latent u = (x/q)^p, whose floor is that of Beta(a, b)
+    dist = GB1(a, b, 1.5, 4.0)
+    x = dist.quantile(Q_GRID)
+    assert np.all(np.diff(x) >= 0.0)
+    u = (x / 4.0) ** 1.5
+    slope = _roundtrip_slope(u, a, b)
+    assert np.max(_unit_tail_miss(Q_GRID, u, betainc(a, b, u), betaincc(a, b, u), slope)) <= 1.0
+
+
+@pytest.mark.parametrize("p, b", UNIT_SHAPES)
+def test_kumaraswamy_tails(p, b):
+    # closed form: F(x) = 1 - (1 - x^p)^b, S(x) = (1 - x^p)^b, with
+    # 1 - x^p from log x where x^p is near 1, so it keeps its digits there
+    dist = Kumaraswamy(p, b)
+    x = dist.quantile(Q_GRID)
+    assert np.all(np.diff(x) >= 0.0)
+    with np.errstate(divide="ignore"):
+        log_1m = np.where(x**p < 0.5, np.log1p(-(x**p)), np.log(-np.expm1(p * np.log(x))))
+        log_s = b * log_1m
+        # the density p b x^(p-1) (1 - x^p)^(b-1), infinite at x = 1 for b < 1
+        slope = p * b * x ** (p - 1.0) * np.exp((b - 1.0) * log_1m)
+    assert np.max(_unit_tail_miss(Q_GRID, x, -np.expm1(log_s), np.exp(log_s), slope)) <= 1.0
 
 
 FAMILIES = [
@@ -144,3 +207,39 @@ def test_quantile_contract(dist):
     x = dist.quantile(q)
     assert x.shape == q.shape
     assert np.array_equal(x.ravel(), dist.quantile(q.ravel()))
+
+
+# skew-normal solver evaluations per point on 2,000 tail probabilities
+# log-uniform on [1e-12, 0.5], half of them mirrored to 1 - t; before the
+# asymptotic start and the Halley step these were 4.7, 5.9, 6.3, 6.8, 7.2
+EVALS_PER_POINT = [
+    (SkewNormal(0.0, 1.0, 3.0), 2.9),
+    (SkewNormal(0.0, 1.0, -0.7), 4.5),
+    (SkewNormal(0.0, 1.0, 50.0), 2.2),
+    (BetaSkewNormal(50.0, 0.05, 2.0), 1.85),
+    (BetaSkewNormal(-50.0, 3.0, 0.05), 1.85),
+]
+
+
+@pytest.mark.parametrize("dist, most", EVALS_PER_POINT, ids=repr)
+def test_quantile_solver_evaluations(monkeypatch, dist, most):
+    # deterministic perf guard: counts every point the skew-normal solver
+    # evaluates; BSN's latent incomplete-beta inverse is not counted
+    from betasn import skewnormal
+
+    points = {"n": 0}
+    inner = skewnormal._bracketed_newton
+
+    def counted(fun, *args):
+        def fun_counted(x, idx):
+            points["n"] += x.size
+            return fun(x, idx)
+
+        return inner(fun_counted, *args)
+
+    monkeypatch.setattr(skewnormal, "_bracketed_newton", counted)
+    rng = np.random.default_rng(2026)
+    t = np.exp(rng.uniform(np.log(1e-12), np.log(0.5), 2000))
+    q = np.where(np.arange(t.size) % 2 == 0, t, 1.0 - t)
+    dist.quantile(q)
+    assert points["n"] / q.size <= most

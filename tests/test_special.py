@@ -109,6 +109,10 @@ def test_inv_reg_inc_beta_examples():
     assert abs(inv_reg_inc_beta(0.3483, 2.0, 3.0) - 0.3) < 1e-12
     assert inv_reg_inc_beta(0.0, 0.1, 5.0) == 0.0
     assert inv_reg_inc_beta(1.0, 0.1, 5.0) == 1.0
+    assert np.isnan(inv_reg_inc_beta(np.nan, 2.0, 3.0))
+    assert np.isnan(inv_reg_inc_beta(0.3, np.array([2.0, np.nan]), 3.0)[1])
+    # a w below half the smallest double rounds to 0
+    assert inv_reg_inc_beta(0.3, 0.001, 1000.0) == 0.0
     with pytest.raises(ValueError):
         inv_reg_inc_beta(-0.1, 2.0, 3.0)
 
@@ -200,3 +204,40 @@ def test_bracketed_newton():
     # a point that cannot converge raises instead of coming back half-solved
     with pytest.raises(ArithmeticError):
         _bracketed_newton(lambda x, idx: (np.full_like(x, np.nan), np.ones_like(x)), [1.0], [0.0], [2.0])
+
+    # Halley steps from the curvature reach the same roots in fewer evaluations
+    evals = {}
+
+    def counted(key, fun):
+        evals[key] = 0
+
+        def wrapped(x, idx):
+            evals[key] += x.size
+            return fun(x, idx)
+
+        return wrapped
+
+    def cube(x, idx):
+        return x**3 - target[idx], 3.0 * x * x
+
+    halley = _bracketed_newton(
+        counted("halley", lambda x, idx: (*cube(x, idx), 6.0 * x)),
+        np.ones(3), np.zeros(3), np.full(3, 3.0),
+    )
+    newton = _bracketed_newton(counted("newton", cube), np.ones(3), np.zeros(3), np.full(3, 3.0))
+    assert np.max(np.abs(halley**3 / target - 1.0)) < 1e-15
+    assert np.max(np.abs(halley / newton - 1.0)) < 1e-15
+    assert evals["halley"] < evals["newton"]
+
+    # log x is concave, so from x = 0.5 the Halley point 1.03 overshoots the
+    # root 1 and leaves the bracket [0.5, 1.02]: that step bisects instead
+    seen = []
+
+    def log_gap(x, idx):
+        seen.extend(x.tolist())
+        return np.log(x), 1.0 / x, -1.0 / (x * x)
+
+    root = _bracketed_newton(log_gap, [0.5], [0.5], [1.02])
+    assert abs(root[0] - 1.0) < 1e-15
+    assert seen[1] == 0.5 * (0.5 + 1.02)
+    assert all(0.5 <= x <= 1.02 for x in seen)
