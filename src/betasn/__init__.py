@@ -31,13 +31,11 @@ from .bsn import (
     bhn_limit_distance,
     kumaraswamy_transform,
     moment_recursion_gap,
-    reflection_check,
     sample_rejection,
     skewing_weight,
-    symmetry_check,
 )
 from .checks import CheckResult, SUITES, report_json, run_suite
-from .core import Distribution, MomentSummary, SampleBatch, moment_summary, normalization_error
+from .core import Distribution, MomentSummary, moment_summary, normalization_error
 from .orderstats import (
     KS_COEFF_01,
     ConditioningReport,
@@ -53,17 +51,15 @@ from .orderstats import (
 )
 from .quadrature import DEFAULT_SPEC, IntegrationError, QuadratureSpec, integrate_line, integrate_unit
 from .reference import (
-    MIRROR_TOL,
     REFERENCE_MOMENT_GRID,
     ReferenceRow,
     RowComparison,
     compare_grid,
     compare_row,
     excluded_cells,
-    mirror_of,
     row_tolerance,
 )
-from .skewnormal import Normal, SkewNormal, sn_neg_closure_check
+from .skewnormal import Normal, SkewNormal
 from .special import (
     chisq1_cdf,
     inv_reg_inc_beta,
@@ -81,7 +77,6 @@ __all__ = [
     # core plumbing
     "Distribution",
     "MomentSummary",
-    "SampleBatch",
     "moment_summary",
     "normalization_error",
     "DEFAULT_SPEC",
@@ -103,7 +98,6 @@ __all__ = [
     # distribution families
     "Normal",
     "SkewNormal",
-    "sn_neg_closure_check",
     "SNB",
     "GBSN",
     "TBSN",
@@ -123,8 +117,6 @@ __all__ = [
     "RejectionSampleBatch",
     "sample_rejection",
     "moment_recursion_gap",
-    "reflection_check",
-    "symmetry_check",
     "bhn_limit_distance",
     "kumaraswamy_transform",
     "skewing_weight",
@@ -144,9 +136,7 @@ __all__ = [
     "ReferenceRow",
     "RowComparison",
     "REFERENCE_MOMENT_GRID",
-    "MIRROR_TOL",
     "row_tolerance",
-    "mirror_of",
     "excluded_cells",
     "compare_row",
     "compare_grid",

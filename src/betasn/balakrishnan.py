@@ -1,33 +1,46 @@
-"""Balakrishnan skew-normal families.
+"""Balakrishnan skew-normal families: one power-of-Phi kernel.
 
-SNB_n(lam):   c_n(lam) phi(x) Phi(lam x)^n
-GBSN_{n,m}:   phi(x) Phi(lam x)^n (1 - Phi(lam x))^m / C_{n,m}(lam)
-TBSN_{n,m}:   phi(x) Phi(lam1 x)^n Phi(lam2 x)^m / c_{n,m}(lam1, lam2)
+Every family here has the density
+
+    phi(z) Phi(lam1 z)^n Phi(lam2 z)^m / c,   z = (x - mu) / sigma,
+
+with integer orders n, m >= 0 and c the kernel's integral over the line:
+
+TBSN_{n,m}(lam1, lam2):  the kernel as written;
+SNB_n(lam):              TBSN_{n,0}(lam, 0), i.e. c_n(lam) phi(x) Phi(lam x)^n;
+GBSN_{n,m}(lam):         TBSN_{n,m}(lam, -lam), i.e. phi(x) Phi(lam x)^n
+                         (1 - Phi(lam x))^m / C_{n,m}(lam), standardized.
+
+PowerOfPhi carries the whole surface; the three classes only name their
+parameters and map them onto (lam1, lam2, n, m).  A factor of order 0 is
+skipped wherever the kernel is evaluated, so SNB pays one log Phi per
+point and the three parameterizations give bit-identical values.
 
 Normalizing integrals are computed by adaptive quadrature and memoized
-per parameter set.  Distribution functions for these families have no
-closed form; they are served from a cumulative Gauss-Kronrod table over
-the truncation window.  A quantile finds the table segment holding its
-root by searchsorted on the segment sums, taken from the left for
-q <= 1/2 and from the right above, and solves the log of the partial
-sum inside that segment by bracketed Newton.  So cdf and quantile are
-inverses of each other to roundoff, and the quantile keeps relative
-accuracy in q, or in 1 - q, down to the far tails.
+per kernel.  Distribution functions have no closed form; they are served
+from a cumulative Gauss-Kronrod table over the truncation window, one
+per kernel.  A quantile finds the table segment holding its root by
+searchsorted on the segment sums, taken from the left for q <= 1/2 and
+from the right above, and solves the log of the partial sum inside that
+segment by bracketed Newton.  So cdf and quantile are inverses of each
+other to roundoff, and the quantile keeps relative accuracy in q, or in
+1 - q, down to the far tails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
-from .core import Distribution, _quantile_domain
+from .core import LocationScale, _quantile_domain, _require
 from .quadrature import DEFAULT_SPEC, _gk15, integrate_line
 from .special import _bracketed_newton, norm_logcdf, norm_logpdf
 
 __all__ = [
+    "PowerOfPhi",
     "SNB",
     "GBSN",
     "TBSN",
@@ -38,36 +51,36 @@ __all__ = [
 ]
 
 
-def _check_order(name, value):
-    if not (isinstance(value, (int, np.integer)) and value >= 0):
-        raise ValueError(f"{name} must be a nonnegative integer")
-    return int(value)
+def _log_kernel(z, lam1, lam2, n, m, log_const=None):
+    """log_const + log phi(z) + n log Phi(lam1 z) + m log Phi(lam2 z).
+
+    Summed left to right; a factor whose order is 0 is skipped, since it
+    would cost one log Phi per point and add nothing.
+    """
+    out = norm_logpdf(z) if log_const is None else log_const + norm_logpdf(z)
+    if n:
+        out = out + n * norm_logcdf(lam1 * z)
+    if m:
+        out = out + m * norm_logcdf(lam2 * z)
+    return out
+
+
+def _kernel_key(lam1, lam2, n, m, spec=None):
+    """Validated cache key (lam1, lam2, n, m, spec) of a kernel.
+
+    The shape of an order-0 factor is set to 0, so kernels that differ
+    only there share their integral and their table.
+    """
+    _require("order", n=n, m=m)
+    n, m = int(n), int(m)
+    spec = DEFAULT_SPEC if spec is None else spec
+    return (float(lam1) if n else 0.0, float(lam2) if m else 0.0, n, m, spec)
 
 
 @lru_cache(maxsize=512)
-def _snb_kernel_integral(n, lam, spec):
-    """integral of phi(x) Phi(lam x)^n over the line (equals 1/c_n)."""
-    return integrate_line(lambda x: np.exp(norm_logpdf(x) + n * norm_logcdf(lam * x)), spec)
-
-
-@lru_cache(maxsize=512)
-def _gbsn_kernel_integral(n, m, lam, spec):
-    return integrate_line(
-        lambda x: np.exp(
-            norm_logpdf(x) + n * norm_logcdf(lam * x) + m * norm_logcdf(-lam * x)
-        ),
-        spec,
-    )
-
-
-@lru_cache(maxsize=512)
-def _tbsn_kernel_integral(n, m, lam1, lam2, spec):
-    return integrate_line(
-        lambda x: np.exp(
-            norm_logpdf(x) + n * norm_logcdf(lam1 * x) + m * norm_logcdf(lam2 * x)
-        ),
-        spec,
-    )
+def _kernel_integral(lam1, lam2, n, m, spec):
+    """Integral of phi(z) Phi(lam1 z)^n Phi(lam2 z)^m over the line (1/c)."""
+    return integrate_line(lambda z: np.exp(_log_kernel(z, lam1, lam2, n, m)), spec)
 
 
 def snb_constant(n, lam, spec=None):
@@ -76,9 +89,7 @@ def snb_constant(n, lam, spec=None):
     c_0 = 1, c_1 = 2, and c_2(lam) = pi / arctan sqrt(1 + 2 lam^2); the
     quadrature value matches those closed forms to ~1e-12.
     """
-    n = _check_order("n", n)
-    spec = DEFAULT_SPEC if spec is None else spec
-    return 1.0 / _snb_kernel_integral(n, float(lam), spec)
+    return 1.0 / _kernel_integral(*_kernel_key(lam, 0.0, n, 0, spec))
 
 
 def gbsn_constant(n, m, lam, spec=None):
@@ -87,10 +98,7 @@ def gbsn_constant(n, m, lam, spec=None):
     For lam = 1 and integer orders this reproduces the order-statistic
     coefficient: gbsn_constant(j-1, n-j, 1) = n! / ((j-1)! (n-j)!).
     """
-    n = _check_order("n", n)
-    m = _check_order("m", m)
-    spec = DEFAULT_SPEC if spec is None else spec
-    return 1.0 / _gbsn_kernel_integral(n, m, float(lam), spec)
+    return 1.0 / _kernel_integral(*_kernel_key(lam, -lam, n, m, spec))
 
 
 def gbsn_constant_series(n, m, lam, spec=None):
@@ -101,11 +109,9 @@ def gbsn_constant_series(n, m, lam, spec=None):
     the alternating sum loses digits for large m, so quadrature stays
     the primary route.
     """
-    n = _check_order("n", n)
-    m = _check_order("m", m)
-    spec = DEFAULT_SPEC if spec is None else spec
+    _require("order", n=n, m=m)
     total = sum(
-        comb(m, i) * (-1.0) ** i * _snb_kernel_integral(n + i, float(lam), spec)
+        comb(m, i) * (-1.0) ** i * _kernel_integral(*_kernel_key(lam, 0.0, n + i, 0, spec))
         for i in range(m + 1)
     )
     return 1.0 / total
@@ -117,10 +123,7 @@ def tbsn_constant(n, m, lam1, lam2, spec=None):
     The TBSN density divides by this value, i.e. its multiplicative
     constant is the reciprocal of what is returned here.
     """
-    n = _check_order("n", n)
-    m = _check_order("m", m)
-    spec = DEFAULT_SPEC if spec is None else spec
-    return _tbsn_kernel_integral(n, m, float(lam1), float(lam2), spec)
+    return _kernel_integral(*_kernel_key(lam1, lam2, n, m, spec))
 
 
 class _NumericCdf:
@@ -196,32 +199,54 @@ class _NumericCdf:
 
 
 @lru_cache(maxsize=64)
-def _snb_table(lam, n, spec):
-    return _NumericCdf(lambda z: np.exp(norm_logpdf(z) + n * norm_logcdf(lam * z)), spec)
+def _kernel_table(lam1, lam2, n, m, spec):
+    return _NumericCdf(lambda z: np.exp(_log_kernel(z, lam1, lam2, n, m)), spec)
 
 
-@lru_cache(maxsize=64)
-def _gbsn_table(lam, n, m, spec):
-    return _NumericCdf(
-        lambda z: np.exp(
-            norm_logpdf(z) + n * norm_logcdf(lam * z) + m * norm_logcdf(-lam * z)
-        ),
-        spec,
-    )
+class PowerOfPhi(LocationScale):
+    """Density phi(z) Phi(lam1 z)^n Phi(lam2 z)^m / c with z = (x - mu) / sigma.
 
+    Subclasses are frozen dataclasses that declare their own fields,
+    among them `spec`, and map them onto the kernel in `_shapes`.
+    """
 
-@lru_cache(maxsize=64)
-def _tbsn_table(lam1, lam2, n, m, spec):
-    return _NumericCdf(
-        lambda z: np.exp(
-            norm_logpdf(z) + n * norm_logcdf(lam1 * z) + m * norm_logcdf(lam2 * z)
-        ),
-        spec,
-    )
+    def __post_init__(self):
+        super().__post_init__()
+        fields = vars(self)
+        _require("order", **{k: fields[k] for k in ("n", "m") if k in fields})
+        _require("finite", **{k: fields[k] for k in ("lam", "lam1", "lam2") if k in fields})
+
+    @property
+    def _shapes(self):
+        """(lam1, lam2, n, m) of this parameterization."""
+        raise NotImplementedError
+
+    @cached_property
+    def _key(self):
+        return _kernel_key(*self._shapes, self.spec)
+
+    @property
+    def kernel_integral(self):
+        return _kernel_integral(*self._key)
+
+    @property
+    def norm_const(self):
+        return 1.0 / self.kernel_integral
+
+    def logpdf(self, x):
+        lam1, lam2, n, m, _ = self._key
+        log_kernel = _log_kernel(self._z(x), lam1, lam2, n, m, np.log(self.norm_const))
+        return log_kernel - np.log(self.scale)
+
+    def cdf(self, x):
+        return _kernel_table(*self._key).cdf(self._z(x))
+
+    def quantile(self, q):
+        return self.location + self.scale * _kernel_table(*self._key).quantile(q)
 
 
 @dataclass(frozen=True)
-class SNB(Distribution):
+class SNB(PowerOfPhi):
     """Balakrishnan skew-normal of integer order n with shape lam."""
 
     lam: float
@@ -230,60 +255,13 @@ class SNB(Distribution):
     sigma: float = 1.0
     spec: object = None
 
-    def __post_init__(self):
-        _check_order("n", self.n)
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be positive and finite")
-        if not (np.isfinite(self.mu) and np.isfinite(self.lam)):
-            raise ValueError("mu and lam must be finite")
-
     @property
-    def location(self):
-        return self.mu
-
-    @property
-    def scale(self):
-        return self.sigma
-
-    @property
-    def _spec(self):
-        return DEFAULT_SPEC if self.spec is None else self.spec
-
-    @property
-    def kernel_integral(self):
-        return _snb_kernel_integral(self.n, float(self.lam), self._spec)
-
-    @property
-    def norm_const(self):
-        return 1.0 / self.kernel_integral
-
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
-
-    def logpdf(self, x):
-        z = self._z(x)
-        return (
-            np.log(self.norm_const)
-            + norm_logpdf(z)
-            + self.n * norm_logcdf(self.lam * z)
-            - np.log(self.sigma)
-        )
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
-    def _table(self):
-        return _snb_table(float(self.lam), self.n, self._spec)
-
-    def cdf(self, x):
-        return self._table().cdf(self._z(x))
-
-    def quantile(self, q):
-        return self.mu + self.sigma * self._table().quantile(q)
+    def _shapes(self):
+        return (self.lam, 0.0, self.n, 0)
 
 
 @dataclass(frozen=True)
-class GBSN(Distribution):
+class GBSN(PowerOfPhi):
     """Generalized Balakrishnan skew-normal with integer orders n, m."""
 
     lam: float
@@ -291,48 +269,17 @@ class GBSN(Distribution):
     m: int
     spec: object = None
 
-    def __post_init__(self):
-        _check_order("n", self.n)
-        _check_order("m", self.m)
-        if not np.isfinite(self.lam):
-            raise ValueError("lam must be finite")
+    # standardized: no location or scale fields
+    location = 0.0
+    scale = 1.0
 
     @property
-    def _spec(self):
-        return DEFAULT_SPEC if self.spec is None else self.spec
-
-    @property
-    def kernel_integral(self):
-        return _gbsn_kernel_integral(self.n, self.m, float(self.lam), self._spec)
-
-    @property
-    def norm_const(self):
-        return 1.0 / self.kernel_integral
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (
-            np.log(self.norm_const)
-            + norm_logpdf(x)
-            + self.n * norm_logcdf(self.lam * x)
-            + self.m * norm_logcdf(-self.lam * x)
-        )
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
-    def _table(self):
-        return _gbsn_table(float(self.lam), self.n, self.m, self._spec)
-
-    def cdf(self, x):
-        return self._table().cdf(x)
-
-    def quantile(self, q):
-        return self._table().quantile(q)
+    def _shapes(self):
+        return (self.lam, -self.lam, self.n, self.m)
 
 
 @dataclass(frozen=True)
-class TBSN(Distribution):
+class TBSN(PowerOfPhi):
     """Two-shape Balakrishnan skew-normal TBSN_{n,m}(lam1, lam2)."""
 
     lam1: float
@@ -343,55 +290,6 @@ class TBSN(Distribution):
     sigma: float = 1.0
     spec: object = None
 
-    def __post_init__(self):
-        _check_order("n", self.n)
-        _check_order("m", self.m)
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be positive and finite")
-        if not (np.isfinite(self.mu) and np.isfinite(self.lam1) and np.isfinite(self.lam2)):
-            raise ValueError("mu, lam1, lam2 must be finite")
-
     @property
-    def location(self):
-        return self.mu
-
-    @property
-    def scale(self):
-        return self.sigma
-
-    @property
-    def _spec(self):
-        return DEFAULT_SPEC if self.spec is None else self.spec
-
-    @property
-    def kernel_integral(self):
-        return _tbsn_kernel_integral(self.n, self.m, float(self.lam1), float(self.lam2), self._spec)
-
-    @property
-    def norm_const(self):
-        return 1.0 / self.kernel_integral
-
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
-
-    def logpdf(self, x):
-        z = self._z(x)
-        return (
-            np.log(self.norm_const)
-            + norm_logpdf(z)
-            + self.n * norm_logcdf(self.lam1 * z)
-            + self.m * norm_logcdf(self.lam2 * z)
-            - np.log(self.sigma)
-        )
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
-    def _table(self):
-        return _tbsn_table(float(self.lam1), float(self.lam2), self.n, self.m, self._spec)
-
-    def cdf(self, x):
-        return self._table().cdf(self._z(x))
-
-    def quantile(self, q):
-        return self.mu + self.sigma * self._table().quantile(q)
+    def _shapes(self):
+        return (self.lam1, self.lam2, self.n, self.m)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, _quantile_domain
+from .core import Distribution, LocationScale, _quantile_domain, _require
 from .special import (
     inv_reg_inc_beta,
     log_beta,
@@ -51,12 +51,6 @@ def _xlogy(e, log_t):
         return np.where(e == 0.0, 0.0, e * log_t)
 
 
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite")
-
-
 @dataclass(frozen=True)
 class Beta(Distribution):
     """Beta distribution on (0, 1) with shape parameters a, b."""
@@ -65,7 +59,7 @@ class Beta(Distribution):
     b: float
 
     def __post_init__(self):
-        _require_positive(a=self.a, b=self.b)
+        _require("positive", a=self.a, b=self.b)
 
     support = (0.0, 1.0)
     location = 0.5
@@ -84,9 +78,6 @@ class Beta(Distribution):
                 - log_beta(self.a, self.b)
             )
         return np.where(inside, body, -np.inf)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -112,7 +103,7 @@ class GB1(Distribution):
     q: float
 
     def __post_init__(self):
-        _require_positive(a=self.a, b=self.b, p=self.p, q=self.q)
+        _require("positive", a=self.a, b=self.b, p=self.p, q=self.q)
 
     @property
     def support(self):
@@ -144,9 +135,6 @@ class GB1(Distribution):
             )
         return np.where(inside, body, -np.inf)
 
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         u = np.clip(x / self.q, 0.0, 1.0) ** self.p
@@ -166,7 +154,7 @@ class Kumaraswamy(Distribution):
     b: float
 
     def __post_init__(self):
-        _require_positive(p=self.p, b=self.b)
+        _require("positive", p=self.p, b=self.b)
 
     support = (0.0, 1.0)
     location = 0.5
@@ -187,9 +175,6 @@ class Kumaraswamy(Distribution):
                 + _xlogy(self.b - 1.0, np.log1p(-(xs**self.p)))
             )
         return np.where(inside, body, -np.inf)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -236,7 +221,7 @@ def beta_generated_pdf(base_cdf, base_pdf, a, b, x):
     A direct composition meant for cross-checks and one-off bases; the
     named family classes use numerically hardened log-space forms.
     """
-    _require_positive(a=a, b=b)
+    _require("positive", a=a, b=b)
     x = np.asarray(x, dtype=float)
     f = np.asarray(base_pdf(x), dtype=float)
     big_f = np.clip(np.asarray(base_cdf(x), dtype=float), 0.0, 1.0)
@@ -248,13 +233,13 @@ def beta_generated_pdf(base_cdf, base_pdf, a, b, x):
 
 def beta_generated_cdf(base_cdf, a, b, x):
     """Generic beta-generated distribution function I_F(x)(a, b)."""
-    _require_positive(a=a, b=b)
+    _require("positive", a=a, b=b)
     big_f = np.clip(np.asarray(base_cdf(np.asarray(x, dtype=float)), dtype=float), 0.0, 1.0)
     return reg_inc_beta(big_f, a, b)
 
 
 @dataclass(frozen=True)
-class BetaNormal(Distribution):
+class BetaNormal(LocationScale):
     """Beta-generated distribution with a N(mu, sigma^2) base."""
 
     a: float
@@ -263,20 +248,8 @@ class BetaNormal(Distribution):
     sigma: float = 1.0
 
     def __post_init__(self):
-        _require_positive(a=self.a, b=self.b, sigma=self.sigma)
-        if not np.isfinite(self.mu):
-            raise ValueError("mu must be finite")
-
-    @property
-    def location(self):
-        return self.mu
-
-    @property
-    def scale(self):
-        return self.sigma
-
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        super().__post_init__()
+        _require("positive", a=self.a, b=self.b)
 
     def logpdf(self, x):
         z = self._z(x)
@@ -287,9 +260,6 @@ class BetaNormal(Distribution):
             - log_beta(self.a, self.b)
             - np.log(self.sigma)
         )
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
 
     def cdf(self, x):
         return reg_inc_beta(norm_cdf(self._z(x)), self.a, self.b)
@@ -313,7 +283,7 @@ class BetaHalfNormal(Distribution):
     b: float
 
     def __post_init__(self):
-        _require_positive(a=self.a, b=self.b)
+        _require("positive", a=self.a, b=self.b)
 
     support = (0.0, np.inf)
     location = 0.0
@@ -340,9 +310,6 @@ class BetaHalfNormal(Distribution):
                 + norm_logpdf(xs)
             )
         return np.where(inside, body, -np.inf)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -6,9 +6,9 @@ log space on top of the tail-stable skew-normal logcdf/logsf, so the a,b < 1
 cases stay finite far into the tails where F underflows any direct formula.
 
 Beyond the distribution surface this module carries the verification ops:
-the moment recursion discrepancy, reflection and symmetry checks, the mode
-report, the Beta half-normal limit distance, the Kumaraswamy transforms,
-and the skewing-weight representation p(u) with pdf(x) = phi(x) p(Phi(x)).
+the moment recursion discrepancy, the mode report, the Beta half-normal
+limit distance, the Kumaraswamy transforms, and the skewing-weight
+representation p(u) with pdf(x) = phi(x) p(Phi(x)).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .betafamily import BetaHalfNormal, _beta_generated_quantile
-from .core import Distribution, SampleBatch
+from .core import LocationScale, _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
 from .skewnormal import SkewNormal, _tails
 from .special import (
@@ -35,8 +35,6 @@ __all__ = [
     "RejectionSampleBatch",
     "sample_rejection",
     "moment_recursion_gap",
-    "reflection_check",
-    "symmetry_check",
     "bhn_limit_distance",
     "kumaraswamy_transform",
     "skewing_weight",
@@ -82,11 +80,17 @@ class ModeReport:
 
 
 @dataclass(frozen=True, eq=False)
-class RejectionSampleBatch(SampleBatch):
-    """Accepted draws plus the trial bookkeeping behind them."""
+class RejectionSampleBatch:
+    """Reproducible accepted draws plus the trial bookkeeping behind them."""
 
+    seed: int
+    values: np.ndarray
     n_trials: int = 0
     n_accepted: int = 0
+
+    @property
+    def count(self):
+        return int(self.values.shape[0])
 
     @property
     def acceptance_rate(self):
@@ -94,7 +98,7 @@ class RejectionSampleBatch(SampleBatch):
 
 
 @dataclass(frozen=True)
-class BetaSkewNormal(Distribution):
+class BetaSkewNormal(LocationScale):
     """BSN(lam, a, b) shifted by mu and scaled by sigma."""
 
     lam: float
@@ -104,29 +108,14 @@ class BetaSkewNormal(Distribution):
     sigma: float = 1.0
 
     def __post_init__(self):
-        for name in ("lam", "a", "b", "mu", "sigma"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError("a and b must be positive")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-
-    @property
-    def location(self):
-        return self.mu
-
-    @property
-    def scale(self):
-        return self.sigma
+        super().__post_init__()
+        _require("finite", lam=self.lam)
+        _require("positive", a=self.a, b=self.b)
 
     @property
     def base(self):
         """The standardized skew-normal whose cdf drives the beta kernel."""
         return SkewNormal(0.0, 1.0, self.lam)
-
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
 
     def logpdf(self, x):
         z = self._z(x)
@@ -139,9 +128,6 @@ class BetaSkewNormal(Distribution):
             - np.log(self.sigma)
         )
         return _add_log_kernel(out, z, self.lam, self.a, self.b, log_phi_lz)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
 
     def _beta_ratio_two_sided(self, x, swap):
         # evaluate I_w(a,b) through whichever latent tail is still resolvable:
@@ -326,40 +312,6 @@ def moment_recursion_gap(lam, a, b, k, spec=None):
     return float(abs(lhs - rhs))
 
 
-def reflection_check(lam, a, b, spec=None, grid_tol=1e-12, moment_tol=1e-6):
-    """True iff X ~ BSN(lam,a,b) and Y ~ BSN(-lam,b,a) mirror each other.
-
-    Checks pdf_X(-x) = pdf_Y(x) on a 401-point grid, then the four
-    moment-summary sign relations: means and skewnesses opposite, sds
-    and kurtoses equal.
-    """
-    spec = DEFAULT_SPEC if spec is None else spec
-    x_dist = BetaSkewNormal(float(lam), a, b)
-    y_dist = BetaSkewNormal(-float(lam), b, a)
-    grid = np.linspace(-6.0, 6.0, 401)
-    if np.max(np.abs(x_dist.pdf(-grid) - y_dist.pdf(grid))) > grid_tol:
-        return False
-    mx = x_dist.moments(spec)
-    my = y_dist.moments(spec)
-    return bool(
-        abs(mx.mean + my.mean) <= moment_tol
-        and abs(mx.sd - my.sd) <= moment_tol
-        and abs(mx.skewness + my.skewness) <= moment_tol
-        and abs(mx.kurtosis - my.kurtosis) <= moment_tol
-    )
-
-
-def symmetry_check(lam, a, tol=1e-12):
-    """True iff BSN(lam, a, a) is symmetric about 0 on a 401-point grid.
-
-    With equal beta shapes, symmetry holds exactly when lam = 0; a
-    nonzero lam must therefore return False.
-    """
-    dist = BetaSkewNormal(float(lam), a, a)
-    grid = np.linspace(-6.0, 6.0, 401)
-    return bool(np.max(np.abs(dist.pdf(grid) - dist.pdf(-grid))) <= tol)
-
-
 def bhn_limit_distance(lam, a, b, spec=None):
     """Distance from BSN(lam,a,b) to its lam -> inf Beta half-normal limit.
 
@@ -390,9 +342,8 @@ def kumaraswamy_transform(dist, direction, exponent, x):
     a Kumaraswamy(exponent, a) law.  F is the skew-normal cdf with the
     distribution's shape, applied to standardized values.
     """
-    if not (np.isfinite(exponent) and exponent > 0.0):
-        raise ValueError("exponent must be positive and finite")
-    z = (np.asarray(x, dtype=float) - dist.mu) / dist.sigma
+    _require("positive", exponent=exponent)
+    z = dist._z(x)
     if direction == "cdf":
         if dist.a != 1.0:
             raise ValueError('direction "cdf" requires a = 1')

@@ -1,10 +1,13 @@
 """Common distribution surface and the generic moment engine.
 
-Every family exposes vectorized pdf/logpdf/cdf/quantile.  The default
-sampler is the quantile transform of a PCG64 uniform stream
-(``numpy.random.default_rng``), so one seed policy drives every family
-reproducibly; families with a cheaper exact representation override
-``sample``.
+Every family exposes vectorized pdf/logpdf/cdf/quantile; pdf defaults
+to exp(logpdf).  Families placed on the line by x = location + scale * z
+share LocationScale, which names the two fields, validates them and
+standardizes through _z; _require is the one parameter check behind
+every family.  The default sampler is the quantile transform of a PCG64
+uniform stream (``numpy.random.default_rng``), so one seed policy drives
+every family reproducibly; families with a cheaper exact representation
+override ``sample``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
 
-__all__ = ["Distribution", "SampleBatch", "MomentSummary", "moment_summary", "normalization_error"]
+__all__ = ["Distribution", "LocationScale", "MomentSummary", "moment_summary", "normalization_error"]
 
 
 @dataclass(frozen=True)
@@ -28,16 +31,26 @@ class MomentSummary:
     kurtosis: float
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Reproducible draws: the seed plus the values it produced."""
+_RULES = {
+    "finite": (np.isfinite, "must be finite"),
+    "positive": (lambda v: np.isfinite(v) and v > 0.0, "must be positive and finite"),
+    "order": (
+        lambda v: isinstance(v, (int, np.integer)) and v >= 0,
+        "must be a nonnegative integer",
+    ),
+}
 
-    seed: int
-    values: np.ndarray
 
-    @property
-    def count(self):
-        return int(self.values.shape[0])
+def _require(rule, **values):
+    """Raise ValueError naming the first value that breaks `rule`.
+
+    rule is "finite", "positive" (finite and > 0) or "order" (a
+    nonnegative integer).
+    """
+    test, message = _RULES[rule]
+    for name, value in values.items():
+        if not test(value):
+            raise ValueError(f"{name} {message}")
 
 
 class Distribution:
@@ -50,11 +63,10 @@ class Distribution:
     scale = 1.0
 
     def pdf(self, x):
-        raise NotImplementedError
+        return np.exp(self.logpdf(x))
 
     def logpdf(self, x):
-        with np.errstate(divide="ignore"):
-            return np.log(self.pdf(x))
+        raise NotImplementedError
 
     def cdf(self, x):
         raise NotImplementedError
@@ -69,9 +81,6 @@ class Distribution:
         u = np.clip(rng.random(int(n)), 1e-300, None)
         return self.quantile(u)
 
-    def sample_batch(self, n, seed):
-        return SampleBatch(seed=int(seed), values=self.sample(n, seed))
-
     # beta-type endpoint behavior (left, right): the exponent alpha of the
     # density's z^alpha blow-up at the endpoint, or False when regular;
     # the moment engine turns these into the matching substitutions
@@ -80,6 +89,33 @@ class Distribution:
 
     def moments(self, spec=None):
         return moment_summary(self, spec)
+
+
+class LocationScale(Distribution):
+    """A family of x = location + scale * z over a standardized law in z.
+
+    Subclasses declare the two fields, named by `_placement` (mu and
+    sigma unless overridden), and read z through `_z`.  The location
+    must be finite and the scale positive and finite.
+    """
+
+    _placement = ("mu", "sigma")
+
+    def __post_init__(self):
+        loc, scale = self._placement
+        _require("finite", **{loc: self.location})
+        _require("positive", **{scale: self.scale})
+
+    @property
+    def location(self):
+        return getattr(self, self._placement[0])
+
+    @property
+    def scale(self):
+        return getattr(self, self._placement[1])
+
+    def _z(self, x):
+        return (np.asarray(x, dtype=float) - self.location) / self.scale
 
 
 def _quantile_domain(q):

@@ -20,7 +20,7 @@ published value is always reported.
 The published digits also carry a self-consistency check: reflecting
 (a, b, lambda) to (b, a, -lambda) must flip the signs of the mean and
 skewness and preserve the sd and kurtosis exactly.  Cells whose printed
-digits violate that symmetry by more than MIRROR_TOL (32 cells) are
+digits violate that symmetry by more than _MIRROR_TOL (32 cells) are
 listed by excluded_cells() and reported; they are asserted like every
 other cell.
 """
@@ -37,17 +37,15 @@ __all__ = [
     "RowComparison",
     "REFERENCE_MOMENT_GRID",
     "RECORDED_VALUES",
-    "MIRROR_TOL",
     "FIELDS",
     "row_tolerance",
-    "mirror_of",
     "excluded_cells",
     "compare_row",
     "compare_grid",
 ]
 
 FIELDS = ("mean", "sd", "skewness", "kurtosis")
-MIRROR_TOL = 2e-3
+_MIRROR_TOL = 2e-3
 # signs under (a,b,lam) -> (b,a,-lam): mean and skewness flip
 _MIRROR_SIGN = {"mean": -1.0, "sd": 1.0, "skewness": -1.0, "kurtosis": 1.0}
 
@@ -173,7 +171,7 @@ def row_tolerance(row):
     return 1e-3 if (row.a >= 1.0 and row.b >= 1.0) else 5e-3
 
 
-def mirror_of(row):
+def _mirror_of(row):
     """The (b, a, -lambda) partner row, or None when it is not in the grid."""
     return _BY_KEY.get((row.b, row.a, -row.lam))
 
@@ -183,7 +181,7 @@ def excluded_cells():
 
     Reflection forces mean/skewness to be opposite and sd/kurtosis equal
     between a row and its mirror; when the printed pair disagrees by
-    more than MIRROR_TOL at least one of the two is wrong, so both cells
+    more than _MIRROR_TOL at least one of the two is wrong, so both cells
     are listed (the self-mirrored lam=0 rows check 2*|value| for the
     sign-flipping fields).  Every listed cell that is off by more than
     the row tolerance has a RECORDED_VALUES entry; the list is reported
@@ -191,12 +189,12 @@ def excluded_cells():
     """
     out = set()
     for row in REFERENCE_MOMENT_GRID:
-        partner = mirror_of(row)
+        partner = _mirror_of(row)
         if partner is None:
             continue
         for field in FIELDS:
             dev = abs(getattr(row, field) - _MIRROR_SIGN[field] * getattr(partner, field))
-            if dev > MIRROR_TOL:
+            if dev > _MIRROR_TOL:
                 out.add((row.a, row.b, row.lam, field))
                 out.add((partner.a, partner.b, partner.lam, field))
     return frozenset(out)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, _quantile_domain
+from .core import LocationScale, _quantile_domain, _require
 from .special import (
     _bracketed_newton,
     norm_cdf,
@@ -44,7 +44,7 @@ from .special import (
 )
 from scipy.special import ndtri_exp
 
-__all__ = ["Normal", "SkewNormal", "sn_neg_closure_check"]
+__all__ = ["Normal", "SkewNormal"]
 
 _LOG2 = np.log(2.0)
 _LOG_SQRT_2_OVER_PI = 0.5 * np.log(2.0 / np.pi)
@@ -52,28 +52,11 @@ _TINY = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
-class Normal(Distribution):
+class Normal(LocationScale):
     """Gaussian with mean mu and standard deviation sigma."""
 
     mu: float = 0.0
     sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError("sigma must be positive and finite")
-        if not np.isfinite(self.mu):
-            raise ValueError("mu must be finite")
-
-    @property
-    def location(self):
-        return self.mu
-
-    @property
-    def scale(self):
-        return self.sigma
-
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.mu) / self.sigma
 
     def pdf(self, x):
         return norm_pdf(self._z(x)) / self.sigma
@@ -290,40 +273,26 @@ def _std_quantile_lower(p, lam):
 
 
 @dataclass(frozen=True)
-class SkewNormal(Distribution):
+class SkewNormal(LocationScale):
     """Skew-normal with location xi, scale psi, and shape lam."""
 
     xi: float = 0.0
     psi: float = 1.0
     lam: float = 0.0
 
+    _placement = ("xi", "psi")
+
     def __post_init__(self):
-        if not (np.isfinite(self.psi) and self.psi > 0.0):
-            raise ValueError("psi must be positive and finite")
-        if not (np.isfinite(self.xi) and np.isfinite(self.lam)):
-            raise ValueError("xi and lam must be finite")
-
-    @property
-    def location(self):
-        return self.xi
-
-    @property
-    def scale(self):
-        return self.psi
+        super().__post_init__()
+        _require("finite", lam=self.lam)
 
     @property
     def delta(self):
         return self.lam / np.sqrt(1.0 + self.lam * self.lam)
 
-    def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.xi) / self.psi
-
     def logpdf(self, x):
         z = self._z(x)
         return _log_density(z, norm_logcdf(self.lam * z)) - np.log(self.psi)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
 
     def _tail(self, x, k):
         v = _tails(self._z(x), self.lam)[k]
@@ -376,11 +345,3 @@ class SkewNormal(Distribution):
 
     def sample(self, n, seed):
         return self.draw(np.random.default_rng(seed), n)
-
-
-def sn_neg_closure_check(lam, tol=1e-13):
-    """Check that -X mirrors the shape parameter: pdf(-x; -lam) == pdf(x; lam)."""
-    x = np.linspace(-8.0, 8.0, 401)
-    direct = SkewNormal(lam=lam).pdf(x)
-    mirrored = SkewNormal(lam=-lam).pdf(-x)
-    return bool(np.max(np.abs(direct - mirrored)) <= tol)

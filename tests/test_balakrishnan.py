@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from betasn import balakrishnan
 from betasn import (
     GBSN,
     SNB,
     TBSN,
+    BetaNormal,
+    BetaSkewNormal,
     Normal,
     SkewNormal,
     gbsn_constant,
@@ -127,6 +130,30 @@ def test_order_validation():
         TBSN(1.0, 1.0, 0.5, 1)
     with pytest.raises(ValueError):
         SNB(1.0, 1, sigma=0.0)
+    # a non-finite location, scale or shape, for each location-scale family
+    nan, inf = float("nan"), float("inf")
+    for make in (
+        lambda: Normal(mu=nan),
+        lambda: Normal(sigma=inf),
+        lambda: SkewNormal(xi=inf),
+        lambda: SkewNormal(psi=nan),
+        lambda: SkewNormal(lam=nan),
+        lambda: SNB(1.0, 2, mu=inf),
+        lambda: SNB(1.0, 2, sigma=inf),
+        lambda: SNB(nan, 2),
+        lambda: GBSN(inf, 2, 1),
+        lambda: TBSN(1.0, -1.0, 2, 1, mu=nan),
+        lambda: TBSN(1.0, -1.0, 2, 1, sigma=nan),
+        lambda: TBSN(1.0, inf, 2, 1),
+        lambda: BetaNormal(2.0, 3.0, mu=inf),
+        lambda: BetaNormal(2.0, 3.0, sigma=inf),
+        lambda: BetaNormal(nan, 3.0),
+        lambda: BetaSkewNormal(1.0, 2.0, 3.0, mu=nan),
+        lambda: BetaSkewNormal(1.0, 2.0, 3.0, sigma=inf),
+        lambda: BetaSkewNormal(inf, 2.0, 3.0),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_sampling_is_deterministic():
@@ -134,3 +161,46 @@ def test_sampling_is_deterministic():
     a = d.sample(500, 99)
     b = d.sample(500, 99)
     assert np.array_equal(a, b)
+
+
+# the bench panel's members and the check suite's, against their TBSN form
+REPARAMETERIZATIONS = {
+    "snb(1,3)": (SNB(1.0, 3), TBSN(1.0, 0.0, 3, 0)),
+    "gbsn(2,4,1)": (GBSN(2.0, 4, 1), TBSN(2.0, -2.0, 4, 1)),
+    "snb(-2.3,3;0.5,1.5)": (
+        SNB(-2.3, 3, mu=0.5, sigma=1.5),
+        TBSN(-2.3, 0.0, 3, 0, mu=0.5, sigma=1.5),
+    ),
+    "gbsn(0.9,2,3)": (GBSN(0.9, 2, 3), TBSN(0.9, -0.9, 2, 3)),
+}
+
+
+@pytest.mark.parametrize(
+    "dist, tbsn", REPARAMETERIZATIONS.values(), ids=REPARAMETERIZATIONS.keys()
+)
+def test_reparameterizations_are_bit_identical(dist, tbsn):
+    x = np.linspace(-8.0, 8.0, 801)
+    q = np.concatenate([np.logspace(-12, -0.31, 200), 1.0 - np.logspace(-12, -0.31, 200)])
+    for method, arg in (("pdf", x), ("logpdf", x), ("cdf", x), ("quantile", q)):
+        assert np.array_equal(getattr(dist, method)(arg), getattr(tbsn, method)(arg)), method
+    assert dist.kernel_integral == tbsn.kernel_integral
+
+
+def test_order_zero_factor_costs_no_log_phi(monkeypatch):
+    """A TBSN cdf with one order-0 factor evaluates one log Phi per kernel node."""
+    dist = TBSN(1.0, 0.0, 3, 0)
+    dist.cdf(0.0)  # build the table outside the count
+    points = {"logpdf": 0, "logcdf": 0}
+
+    def counted(name, fn):
+        def wrapper(z):
+            points[name] += np.size(z)
+            return fn(z)
+
+        return wrapper
+
+    monkeypatch.setattr(balakrishnan, "norm_logpdf", counted("logpdf", balakrishnan.norm_logpdf))
+    monkeypatch.setattr(balakrishnan, "norm_logcdf", counted("logcdf", balakrishnan.norm_logcdf))
+    dist.cdf(np.linspace(-4.0, 4.0, 1000))
+    assert points["logpdf"] == 15 * 1000  # one 15-node rule per point
+    assert points["logcdf"] == points["logpdf"]

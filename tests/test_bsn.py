@@ -19,10 +19,8 @@ from betasn import (
     norm_logcdf,
     norm_logpdf,
     norm_quantile,
-    reflection_check,
     sample_rejection,
     skewing_weight,
-    symmetry_check,
     KS_COEFF_01,
 )
 from betasn.quadrature import integrate_unit
@@ -112,15 +110,32 @@ def test_tbsn_identities():
             assert _pdf_gap(BetaSkewNormal(0.0, n, m), TBSN(1.0, -1.0, n - 1, m - 1)) < 1e-10
 
 
+def _assert_mirrors(lam, a, b):
+    """X ~ BSN(lam,a,b) and Y ~ BSN(-lam,b,a) mirror each other.
+
+    pdf_X(-x) = pdf_Y(x) on the grid to 1e-12; means and skewnesses
+    opposite, sds and kurtoses equal, each to 1e-6.
+    """
+    x_dist = BetaSkewNormal(lam, a, b)
+    y_dist = BetaSkewNormal(-lam, b, a)
+    assert np.max(np.abs(x_dist.pdf(-GRID) - y_dist.pdf(GRID))) <= 1e-12, (lam, a, b)
+    mx = x_dist.moments()
+    my = y_dist.moments()
+    assert abs(mx.mean + my.mean) <= 1e-6, (lam, a, b)
+    assert abs(mx.sd - my.sd) <= 1e-6, (lam, a, b)
+    assert abs(mx.skewness + my.skewness) <= 1e-6, (lam, a, b)
+    assert abs(mx.kurtosis - my.kurtosis) <= 1e-6, (lam, a, b)
+
+
 def test_reflection():
-    assert reflection_check(1.0, 2.0, 3.0)
-    assert reflection_check(-2.5, 0.5, 1.7)
+    _assert_mirrors(1.0, 2.0, 3.0)
+    _assert_mirrors(-2.5, 0.5, 1.7)
     rng = np.random.default_rng(17)
     for _ in range(5):
         lam = float(rng.uniform(-3.0, 3.0))
         a = float(rng.uniform(0.4, 4.0))
         b = float(rng.uniform(0.4, 4.0))
-        assert reflection_check(lam, a, b), (lam, a, b)
+        _assert_mirrors(lam, a, b)
 
 
 def test_negation_swaps_shapes():
@@ -129,10 +144,17 @@ def test_negation_swaps_shapes():
     assert np.max(np.abs(x_dist.cdf(-GRID) - y_dist.sf(GRID))) < 1e-13
 
 
+def _symmetry_gap(lam, a):
+    """max |pdf(x) - pdf(-x)| of BSN(lam, a, a) on the grid."""
+    dist = BetaSkewNormal(lam, a, a)
+    return np.max(np.abs(dist.pdf(GRID) - dist.pdf(-GRID)))
+
+
 def test_symmetry_examples():
-    assert symmetry_check(0.0, 0.7)
-    assert not symmetry_check(1.0, 1.0)
-    assert not symmetry_check(2.0, 0.5)
+    # with equal beta shapes, symmetry holds exactly when lam = 0
+    assert _symmetry_gap(0.0, 0.7) <= 1e-12
+    assert not _symmetry_gap(1.0, 1.0) <= 1e-12
+    assert not _symmetry_gap(2.0, 0.5) <= 1e-12
 
 
 def test_moment_recursion_lattice():

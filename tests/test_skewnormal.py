@@ -16,7 +16,6 @@ from betasn import (
     norm_pdf,
     norm_quantile,
     owen_t,
-    sn_neg_closure_check,
 )
 
 GRID = np.linspace(-6.0, 6.0, 401)
@@ -56,8 +55,12 @@ def test_cdf_squares_at_unit_shape():
 
 
 def test_negation_closure():
+    # -X mirrors the shape parameter: pdf(-x; -lam) == pdf(x; lam)
+    x = np.linspace(-8.0, 8.0, 401)
     for lam in (0.0, 0.5, 2.0, 10.0):
-        assert sn_neg_closure_check(lam)
+        direct = SkewNormal(lam=lam).pdf(x)
+        mirrored = SkewNormal(lam=-lam).pdf(-x)
+        assert np.max(np.abs(direct - mirrored)) <= 1e-13, lam
 
 
 def test_normal_special_case():
