@@ -18,13 +18,18 @@ point and the three parameterizations give bit-identical values.
 
 Normalizing integrals are computed by adaptive quadrature and memoized
 per kernel.  Distribution functions have no closed form; they are served
-from a cumulative Gauss-Kronrod table over the truncation window, one
-per kernel.  A quantile finds the table segment holding its root by
-searchsorted on the segment sums, taken from the left for q <= 1/2 and
-from the right above, and solves the log of the partial sum inside that
-segment by bracketed Newton.  So cdf and quantile are inverses of each
-other to roundoff, and the quantile keeps relative accuracy in q, or in
-1 - q, down to the far tails.
+from one piecewise-polynomial cumulative table per kernel over the
+truncation window (see _NumericCdf), built from kernel values at the
+Gauss-Kronrod nodes of its segments.  A cdf or sf read is a searchsorted
+and one 16-term Legendre sum per point, added to the running segment
+sums from the left or from the right, so each keeps relative accuracy
+in its own tail; logcdf and logsf take the log before dividing by the
+total.  A quantile finds the segment holding its root by searchsorted
+on the running sums, taken from the left for q <= 1/2 and from the
+right above, and solves the log of that same read by bracketed Newton
+inside the segment.  So cdf and quantile are inverses of each other to
+roundoff, the quantile keeps relative accuracy in q, or in 1 - q, down
+to the far tails, and no read evaluates the kernel.
 """
 
 from __future__ import annotations
@@ -34,9 +39,10 @@ from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .core import LocationScale, _quantile_domain, _require
-from .quadrature import DEFAULT_SPEC, _gk15, integrate_line
+from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, integrate_line
 from .special import _bracketed_newton, norm_logcdf, norm_logpdf
 
 __all__ = [
@@ -126,35 +132,118 @@ def tbsn_constant(n, m, lam1, lam2, spec=None):
     return _kernel_integral(*_kernel_key(lam1, lam2, n, m, spec))
 
 
+# A segment whose kernel interpolant has |c13| + |c14| above _SPLIT_RTOL
+# times its smallest node value is bisected, into at most
+# 2**_MAX_SPLITS pieces of one starting segment; one with a node value
+# below _LINEAR_BELOW holds its mass linear instead.
+_SPLIT_RTOL = 1e-12
+_MAX_SPLITS = 6
+_LINEAR_BELOW = 1e-280
+# Legendre coefficients, on [-1, 1], of the degree-14 interpolant
+# through the 15 Kronrod nodes (rows: coefficient, columns: node), and
+# of its antiderivative from -1 (16 rows)
+_TO_LEGENDRE = np.linalg.inv(legendre.legvander(_NODES, 14))
+_ANTIDERIVATIVE = legendre.legint(_TO_LEGENDRE, lbnd=-1)
+
+
+def _legendre_sum(coef, i, u, slope=False):
+    """sum_k coef[k, i] P_k(u) per point by Clenshaw's recurrence, and its d/du if slope.
+
+    Takes one coefficient row per term at the points' segments i, so no
+    (terms, points) block is gathered.
+    """
+    b1, b2 = coef[-1].take(i), np.zeros_like(u)
+    d1, d2 = np.zeros_like(u), np.zeros_like(u)
+    for k in range(len(coef) - 2, -1, -1):
+        # b_k = c_k + alpha u b_{k+1} - beta b_{k+2}, from
+        # P_{k+1} = (2k+1)/(k+1) u P_k - k/(k+1) P_{k-1}; in place, since
+        # the arrays are as long as the points
+        alpha, beta = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
+        if slope:
+            d = u * d1
+            d += b1
+            d *= alpha
+            d2 *= beta
+            d -= d2
+            d1, d2 = d, d1
+        b = u * b1
+        b *= alpha
+        b2 *= beta
+        b -= b2
+        b += coef[k].take(i)
+        b1, b2 = b, b1
+    return (b1, d1) if slope else b1
+
+
+def _held(base, seg, partial, upper):
+    """Mass below a point, or above it if upper, of a segment whose antiderivative
+    reads `partial` there, from the running sum `base` on that side of it."""
+    partial = np.clip(partial, 0.0, seg)
+    return base + (seg - partial) if upper else base + partial
+
+
 class _NumericCdf:
-    """Cumulative Gauss-Kronrod table for a standardized positive kernel.
+    """Piecewise-polynomial cumulative table of a standardized positive kernel.
 
     The kernel need not be normalized; the table divides by its own
-    total mass.  cdf values between grid edges are completed with a
-    partial 15-point rule on the residual subinterval, which keeps the
-    result monotone and smooth enough for Newton inversion.  The segment
-    masses are summed from both ends, so the mass below and the mass
-    above every edge keep relative accuracy in their own tail.
+    total mass.  The build evaluates the kernel once, at the 15 Kronrod
+    nodes of every segment of the truncation window, and keeps per
+    segment its Gauss-Kronrod mass and the antiderivative, from the
+    segment's left end, of the kernel's degree-14 interpolant through
+    those nodes: 16 Legendre coefficients.  GK15 is interpolatory, so
+    that antiderivative ends at the segment mass.  Segments where the
+    interpolant's top coefficients are not negligible against the kernel
+    are bisected, and segments reaching down to underflow hold their
+    mass linear, which keeps every read monotone.  The segment masses
+    are summed from both ends, so the mass below and the mass above
+    every edge keep relative accuracy in their own tail.  Reads (cdf,
+    sf, their logs and the quantile) evaluate no kernel.
     """
 
     def __init__(self, kernel, spec, segments=1600):
-        self.kernel = kernel
         self.t = spec.truncation
         edges = np.linspace(-self.t, self.t, segments + 1)
-        seg_vals, _ = _gk15(kernel, edges[:-1], edges[1:])
-        self.edges = edges
-        self.seg = seg_vals
-        self.cum = np.concatenate([[0.0], np.cumsum(seg_vals)])
-        self.cum_right = np.concatenate([np.cumsum(seg_vals[::-1])[::-1], [0.0]])
+        lo, hi = edges[:-1], edges[1:]
+        parts = []
+        self.nodes = 0
+        for depth in range(_MAX_SPLITS + 1):
+            center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            y = kernel(center + half * _NODES[:, None])
+            self.nodes += y.size
+            smallest = y.min(axis=0)
+            linear = smallest < _LINEAR_BELOW
+            tail = np.abs(_TO_LEGENDRE[13:] @ y).sum(axis=0)
+            done = linear | (tail <= _SPLIT_RTOL * smallest) | (depth == _MAX_SPLITS)
+            seg = half * (_WEIGHTS_K @ y)
+            anti = half * (_ANTIDERIVATIVE @ y)
+            anti[:, linear] = 0.0
+            anti[:2, linear] = 0.5 * seg[linear]
+            parts.append((lo[done], seg[done], anti[:, done]))
+            split = ~done
+            lo, hi = (np.concatenate([a[split], b[split]]) for a, b in ((lo, center), (center, hi)))
+        left, seg, anti = (np.concatenate(a, axis=-1) for a in zip(*parts))
+        order = np.argsort(left)
+        self.edges = np.append(left[order], self.t)
+        self.seg = seg[order]
+        self.anti = anti[:, order]
+        self.cum = np.concatenate([[0.0], np.cumsum(self.seg)])
+        self.cum_right = np.concatenate([np.cumsum(self.seg[::-1])[::-1], [0.0]])
         self.total = float(self.cum[-1])
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        zz = np.atleast_1d(np.clip(z, -self.t, self.t))
-        idx = np.clip(np.searchsorted(self.edges, zz, side="right") - 1, 0, len(self.edges) - 2)
-        partial, _ = _gk15(self.kernel, self.edges[idx], zz)
-        out = np.clip((self.cum[idx] + partial) / self.total, 0.0, 1.0)
-        return out if z.ndim else float(out[0])
+    def _below(self, i, upper):
+        """Running sum of the segments below segment i, or above it if upper."""
+        return self.cum_right[i + 1] if upper else self.cum[i]
+
+    def masses(self, z, upper):
+        """Kernel mass below each z of a 1-d array, or above it if upper."""
+        z = np.clip(z, -self.t, self.t)
+        i = np.clip(np.searchsorted(self.edges, z, side="right") - 1, 0, len(self.seg) - 1)
+        lo, hi = self.edges[i], self.edges[i + 1]
+        u = np.clip((z - 0.5 * (lo + hi)) * (2.0 / (hi - lo)), -1.0, 1.0)
+        seg = self.seg[i]
+        # at a segment's ends, and so beyond the window, the reads are exact
+        partial = np.where(u == -1.0, 0.0, np.where(u == 1.0, seg, _legendre_sum(self.anti, i, u)))
+        return _held(self._below(i, upper), seg, partial, upper)
 
     def quantile(self, q):
         q = _quantile_domain(q)
@@ -170,30 +259,30 @@ class _NumericCdf:
 
         searchsorted on the running sums picks the one segment holding
         each root; inside it, bracketed Newton solves the log of the
-        partial sum, starting from linear interpolation of the mass.
+        mass the reads return, with the segment's interpolant as its
+        slope, starting from linear interpolation of the mass.
         """
         last = len(self.seg) - 1
         if upper:
             i = np.clip(np.searchsorted(-self.cum_right, -mass, side="left") - 1, 0, last)
-            base = self.cum_right[i + 1]
         else:
             i = np.clip(np.searchsorted(self.cum, mass, side="right") - 1, 0, last)
-            base = self.cum[i]
+        base, seg = self._below(i, upper), self.seg[i]
         lo, hi = self.edges[i], self.edges[i + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.clip(np.nan_to_num((mass - base) / self.seg[i]), 0.0, 1.0)
+            frac = np.clip(np.nan_to_num((mass - base) / seg), 0.0, 1.0)
         start = hi - frac * (hi - lo) if upper else lo + frac * (hi - lo)
         log_mass = np.log(mass)
+        mid, dudz = 0.5 * (lo + hi), 2.0 / (hi - lo)
 
         def log_gap(x, idx):
-            if upper:
-                partial, _ = _gk15(self.kernel, x, hi[idx])
-            else:
-                partial, _ = _gk15(self.kernel, lo[idx], x)
-            held = base[idx] + partial
+            u = (x - mid[idx]) * dudz[idx]
+            partial, dpartial = _legendre_sum(self.anti, i[idx], u, slope=True)
+            held = _held(base[idx], seg[idx], partial, upper)
             with np.errstate(divide="ignore"):
                 gap = np.log(held) - log_mass[idx]
-            return (-gap if upper else gap), self.kernel(x) / held
+            # d/dz of the antiderivative is the kernel's interpolant
+            return (-gap if upper else gap), dpartial * dudz[idx] / held
 
         return _bracketed_newton(log_gap, start, lo, hi)
 
@@ -238,8 +327,28 @@ class PowerOfPhi(LocationScale):
         log_kernel = _log_kernel(self._z(x), lam1, lam2, n, m, np.log(self.norm_const))
         return log_kernel - np.log(self.scale)
 
+    def _tail(self, x, upper, log):
+        """Mass below x, or above x if upper, as a probability or its log."""
+        z = self._z(x)
+        table = _kernel_table(*self._key)
+        held = table.masses(np.atleast_1d(z), upper)
+        with np.errstate(divide="ignore"):
+            out = np.log(held) - np.log(table.total) if log else held / table.total
+        out = np.minimum(out, 0.0 if log else 1.0)
+        return out if z.ndim else float(out[0])
+
     def cdf(self, x):
-        return _kernel_table(*self._key).cdf(self._z(x))
+        return self._tail(x, upper=False, log=False)
+
+    def sf(self, x):
+        """Survival function, relatively accurate in the right tail."""
+        return self._tail(x, upper=True, log=False)
+
+    def logcdf(self, x):
+        return self._tail(x, upper=False, log=True)
+
+    def logsf(self, x):
+        return self._tail(x, upper=True, log=True)
 
     def quantile(self, q):
         return self.location + self.scale * _kernel_table(*self._key).quantile(q)

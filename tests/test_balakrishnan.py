@@ -187,9 +187,12 @@ def test_reparameterizations_are_bit_identical(dist, tbsn):
 
 
 def test_order_zero_factor_costs_no_log_phi(monkeypatch):
-    """A TBSN cdf with one order-0 factor evaluates one log Phi per kernel node."""
+    """A TBSN table with one order-0 factor costs one log Phi per kernel node.
+
+    The table is built inside the count; reading it afterwards, by cdf,
+    sf or quantile, evaluates the kernel no more.
+    """
     dist = TBSN(1.0, 0.0, 3, 0)
-    dist.cdf(0.0)  # build the table outside the count
     points = {"logpdf": 0, "logcdf": 0}
 
     def counted(name, fn):
@@ -201,6 +204,14 @@ def test_order_zero_factor_costs_no_log_phi(monkeypatch):
 
     monkeypatch.setattr(balakrishnan, "norm_logpdf", counted("logpdf", balakrishnan.norm_logpdf))
     monkeypatch.setattr(balakrishnan, "norm_logcdf", counted("logcdf", balakrishnan.norm_logcdf))
-    dist.cdf(np.linspace(-4.0, 4.0, 1000))
-    assert points["logpdf"] == 15 * 1000  # one 15-node rule per point
+    balakrishnan._kernel_table.cache_clear()
+    dist.cdf(0.0)
+    nodes = balakrishnan._kernel_table(*dist._key).nodes
+    assert nodes >= 15 * 1600
+    assert points["logpdf"] == nodes  # one kernel evaluation per build node
     assert points["logcdf"] == points["logpdf"]
+
+    points.update(logpdf=0, logcdf=0)
+    x = np.linspace(-4.0, 4.0, 1000)
+    dist.cdf(x), dist.sf(x), dist.quantile(np.linspace(0.0005, 0.9995, 1000))
+    assert points == {"logpdf": 0, "logcdf": 0}

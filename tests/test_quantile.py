@@ -1,7 +1,8 @@
 """Quantile contract of every family and tail accuracy of the root-solved ones.
 
 SN and BSN quantiles solve the skew-normal cdf by bracketed Newton in log
-space; SNB, GBSN and TBSN solve their cumulative table the same way.
+space; SNB, GBSN and TBSN solve the per-segment polynomial of their
+cumulative table the same way.
 BetaNormal and BetaHalfNormal invert the incomplete beta on q's own side.
 Round trips are judged on q's own side of 1/2: cdf(x) against q, or
 sf(x) against 1 - q where the family has an sf, relative to that tail
