@@ -24,7 +24,9 @@ Gauss-Kronrod nodes of its segments.  A cdf or sf read is a searchsorted
 and one 16-term Legendre sum per point, added to the running segment
 sums from the left or from the right, so each keeps relative accuracy
 in its own tail; logcdf and logsf take the log before dividing by the
-total.  A quantile finds the segment holding its root by searchsorted
+total, except below 1e-30 of it, where the table misses the kernel's mass
+beyond the window or underflows, and one Gauss-Laguerre rule on the
+log-concave kernel gives the log tail mass instead.  A quantile finds the segment holding its root by searchsorted
 on the running sums, taken from the left for q <= 1/2 and from the
 right above, and solves the log of that same read by bracketed Newton
 inside the segment.  So cdf and quantile are inverses of each other to
@@ -42,7 +44,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .core import LocationScale, _quantile_domain, _require
-from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, integrate_line
+from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, _log_tail_mass, integrate_line
 from .special import _bracketed_newton, norm_logcdf, norm_logpdf
 
 __all__ = [
@@ -69,6 +71,24 @@ def _log_kernel(z, lam1, lam2, n, m, log_const=None):
     if m:
         out = out + m * norm_logcdf(lam2 * z)
     return out
+
+
+def _log_tail(z, lam1, lam2, n, m):
+    """log of the kernel's mass below z, by the Gauss-Laguerre tail rule.
+
+    The kernel is log-concave, with d log k / dz = -z + sum n lam H(lam z)
+    and -d2 log k / dz2 = 1 + sum n lam^2 H (lam z + H) over its factors,
+    H the normal hazard.  The mass above z is this at -z with both
+    shapes negated.
+    """
+    slope, curv = -z, np.ones_like(z)
+    for order, lam in ((n, lam1), (m, lam2)):
+        if order:
+            hazard = np.exp(norm_logpdf(lam * z) - norm_logcdf(lam * z))
+            slope = slope + order * lam * hazard
+            curv = curv + order * lam * lam * np.maximum(hazard * (lam * z + hazard), 0.0)
+    log_kernel = lambda t: _log_kernel(t, lam1, lam2, n, m)
+    return _log_tail_mass(log_kernel, z, log_kernel(z), slope, curv)
 
 
 def _kernel_key(lam1, lam2, n, m, spec=None):
@@ -260,7 +280,10 @@ class _NumericCdf:
         searchsorted on the running sums picks the one segment holding
         each root; inside it, bracketed Newton solves the log of the
         mass the reads return, with the segment's interpolant as its
-        slope, starting from linear interpolation of the mass.
+        slope, starting from linear interpolation of the mass.  log_gap
+        gives no curvature, so the solver's predicted stop takes g''
+        from the secant of each point's last two slopes: the second
+        evaluation of a point usually ends its solve.
         """
         last = len(self.seg) - 1
         if upper:
@@ -285,6 +308,15 @@ class _NumericCdf:
             return (-gap if upper else gap), dpartial * dudz[idx] / held
 
         return _bracketed_newton(log_gap, start, lo, hi)
+
+
+# logcdf and logsf take a tail mass below this fraction of the total from
+# the Gauss-Laguerre rule (_log_tail), not from the table: that covers
+# masses that read 0 (underflowed, or beyond the window), the masses near
+# the window ends, which miss the kernel's mass outside it, and those of
+# the linearly held segments.  The rule keeps a few ulp of the log
+# against quad from 1e-8 down; the table is that good only above ~1e-45.
+_LOG_TAIL_BELOW = 1e-30
 
 
 @lru_cache(maxsize=64)
@@ -331,9 +363,23 @@ class PowerOfPhi(LocationScale):
         """Mass below x, or above x if upper, as a probability or its log."""
         z = self._z(x)
         table = _kernel_table(*self._key)
-        held = table.masses(np.atleast_1d(z), upper)
-        with np.errstate(divide="ignore"):
-            out = np.log(held) - np.log(table.total) if log else held / table.total
+        zz = np.atleast_1d(z)
+        held = table.masses(zz, upper)
+        if not log:
+            out = held / table.total
+        else:
+            with np.errstate(divide="ignore"):
+                log_held = np.log(held)
+            far = held <= _LOG_TAIL_BELOW * table.total
+            if np.any(far):
+                lam1, lam2, n, m, _ = self._key
+                sign = -1.0 if upper else 1.0
+                with np.errstate(all="ignore"):
+                    rule = _log_tail(sign * zz[far], sign * lam1, sign * lam2, n, m)
+                # at infinite z, and past |z| ~ 1e9, where rounding of
+                # log k swamps the rule's differences, the table's log stays
+                log_held[far] = np.where(np.isfinite(rule), rule, log_held[far])
+            out = log_held - np.log(table.total)
         out = np.minimum(out, 0.0 if log else 1.0)
         return out if z.ndim else float(out[0])
 

@@ -22,8 +22,12 @@ The quantile inverts that logcdf: for q <= 1/2 it solves
 log F(z) = log q by bracketed Halley steps from the tail asymptote
 sqrt(2/pi) Phi(s z) / (lam s |z|), s = sqrt(1 + lam^2), and above 1/2 it
 reflects through SN(-lam) at 1 - q, so both tails are solved on their
-own side and keep the cdf's relative accuracy.  Every BSN quantile and
-draw runs through it.
+own side and keep the cdf's relative accuracy.  A solve ends on the
+step whose successor, predicted from g'', is below 4 ulp, so a root in
+Owen's T cancellation zone, where log F carries up to about 1e-13
+relative noise, stops at its first noise-sized step instead of bouncing
+until its bracket collapses.  Every BSN quantile and draw runs through
+it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LocationScale, _quantile_domain, _require
+from .quadrature import _log_tail_mass
 from .special import (
     _bracketed_newton,
     norm_cdf,
@@ -73,58 +78,6 @@ class Normal(LocationScale):
         return out if q.ndim else float(out)
 
 
-# 20-point Gauss-Laguerre rule for integrals of e^-s f(s) over [0, inf):
-# abscissae (zeros of L_20) and weights, to 17 significant digits.
-_LAGUERRE_NODES = np.array(
-    [
-        0.070539889691988753,
-        0.37212681800161144,
-        0.91658210248327356,
-        1.7073065310283439,
-        2.7491992553094321,
-        4.0489253138508869,
-        5.6151749708616165,
-        7.4590174536710633,
-        9.5943928695810968,
-        12.038802546964316,
-        14.81429344263074,
-        17.948895520519376,
-        21.478788240285011,
-        25.451702793186906,
-        29.932554631700612,
-        35.013434240479,
-        40.833057056728571,
-        47.619994047346502,
-        55.810795750063899,
-        66.524416525615754,
-    ]
-)
-_LAGUERRE_WEIGHTS = np.array(
-    [
-        0.16874680185111386,
-        0.29125436200606828,
-        0.26668610286700129,
-        0.16600245326950684,
-        0.074826064668792371,
-        0.024964417309283221,
-        0.0062025508445722368,
-        0.0011449623864769082,
-        0.00015574177302781197,
-        1.5401440865224916e-5,
-        1.0864863665179824e-6,
-        5.3301209095567148e-8,
-        1.757981179050582e-9,
-        3.7255024025123209e-11,
-        4.7675292515781905e-13,
-        3.3728442433624384e-15,
-        1.1550143395003988e-17,
-        1.5395221405823436e-20,
-        5.2864427255691578e-24,
-        1.6564566124990233e-28,
-    ]
-)
-
-
 def _log_density(z, log_phi_lz):
     """log of 2 phi(z) Phi(lam z), given log Phi(lam z)."""
     return _LOG2 + norm_logpdf(z) + log_phi_lz
@@ -133,16 +86,13 @@ def _log_density(z, log_phi_lz):
 def _tail_logcdf(z, lam, log_phi_lz=None):
     """log F(z; lam) on the left tail, by a Gauss-Laguerre rule in log space.
 
-    F(z) is the integral of g(t) = 2 phi(t) Phi(lam t) over (-inf, z].
-    With log g falling at slope a (floored at 1e-2) and curvature k at
-    z, r = a + 4 sqrt(k) and t = z - s/r, it is g(z)/r times the integral
-    over s >= 0 of e^-s h(s), h(s) = e^(log g(t) - log g(z) + s).  g is
-    log-concave, so h grows no faster than e^(s (1 - a/r)); deep in the
-    tail, where a dominates, h is nearly flat.  Near the switch from
-    Owen's T at large lam, log g is nearly a parabola instead, and the
-    curvature term stretches its decay in s over several nodes.  One
-    20-point Gauss-Laguerre rule then resolves F to a few ulp of log F
-    (checked against an mpmath oracle for lam from 0.05 to 1e4), at 21
+    F(z) is the integral of g(t) = 2 phi(t) Phi(lam t) over (-inf, z],
+    and g is log-concave, so quadrature._log_tail_mass applies: one
+    20-point rule on the tail rescaled by the slope and curvature of
+    log g at z.  Near the switch from Owen's T at large lam, log g is
+    nearly a parabola, and the curvature term stretches its decay over
+    several nodes.  The rule resolves F to a few ulp of log F (checked
+    against an mpmath oracle for lam from 0.05 to 1e4), at 21
     norm_logcdf evaluations per point, or 20 when the caller passes
     log Phi(lam z) in.  Only called where the direct formula has already
     lost most of its digits (cancellation for lam > 0) or underflowed
@@ -151,18 +101,18 @@ def _tail_logcdf(z, lam, log_phi_lz=None):
     z = np.asarray(z, dtype=float)
     if log_phi_lz is None:
         log_phi_lz = norm_logcdf(lam * z)
-    log_g_z = _log_density(z, log_phi_lz)
     # log g has slope -t + lam H(lam t) and curvature
     # -1 - lam^2 H (lam t + H), H the normal hazard; H (x + H) >= 0
     # except for rounding far out on the left
     hazard = np.exp(norm_logpdf(lam * z) - log_phi_lz)
-    slope = np.maximum(-z + lam * hazard, 1e-2)
     curv = 1.0 + lam * lam * np.maximum(hazard * (lam * z + hazard), 0.0)
-    rate = slope + 4.0 * np.sqrt(curv)
-    s = _LAGUERRE_NODES[:, None]
-    t = z - s / rate
-    rel = np.exp(_LOG2 + norm_logpdf(t) + norm_logcdf(lam * t) - log_g_z + s)
-    return log_g_z - np.log(rate) + np.log(_LAGUERRE_WEIGHTS @ rel)
+    return _log_tail_mass(
+        lambda t: _log_density(t, norm_logcdf(lam * t)),
+        z,
+        _log_density(z, log_phi_lz),
+        -z + lam * hazard,
+        curv,
+    )
 
 
 def _left(z, lam):
@@ -238,9 +188,10 @@ def _std_quantile_lower(p, lam):
     clipped into that bracket: min(B, Phi) = p for lam > 0, and
     2 Phi - min(B, Phi) = p for lam < 0, from F_-|lam| = 2 Phi - F_|lam|.
     Deep in the tail B is F's asymptote, so the start is already close
-    to the root; nearer the centre the clip takes over.  The steps use
-    the curvature g'' = g' (-z + lam H(lam z) - g') of g = log F - log p,
-    with g' = f / F and H the normal hazard.
+    to the root; nearer the centre the clip takes over.  The steps, and
+    the solver's predicted stop, use the curvature
+    g'' = g' (-z + lam H(lam z) - g') of g = log F - log p, with
+    g' = f / F and H the normal hazard.
     """
     log_p = np.log(p)
     if lam >= 0.0:

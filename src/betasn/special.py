@@ -33,6 +33,10 @@ _LOG2 = np.log(2.0)
 # about 60
 _NEWTON_MAX_STEPS = 100
 _NEWTON_ULPS = 4.0 * np.finfo(float).eps
+# a step this small, relative to max(|x|, 1), may end a solve on the
+# predicted size of the next one; above it a vanishing g'' could end a
+# step that is still far from the root
+_NEWTON_PREDICT_BELOW = 1e-6
 
 
 def norm_pdf(x):
@@ -233,14 +237,26 @@ def _bracketed_newton(fun, x, lo, hi):
     Newton where that factor is not finite or is below 1/2.  A step
     whose point is not finite or leaves the bracket becomes a bisection
     of it; the sign of g shrinks the bracket, and a point with g == 0
-    keeps its x.  An element stops once its step or its bracket is a few
-    ulp of max(|x|, 1), and only unconverged elements are evaluated
-    again.  An element still unconverged after _NEWTON_MAX_STEPS steps
-    raises ArithmeticError; no partial result is returned.
+    keeps its x.
+
+    An element stops, with its step applied and clipped into its
+    bracket, once that step is a few ulp of max(|x|, 1), or once the
+    next Newton step predicted from it, |g''/g'| step^2 / 2 (Traub
+    1964), is that small, the step itself is below 1e-6 of max(|x|, 1)
+    and its point lies inside the bracket.  Halley's next step is
+    smaller still, so the prediction holds for both.  Where fun gives no
+    g'', it is the secant of the element's last two slopes, so the
+    prediction cannot end a first evaluation.  An element also stops once its bracket is a few
+    ulp wide, and only unconverged elements are evaluated again.  An
+    element still unconverged after _NEWTON_MAX_STEPS steps raises
+    ArithmeticError; no partial result is returned.
     """
     x = np.array(x, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
+    # the previous point and slope of each element, for the secant g''
+    x_prev = np.full_like(x, np.nan)
+    dg_prev = np.full_like(x, np.nan)
     idx = np.arange(x.size)
     for _ in range(_NEWTON_MAX_STEPS):
         if idx.size == 0:
@@ -252,18 +268,28 @@ def _bracketed_newton(fun, x, lo, hi):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(g == 0.0, 0.0, g / dg)
             if d2g:
-                factor = 1.0 - 0.5 * step * d2g[0] / dg
+                curv = d2g[0]
+                factor = 1.0 - 0.5 * step * curv / dg
                 step = np.where(np.isfinite(factor) & (factor >= 0.5), step / factor, step)
+            else:
+                curv = (dg - dg_prev[idx]) / (xi - x_prev[idx])
+                x_prev[idx], dg_prev[idx] = xi, dg
+            predicted = 0.5 * np.abs(curv / dg) * step * step
         newton = xi - step
-        tol = _NEWTON_ULPS * np.maximum(np.abs(xi), 1.0)
-        tiny_step = np.abs(step) <= tol
+        scale = np.maximum(np.abs(xi), 1.0)
+        tol = _NEWTON_ULPS * scale
         inside = (newton > lo_i) & (newton < hi_i)
+        # NaN predictions (no secant yet) compare False; a predicted stop
+        # whose point leaves the bracket is contradicted by it
+        done = (np.abs(step) <= tol) | (
+            (predicted <= tol) & (np.abs(step) <= _NEWTON_PREDICT_BELOW * scale) & inside
+        )
         x_new = np.where(inside, newton, 0.5 * (lo_i + hi_i))
         # a converging step can round onto the bracket end it started
         # from; that is convergence, not a step outside
-        x_new = np.where(tiny_step, np.clip(newton, lo_i, hi_i), x_new)
+        x_new = np.where(done, np.clip(newton, lo_i, hi_i), x_new)
         x[idx], lo[idx], hi[idx] = x_new, lo_i, hi_i
-        idx = idx[~(tiny_step | (hi_i - lo_i <= tol))]
+        idx = idx[~(done | (hi_i - lo_i <= tol))]
     if idx.size:
         raise ArithmeticError(
             f"bracketed Newton left {idx.size} points unconverged after {_NEWTON_MAX_STEPS} steps"

@@ -29,7 +29,10 @@ from betasn import (
     Kumaraswamy,
     Normal,
     SkewNormal,
+    balakrishnan,
     inv_reg_inc_beta,
+    skewnormal,
+    special,
 )
 
 RTOL = 1e-10
@@ -210,26 +213,42 @@ def test_quantile_contract(dist):
     assert np.array_equal(x.ravel(), dist.quantile(q.ravel()))
 
 
-# skew-normal solver evaluations per point on 2,000 tail probabilities
-# log-uniform on [1e-12, 0.5], half of them mirrored to 1 - t; before the
-# asymptotic start and the Halley step these were 4.7, 5.9, 6.3, 6.8, 7.2
+# solver evaluations per point on 2,000 tail probabilities log-uniform on
+# [1e-12, 0.5], half of them mirrored to 1 - t, by the solve they count:
+# the skew-normal one (sn), BSN's latent incomplete-beta inverse (latent)
+# or the table one of SNB, GBSN and TBSN (table).  Each bound is about 5%
+# above the count once a step whose predicted successor is below the
+# stopping tolerance ends the solve.  Under the step-size rule alone the
+# first five were bounded by 2.9, 4.5, 2.2, 1.85 and 1.85; before the
+# asymptotic start and the Halley step they were 4.7, 5.9, 6.3, 6.8, 7.2.
 EVALS_PER_POINT = [
-    (SkewNormal(0.0, 1.0, 3.0), 2.9),
-    (SkewNormal(0.0, 1.0, -0.7), 4.5),
-    (SkewNormal(0.0, 1.0, 50.0), 2.2),
-    (BetaSkewNormal(50.0, 0.05, 2.0), 1.85),
-    (BetaSkewNormal(-50.0, 3.0, 0.05), 1.85),
+    ("sn(3)", SkewNormal(0.0, 1.0, 3.0), "sn", 1.88),
+    ("sn(-0.7)", SkewNormal(0.0, 1.0, -0.7), "sn", 2.25),
+    ("sn(50)", SkewNormal(0.0, 1.0, 50.0), "sn", 1.74),
+    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "sn", 1.63),
+    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "latent", 1.83),
+    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "sn", 1.65),
+    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "latent", 2.02),
+    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "sn", 2.67),
+    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "latent", 2.11),
+    ("snb(1,3)", SNB(1.0, 3), "table", 2.1),
+    ("gbsn(2,4,1)", GBSN(2.0, 4, 1), "table", 2.48),
+    ("tbsn(5,-0.5,3,2)", TBSN(5.0, -0.5, 3, 2), "table", 2.55),
 ]
+# the module whose reference to the shared solver each solve goes through
+SOLVER_HOLDER = {"sn": skewnormal, "latent": special, "table": balakrishnan}
 
 
-@pytest.mark.parametrize("dist, most", EVALS_PER_POINT, ids=repr)
-def test_quantile_solver_evaluations(monkeypatch, dist, most):
-    # deterministic perf guard: counts every point the skew-normal solver
-    # evaluates; BSN's latent incomplete-beta inverse is not counted
-    from betasn import skewnormal
-
+@pytest.mark.parametrize(
+    "dist, solve, most",
+    [case[1:] for case in EVALS_PER_POINT],
+    ids=[f"{label}-{solve}" for label, _, solve, _ in EVALS_PER_POINT],
+)
+def test_quantile_solver_evaluations(monkeypatch, dist, solve, most):
+    # deterministic perf guard: counts every point one solve evaluates
+    holder = SOLVER_HOLDER[solve]
     points = {"n": 0}
-    inner = skewnormal._bracketed_newton
+    inner = holder._bracketed_newton
 
     def counted(fun, *args):
         def fun_counted(x, idx):
@@ -238,7 +257,7 @@ def test_quantile_solver_evaluations(monkeypatch, dist, most):
 
         return inner(fun_counted, *args)
 
-    monkeypatch.setattr(skewnormal, "_bracketed_newton", counted)
+    monkeypatch.setattr(holder, "_bracketed_newton", counted)
     rng = np.random.default_rng(2026)
     t = np.exp(rng.uniform(np.log(1e-12), np.log(0.5), 2000))
     q = np.where(np.arange(t.size) % 2 == 0, t, 1.0 - t)

@@ -241,3 +241,83 @@ def test_bracketed_newton():
     assert abs(root[0] - 1.0) < 1e-15
     assert seen[1] == 0.5 * (0.5 + 1.02)
     assert all(0.5 <= x <= 1.02 for x in seen)
+
+
+def _counted(evals, key, fun):
+    """fun, adding the points it is called on to evals[key]."""
+    evals[key] = 0
+
+    def wrapped(x, idx):
+        evals[key] += x.size
+        return fun(x, idx)
+
+    return wrapped
+
+
+def test_bracketed_newton_stops_on_the_predicted_step():
+    from betasn.special import _bracketed_newton
+
+    # cube roots of 9 targets from 0.1 to 20, all started at 1 in [0, 3].
+    # Stopping only once a fresh step is within 4 ulp took 42 evaluations
+    # with the curvature (Halley) and 59 without it (Newton); a step whose
+    # predicted successor |g''/g'| step^2 / 2 is below that ends the solve
+    target = np.geomspace(0.1, 20.0, 9)
+    evals = {}
+
+    def cube(x, idx):
+        return x**3 - target[idx], 3.0 * x * x
+
+    start, lo, hi = np.ones(9), np.zeros(9), np.full(9, 3.0)
+    halley = _bracketed_newton(
+        _counted(evals, "halley", lambda x, idx: (*cube(x, idx), 6.0 * x)), start, lo, hi
+    )
+    newton = _bracketed_newton(_counted(evals, "newton", cube), start, lo, hi)
+    for root in (halley, newton):
+        assert np.max(np.abs(root**3 / target - 1.0)) < 1e-15
+    assert evals["halley"] < 42 and evals["newton"] < 59
+    # the three targets of test_bracketed_newton: Halley's last large steps
+    # there, 4e-7 and 1e-7, predict successors above 4 ulp, so that path
+    # keeps its 13 evaluations while Newton's falls from 18
+    target = np.array([2.0, 0.5, 9.0])
+    start, lo, hi = np.ones(3), np.zeros(3), np.full(3, 3.0)
+    _bracketed_newton(
+        _counted(evals, "halley", lambda x, idx: (*cube(x, idx), 6.0 * x)), start, lo, hi
+    )
+    _bracketed_newton(_counted(evals, "newton", cube), start, lo, hi)
+    assert evals["halley"] <= 13 and evals["newton"] < 18
+
+
+def test_bracketed_newton_vanishing_curvature_does_not_stop_a_large_step():
+    from betasn.special import _bracketed_newton
+
+    # g = sinh x - 2 has g'' = 0 at the start x = 0, so the first step, to
+    # x = 2, predicts a zero successor; it is far above 1e-6 and goes on
+    seen = []
+
+    def gap(x, idx):
+        seen.extend(x.tolist())
+        return np.sinh(x) - 2.0, np.cosh(x), np.sinh(x)
+
+    root = _bracketed_newton(gap, [0.0], [-1.0], [5.0])
+    assert len(seen) > 2 and seen[1] == 2.0
+    assert abs(root[0] / np.arcsinh(2.0) - 1.0) < 1e-15
+
+
+def test_bracketed_newton_secant_needs_two_evaluations():
+    from betasn.special import _bracketed_newton
+
+    # a linear g whose root is 1e-10 from the start: one exact Newton step.
+    # Given g'' = 0 the prediction ends the solve on that first step; with
+    # no g'', the secant of the slopes needs a second point, so the first
+    # evaluation cannot end it
+    root = 1.0 + 1e-10
+    evals = {}
+    with_curv = _bracketed_newton(
+        _counted(evals, "curv", lambda x, idx: (x - root, np.ones_like(x), np.zeros_like(x))),
+        [1.0], [0.0], [2.0],
+    )
+    secant = _bracketed_newton(
+        _counted(evals, "secant", lambda x, idx: (x - root, np.ones_like(x))), [1.0], [0.0], [2.0]
+    )
+    assert evals == {"curv": 1, "secant": 2}
+    assert with_curv[0] == secant[0] == root

@@ -111,3 +111,23 @@ def test_reads_are_exact_at_the_window_ends():
     assert np.array_equal(d.cdf(x), [0.0, 0.0, 1.0, 1.0])
     assert np.array_equal(d.sf(x), [1.0, 1.0, 0.0, 0.0])
     assert d.sf(15.99) > 0.0
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+def test_log_reads_beyond_the_window_match_the_closed_forms(n):
+    # past the [-16, 16] window the table holds no mass, and the log reads
+    # come from the Gauss-Laguerre tail rule instead of reading -inf
+    x = np.array([-20.0, -40.0, -100.0])
+    want = (n + 1) * log_ndtr(x)
+    assert np.max(np.abs(SNB(1.0, n).logcdf(x) / want - 1.0)) < 1e-12
+    assert np.max(np.abs(SNB(-1.0, n).logsf(-x) / want - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("dist", [SNB(1.0, 1), SNB(-50.0, 2), TBSN(5.0, -0.5, 3, 2)], ids=repr)
+def test_log_reads_are_monotone_through_the_window_ends(dist):
+    # near a window end the table misses the mass beyond it; the tail rule
+    # takes over before that shows, so the log reads do not jump there
+    x = np.linspace(-17.0, 17.0, 200_001)
+    logcdf, logsf = dist.logcdf(x), dist.logsf(x)
+    assert np.all(np.isfinite(logcdf)) and np.all(np.isfinite(logsf))
+    assert np.all(np.diff(logcdf) >= 0.0) and np.all(np.diff(logsf) <= 0.0)

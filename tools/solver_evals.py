@@ -5,16 +5,20 @@
 Feeds each skew-normal and beta skew-normal member of the bulk panel in
 ``bench/workloads.py`` its seeded quantile inputs and counts the points
 the skew-normal solver evaluates, and, where the library solves the
-latent incomplete-beta inverse with the same solver, those too.  For the
-table-backed members (SNB, GBSN, TBSN) it counts the table solver's
-evaluations, the kernel nodes (one log phi each) and segments of one
-table build, and the kernel nodes per point of the seeded cdf, sf (where
-the family has one) and quantile reads of the built table.  Prints one
-JSON object: per member and in total, points, evaluations per point of
-each solve and of both together, the maxima over members, and the
-table members under ``tables``.  ``--src`` picks the library tree to
-import (default: this checkout's ``src``), so the same counts can be
-taken on another commit's export.
+latent incomplete-beta inverse with the same solver, those too.  The
+beta normal member has only the latent solve; it is reported on its own
+under ``latent_only``, so the aggregates stay those of the skew-normal
+members.  For the table-backed members (SNB, GBSN, TBSN) it counts the
+table solver's evaluations, the kernel nodes (one log phi each) and
+segments of one table build, and the kernel nodes per point of the
+seeded cdf, sf (where the family has one) and quantile reads of the
+built table.  Prints one JSON object: per member and in total, points,
+evaluations per point of each solve and of both together, the 90th
+percentile and the maximum of each solve's evaluations over its points
+(so a tail of slow points shows, not only the mean), the maxima over
+members, and the table members under ``tables``.  ``--src`` picks the
+library tree to import (default: this checkout's ``src``), so the same
+counts can be taken on another commit's export.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,15 +42,20 @@ def main(argv=None):
     import workloads
     from betasn import balakrishnan, skewnormal, special
 
-    counts = {"sn": 0, "latent": 0, "table": 0, "nodes": 0}
+    # per solve, one array of evaluations per point for every solver call
+    calls = {"sn": [], "latent": [], "table": []}
+    counts = {"nodes": 0}
 
     def counting(key, solver):
-        def solve(fun, *rest):
+        def solve(fun, x, *rest):
+            evals = np.zeros(np.size(x), dtype=int)
+            calls[key].append(evals)
+
             def fun_counted(x, idx):
-                counts[key] += x.size
+                evals[idx] += 1
                 return fun(x, idx)
 
-            return solver(fun_counted, *rest)
+            return solver(fun_counted, x, *rest)
 
         return solve
 
@@ -62,46 +73,71 @@ def main(argv=None):
 
     balakrishnan.norm_logpdf = log_phi_counted
 
-    members, tables = {}, {}
+    def evals_during(action):
+        """Evaluations per point of each solve while action runs, one array per solve."""
+        for arrays in calls.values():
+            arrays.clear()
+        action()
+        return {key: np.concatenate(arrays or [[]]) for key, arrays in calls.items()}
+
+    def add(row, key, evals):
+        row[key] = np.concatenate([row.get(key, []), evals])
+
+    members, latent_only, tables = {}, {}, {}
     for seed in args.seed or [7]:
         for item in workloads.bulk_inputs(seed):
             if item.label.startswith(("snb(", "gbsn(", "tbsn(")):
-                row = tables.setdefault(
-                    item.label, {"points": 0, "evals": 0, "read_points": 0, "read_nodes": 0}
-                )
+                row = tables.setdefault(item.label, {"points": 0, "read_points": 0, "read_nodes": 0})
                 table_counts(balakrishnan, item, counts, row)
+                evals = evals_during(lambda: item.dist.quantile(item.q))
+                row["points"] += item.q.size
+                row["read_points"] += item.q.size
+                row["read_nodes"] += counts["nodes"]
+                add(row, "evals", evals["table"])
                 continue
-            if not item.label.startswith(("sn(", "bsn(")):
+            if item.label.startswith("bn("):
+                row = latent_only.setdefault(item.label, {"points": 0})
+            elif item.label.startswith(("sn(", "bsn(")):
+                row = members.setdefault(item.label, {"points": 0})
+            else:
                 continue
-            counts.update(sn=0, latent=0)
-            item.dist.quantile(item.q)
-            row = members.setdefault(item.label, {"points": 0, "sn": 0, "latent": 0})
+            evals = evals_during(lambda: item.dist.quantile(item.q))
             row["points"] += item.q.size
-            row["sn"] += counts["sn"]
-            row["latent"] += counts["latent"]
-    table = {
-        label: {
-            "points": row["points"],
-            "sn_evals_per_point": row["sn"] / row["points"],
-            "latent_evals_per_point": row["latent"] / row["points"],
-            "all_evals_per_point": (row["sn"] + row["latent"]) / row["points"],
+            add(row, "sn", evals["sn"])
+            add(row, "latent", evals["latent"])
+
+    def solve_stats(prefix, evals, points):
+        """Mean per quantile point, and p90 and max over the solve's own points."""
+        return {
+            f"{prefix}evals_per_point": evals.sum() / points,
+            f"{prefix}evals_p90": float(np.percentile(evals, 90)) if evals.size else 0.0,
+            f"{prefix}evals_max": int(evals.max(initial=0)),
         }
-        for label, row in members.items()
-    }
+
+    def member_stats(row):
+        return {
+            "points": row["points"],
+            **solve_stats("sn_", row["sn"], row["points"]),
+            **solve_stats("latent_", row["latent"], row["points"]),
+            "all_evals_per_point": (row["sn"].sum() + row["latent"].sum()) / row["points"],
+        }
+
+    table = {label: member_stats(row) for label, row in members.items()}
     points = sum(row["points"] for row in members.values())
     print(json.dumps({
         "seeds": args.seed or [7],
         "members": table,
-        "sn_evals_per_point_weighted": sum(row["sn"] for row in members.values()) / points,
+        "sn_evals_per_point_weighted": sum(row["sn"].sum() for row in members.values()) / points,
         "sn_evals_per_point_max": max(row["sn_evals_per_point"] for row in table.values()),
         "all_evals_per_point_weighted": sum(
-            row["sn"] + row["latent"] for row in members.values()
+            row["sn"].sum() + row["latent"].sum() for row in members.values()
         ) / points,
         "all_evals_per_point_max": max(row["all_evals_per_point"] for row in table.values()),
+        "latent_only": {label: member_stats(row) for label, row in latent_only.items()},
         "tables": {
             label: {
                 "points": row["points"],
-                "evals_per_point": row["evals"] / row["points"],
+                **solve_stats("", row["evals"], row["points"]),
                 "build_nodes": row["build_nodes"],
                 "segments": row["segments"],
                 "read_nodes_per_point": row["read_nodes"] / row["read_points"],
@@ -113,23 +149,21 @@ def main(argv=None):
 
 
 def table_counts(balakrishnan, item, counts, row):
-    """Add one table member's build and read counts to row."""
+    """Add one table member's build counts to row, and run its cdf and sf reads.
+
+    Leaves counts["nodes"] at the kernel nodes those reads evaluated.
+    """
     dist = item.dist
     balakrishnan._kernel_table.cache_clear()
     counts["nodes"] = 0
     built = balakrishnan._kernel_table(*dist._key)
     row["build_nodes"], row["segments"] = counts["nodes"], len(built.seg)
-    counts.update(nodes=0, table=0)
+    counts["nodes"] = 0
     dist.cdf(item.x_cdf)
-    reads = item.x_cdf.size
+    row["read_points"] += item.x_cdf.size
     if hasattr(dist, "sf"):
         dist.sf(item.x_cdf)
-        reads += item.x_cdf.size
-    dist.quantile(item.q)
-    row["points"] += item.q.size
-    row["evals"] += counts["table"]
-    row["read_points"] += reads + item.q.size
-    row["read_nodes"] += counts["nodes"]
+        row["read_points"] += item.x_cdf.size
 
 
 if __name__ == "__main__":
