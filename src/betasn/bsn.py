@@ -20,7 +20,7 @@ import numpy as np
 from .betafamily import BetaHalfNormal, _beta_generated_quantile
 from .core import LocationScale, _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
-from .skewnormal import SkewNormal, _tails
+from .skewnormal import SkewNormal, _tails, _log_density_limit
 from .special import (
     log_beta,
     norm_logcdf,
@@ -119,15 +119,17 @@ class BetaSkewNormal(LocationScale):
 
     def logpdf(self, x):
         z = self._z(x)
-        log_phi_lz = norm_logcdf(self.lam * z)
-        out = (
-            _LOG2
-            - log_beta(self.a, self.b)
-            + norm_logpdf(z)
-            + log_phi_lz
-            - np.log(self.sigma)
-        )
-        return _add_log_kernel(out, z, self.lam, self.a, self.b, log_phi_lz)
+        with np.errstate(invalid="ignore"):
+            log_phi_lz = norm_logcdf(self.lam * z)
+            out = (
+                _LOG2
+                - log_beta(self.a, self.b)
+                + norm_logpdf(z)
+                + log_phi_lz
+                - np.log(self.sigma)
+            )
+            out = _add_log_kernel(out, z, self.lam, self.a, self.b, log_phi_lz)
+        return _log_density_limit(z, out)
 
     def _beta_ratio_two_sided(self, x, swap):
         # evaluate I_w(a,b) through whichever latent tail is still resolvable:

@@ -7,6 +7,7 @@ import pytest
 
 from betasn import (
     KS_COEFF_01,
+    BetaSkewNormal,
     Normal,
     SkewNormal,
     chisq1_cdf,
@@ -175,6 +176,19 @@ ORACLE_POINTS = [
 ] + [(lam, z - dz) for lam, z in FIRST_REPAIRED_Z.items() for dz in (0.0, 0.1)]
 
 
+# The lam > 0 side is routed by lam |z|: from 4 on the shape rule alone,
+# on [2, 4) Owen's T with the shape rule where it cancels, below 2 Owen's
+# T with the t-space rule.  These points sit at and around both cuts and
+# far beyond them, with z >= -1000.
+ROUTE_CUTS = (2.0, 4.0)
+ROUTE_POINTS = [
+    (lam, -c / lam)
+    for lam in (0.02, 0.3, 1.0, 50.0, 1e3, 1e4, 1e6)
+    for c in (1.9, 2.0, 2.1, 3.9, 4.0, 4.1, 10.0, 100.0)
+    if c / lam <= 1000.0
+]
+
+
 @pytest.mark.parametrize("lam, z", FIRST_REPAIRED_Z.items())
 def test_repair_starts_at_first_repaired_z(monkeypatch, lam, z):
     from betasn import skewnormal
@@ -191,7 +205,7 @@ def test_repair_starts_at_first_repaired_z(monkeypatch, lam, z):
     assert repaired == [z]
 
 
-@pytest.mark.parametrize("lam, z", ORACLE_POINTS)
+@pytest.mark.parametrize("lam, z", ORACLE_POINTS + ROUTE_POINTS)
 def test_tail_logcdf_against_mpmath_oracle(lam, z):
     pytest.importorskip("mpmath")
     from sn_oracle import tail_logcdf
@@ -212,21 +226,68 @@ def test_sn_oracle_routes_agree(lam, z):
 
 
 def test_tail_repair_work_count(monkeypatch):
-    # deterministic perf guard: one 20-point Laguerre rule per repaired
-    # point (eight 15-point panels took 122 norm_logcdf points each)
+    # deterministic perf guard.  From lam |z| >= 4 (lam > 0) the shape
+    # rule alone serves a point: no Owen's T and no norm_logcdf (the
+    # t-space rule took up to 25 norm_logcdf points per point there)
     from betasn import skewnormal
 
-    counts = {"points": 0}
-    inner = skewnormal.norm_logcdf
+    counts = {"norm_logcdf": 0, "owen_t": 0}
+    for name in counts:
 
-    def counted(x):
-        counts["points"] += np.size(x)
-        return inner(x)
+        def counted(x, *rest, _inner=getattr(skewnormal, name), _name=name):
+            counts[_name] += np.size(x)
+            return _inner(x, *rest)
 
-    monkeypatch.setattr(skewnormal, "norm_logcdf", counted)
-    z = np.linspace(-30.0, -2.0, 1000)
-    skewnormal._tail_logcdf(z, 3.0)
-    assert counts["points"] <= 25 * z.size
+        monkeypatch.setattr(skewnormal, name, counted)
+    z = np.linspace(-30.0, -4.0 / 3.0, 1000)
+    assert np.all(3.0 * z <= -4.0)
+    d = SkewNormal(0.0, 1.0, 3.0)
+    for method in (d.cdf, d.sf, d.logcdf, d.logsf):
+        method(z)
+    BetaSkewNormal(3.0, 0.5, 2.0).logpdf(z)
+    assert counts == {"norm_logcdf": 0, "owen_t": 0}
+    # near z = 0 at lam = 1e4 every point is repaired by the t-space rule:
+    # one 20-point Laguerre rule per point (eight 15-point panels took
+    # 122 norm_logcdf points each)
+    z = np.linspace(-1.9e-4, 0.0, 1000)
+    SkewNormal(0.0, 1.0, 1e4).logcdf(z)
+    assert counts["owen_t"] == z.size
+    assert 20 * z.size <= counts["norm_logcdf"] <= 25 * z.size
+
+
+@pytest.mark.parametrize("cut", ROUTE_CUTS)
+@pytest.mark.parametrize("lam", (0.02, 0.3, 1.0, 50.0, 1e3, 1e4, 1e6))
+def test_routes_meet_at_each_cut(lam, cut):
+    # a 1e-6-spaced grid in lam |z| across the cut, in increasing z
+    z = -(cut + 1e-6 * np.arange(10, -11, -1)) / lam
+    d = SkewNormal(0.0, 1.0, lam)
+    assert np.all(np.diff(d.cdf(z)) >= 0.0)
+    # each step of log F against the trapezoid of its slope f / F: off
+    # by the rounding of two values, not by a switch of route.  (At
+    # lam = 50 the cut 2 sits just before Owen's T is first repaired, at
+    # 2.37, where its cancellation leaves about 1e-13 of noise.)
+    log_f = d.logcdf(z)
+    slope = np.exp(d.logpdf(z) - log_f)
+    step = 0.5 * (slope[1:] + slope[:-1]) * np.diff(z)
+    assert np.all(np.abs(np.diff(log_f) - step) <= 1e-13 * np.abs(log_f[1:]))
+
+
+@pytest.mark.parametrize("lam", (1.0, -3.0, 0.0))
+def test_infinite_arguments_take_the_limits(lam):
+    x = np.array([-np.inf, -1e200, np.nan, 1e200, np.inf])
+    lo, hi = [0, 1], [3, 4]
+    for d in (SkewNormal(0.0, 1.0, lam), BetaSkewNormal(lam, 0.5, 3.0), BetaSkewNormal(lam, 3.0, 0.5)):
+        cdf, sf, pdf, logpdf = d.cdf(x), d.sf(x), d.pdf(x), d.logpdf(x)
+        assert np.array_equal(cdf[lo], [0.0, 0.0]) and np.array_equal(cdf[hi], [1.0, 1.0])
+        assert np.array_equal(sf[lo], [1.0, 1.0]) and np.array_equal(sf[hi], [0.0, 0.0])
+        assert np.all(pdf[lo + hi] == 0.0) and np.all(logpdf[lo + hi] == -np.inf)
+        # NaN in, NaN out
+        assert all(np.isnan(v[2]) for v in (cdf, sf, pdf, logpdf))
+    d = SkewNormal(0.0, 1.0, lam)
+    logcdf, logsf = d.logcdf(x), d.logsf(x)
+    assert np.all(logcdf[lo] == -np.inf) and np.all(logcdf[hi] == 0.0)
+    assert np.all(logsf[lo] == 0.0) and np.all(logsf[hi] == -np.inf)
+    assert np.isnan(logcdf[2]) and np.isnan(logsf[2])
 
 
 def test_tails_shapes_and_scalars():

@@ -28,3 +28,23 @@ def test_solver_evals_reports_every_solve():
     assert "bn(0.5,2)" in out["latent_only"]
     for row in out["tables"].values():
         assert {"points", "evals_per_point", "evals_p90", "evals_max", "build_nodes"} <= row.keys()
+
+
+def test_tail_routes_counts_every_point():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tail_routes.py"), "--seed", "7"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert {"seeds", "members", "ops", "total"} <= out.keys()
+    routes = ("owen_t_only", "owen_t_then_shape", "owen_t_then_t_space", "shape_only", "beyond_range")
+    assert {"sn(3)", "sn(-0.7)", "bsn(50,0.05,2)"} <= out["members"].keys()
+    for row in out["members"].values():
+        assert {"pdf", "logpdf", "cdf", "sf", "quantile", "sample"} <= row.keys()
+        for counts in row.values():
+            assert sum(counts[k] for k in routes) == counts["points"]
+    total = out["total"]
+    # no lam > 0 point with lam |z| >= 4 reaches Owen's T or the t-space rule
+    assert total["far_to_owen_t"] == total["far_to_t_space"] == 0
+    assert total["shape_only"] > 0 and total["owen_t_only"] > 0
