@@ -48,7 +48,9 @@ def norm_pdf(x):
 def norm_logpdf(x):
     """log phi(x), exact for arguments far beyond where phi underflows."""
     x = np.asarray(x, dtype=float)
-    return -0.5 * x * x - _LOG_SQRT_2PI
+    # past |x| ~ 1.3e154, x * x overflows to inf, and -inf is the answer
+    with np.errstate(over="ignore"):
+        return -0.5 * x * x - _LOG_SQRT_2PI
 
 
 def norm_cdf(x):
@@ -243,12 +245,14 @@ def _bracketed_newton(fun, x, lo, hi):
     bracket, once that step is a few ulp of max(|x|, 1), or once the
     next Newton step predicted from it, |g''/g'| step^2 / 2 (Traub
     1964), is that small, the step itself is below 1e-6 of max(|x|, 1)
-    and its point lies inside the bracket.  Halley's next step is
-    smaller still, so the prediction holds for both.  Where fun gives no
-    g'', it is the secant of the element's last two slopes, so the
-    prediction cannot end a first evaluation.  An element also stops once its bracket is a few
-    ulp wide, and only unconverged elements are evaluated again.  An
-    element still unconverged after _NEWTON_MAX_STEPS steps raises
+    and its point lies inside the bracket or within those few ulp of an
+    end, so a root on a bracket end stops as early as any other.
+    Halley's next step is smaller still, so the prediction holds for
+    both.  Where fun gives no g'', it is the secant of the element's
+    last two slopes, so the prediction cannot end a first evaluation.
+    An element also stops once its bracket is a few ulp wide, and only
+    unconverged elements are evaluated again.  An element still
+    unconverged after _NEWTON_MAX_STEPS steps raises
     ArithmeticError; no partial result is returned.
     """
     x = np.array(x, dtype=float)
@@ -280,9 +284,13 @@ def _bracketed_newton(fun, x, lo, hi):
         tol = _NEWTON_ULPS * scale
         inside = (newton > lo_i) & (newton < hi_i)
         # NaN predictions (no secant yet) compare False; a predicted stop
-        # whose point leaves the bracket is contradicted by it
+        # whose point leaves the bracket by more than tol is contradicted
+        # by it, one within tol of an end is a root on that end
         done = (np.abs(step) <= tol) | (
-            (predicted <= tol) & (np.abs(step) <= _NEWTON_PREDICT_BELOW * scale) & inside
+            (predicted <= tol)
+            & (np.abs(step) <= _NEWTON_PREDICT_BELOW * scale)
+            & (newton > lo_i - tol)
+            & (newton < hi_i + tol)
         )
         x_new = np.where(inside, newton, 0.5 * (lo_i + hi_i))
         # a converging step can round onto the bracket end it started

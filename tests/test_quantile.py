@@ -217,19 +217,21 @@ def test_quantile_contract(dist):
 # [1e-12, 0.5], half of them mirrored to 1 - t, by the solve they count:
 # the skew-normal one (sn), BSN's latent incomplete-beta inverse (latent)
 # or the table one of SNB, GBSN and TBSN (table).  Each bound is about 5%
-# above the count once a step whose predicted successor is below the
-# stopping tolerance ends the solve.  Under the step-size rule alone the
-# first five were bounded by 2.9, 4.5, 2.2, 1.85 and 1.85; before the
-# asymptotic start and the Halley step they were 4.7, 5.9, 6.3, 6.8, 7.2.
+# above the count.  Every sn point now ends on its first evaluation,
+# started from the cached inverse table; from the tail-asymptote start,
+# with the predicted stop, the sn bounds were 1.88, 2.25, 1.74, 1.63,
+# 1.65 and 2.67, under the step-size rule alone the first five were 2.9,
+# 4.5, 2.2, 1.85 and 1.85, and before the asymptotic start and the
+# Halley step 4.7, 5.9, 6.3, 6.8 and 7.2.
 EVALS_PER_POINT = [
-    ("sn(3)", SkewNormal(0.0, 1.0, 3.0), "sn", 1.88),
-    ("sn(-0.7)", SkewNormal(0.0, 1.0, -0.7), "sn", 2.25),
-    ("sn(50)", SkewNormal(0.0, 1.0, 50.0), "sn", 1.74),
-    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "sn", 1.63),
+    ("sn(3)", SkewNormal(0.0, 1.0, 3.0), "sn", 1.05),
+    ("sn(-0.7)", SkewNormal(0.0, 1.0, -0.7), "sn", 1.05),
+    ("sn(50)", SkewNormal(0.0, 1.0, 50.0), "sn", 1.05),
+    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "sn", 1.05),
     ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "latent", 1.83),
-    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "sn", 1.65),
+    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "sn", 1.05),
     ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "latent", 2.02),
-    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "sn", 2.67),
+    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "sn", 1.05),
     ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "latent", 2.11),
     ("snb(1,3)", SNB(1.0, 3), "table", 2.1),
     ("gbsn(2,4,1)", GBSN(2.0, 4, 1), "table", 2.48),
@@ -239,6 +241,25 @@ EVALS_PER_POINT = [
 SOLVER_HOLDER = {"sn": skewnormal, "latent": special, "table": balakrishnan}
 
 
+def _count_evals(monkeypatch, holder):
+    """A list that gets, per solve through holder's solver, its evaluations of each point."""
+    solves = []
+    inner = holder._bracketed_newton
+
+    def counted(fun, x, *rest):
+        evals = np.zeros(np.size(x), dtype=int)
+        solves.append(evals)
+
+        def fun_counted(x, idx):
+            evals[idx] += 1
+            return fun(x, idx)
+
+        return inner(fun_counted, x, *rest)
+
+    monkeypatch.setattr(holder, "_bracketed_newton", counted)
+    return solves
+
+
 @pytest.mark.parametrize(
     "dist, solve, most",
     [case[1:] for case in EVALS_PER_POINT],
@@ -246,20 +267,42 @@ SOLVER_HOLDER = {"sn": skewnormal, "latent": special, "table": balakrishnan}
 )
 def test_quantile_solver_evaluations(monkeypatch, dist, solve, most):
     # deterministic perf guard: counts every point one solve evaluates
-    holder = SOLVER_HOLDER[solve]
-    points = {"n": 0}
-    inner = holder._bracketed_newton
-
-    def counted(fun, *args):
-        def fun_counted(x, idx):
-            points["n"] += x.size
-            return fun(x, idx)
-
-        return inner(fun_counted, *args)
-
-    monkeypatch.setattr(holder, "_bracketed_newton", counted)
+    solves = _count_evals(monkeypatch, SOLVER_HOLDER[solve])
     rng = np.random.default_rng(2026)
     t = np.exp(rng.uniform(np.log(1e-12), np.log(0.5), 2000))
     q = np.where(np.arange(t.size) % 2 == 0, t, 1.0 - t)
     dist.quantile(q)
-    assert points["n"] / q.size <= most
+    assert sum(evals.sum() for evals in solves) / q.size <= most
+
+
+def test_sn_root_near_the_median_stops_early(monkeypatch):
+    # at lam > 0 and p near 1/2 the root sat against the bracket end
+    # Phi^-1((1 + p)/2) of the tail-asymptote start, and a solve that
+    # could not stop on that end bisected: 41 evaluations at lam = 50,
+    # p = 0.49354, and 12 of these 20,001 points took 10 or more
+    solves = _count_evals(monkeypatch, skewnormal)
+    SkewNormal(0.0, 1.0, 50.0).quantile(0.49354)
+    assert sum(evals.sum() for evals in solves) <= 2
+    for lam in (50.0, 300.0):
+        solves.clear()
+        SkewNormal(0.0, 1.0, lam).quantile(np.linspace(0.3, 0.5, 20001))
+        assert max(evals.max(initial=0) for evals in solves) <= 3
+
+
+# the start table's whole range: p from the smallest subnormal to 1/2
+START_P = np.geomspace(5e-324, 0.5, 200)
+
+
+@pytest.mark.parametrize("lam", (0.05, -0.05, 0.7, -0.7, 3.0, -3.0, 50.0, -50.0, 1e3, 1e6))
+def test_sn_start_and_bracket(monkeypatch, lam):
+    dist = SkewNormal(0.0, 1.0, lam)
+    log_p = np.log(START_P)
+    _, lo, hi = skewnormal._start_and_bracket(log_p, lam)
+    assert np.all(dist.logcdf(lo) <= log_p) and np.all(log_p <= dist.logcdf(hi))
+    solves = _count_evals(monkeypatch, skewnormal)
+    x = dist.quantile(START_P)
+    assert np.all(np.diff(x) > 0.0)
+    # below 1e-300 the round trip meets subnormal F, which has few bits
+    deep = START_P >= 1e-300
+    assert np.max(np.abs(dist.cdf(x[deep]) - START_P[deep]) / START_P[deep]) <= RTOL
+    assert sum(evals.sum() for evals in solves) / START_P.size <= 1.1

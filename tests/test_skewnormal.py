@@ -1,6 +1,7 @@
 """Skew-normal core: density, tail-stable cdf, quantile, sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,3 +301,10 @@ def test_tails_shapes_and_scalars():
         assert _tails(z, 3.0)[k].shape == method(z).shape == (3, 4)
         v = method(-3.0)
         assert type(v) is float and v == _tails(np.array([-3.0]), 3.0)[k][0]
+
+
+def test_far_density_does_not_warn():
+    # x * x overflows past |x| ~ 1.3e154; the log density there is -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SkewNormal(0.0, 1.0, 1.0).pdf(1e200) == 0.0

@@ -321,3 +321,18 @@ def test_bracketed_newton_secant_needs_two_evaluations():
     )
     assert evals == {"curv": 1, "secant": 2}
     assert with_curv[0] == secant[0] == root
+
+
+def test_bracketed_newton_stops_on_a_root_at_the_bracket_end():
+    from betasn.special import _bracketed_newton
+
+    # the root 1 is the bracket's upper end, 1e-8 from the start: the exact
+    # Newton point lands on the end, not inside, and predicts a zero
+    # successor.  Requiring a point strictly inside the bracket, the solve
+    # bisected towards the end until the bracket was 4 ulp wide.
+    evals = {}
+    root = _bracketed_newton(
+        _counted(evals, "line", lambda x, idx: (x - 1.0, np.ones_like(x), np.zeros_like(x))),
+        [1.0 - 1e-8], [0.0], [1.0],
+    )
+    assert root[0] == 1.0 and evals["line"] == 1

@@ -16,7 +16,7 @@ def test_solver_evals_reports_every_solve():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert {
-        "seeds", "members", "latent_only", "tables",
+        "seeds", "members", "latent_only", "tables", "start_tables",
         "sn_evals_per_point_weighted", "sn_evals_per_point_max",
         "all_evals_per_point_weighted", "all_evals_per_point_max",
     } <= out.keys()
@@ -24,8 +24,15 @@ def test_solver_evals_reports_every_solve():
         f"{solve}_evals_{kind}" for solve in ("sn", "latent") for kind in ("per_point", "p90", "max")
     }
     for row in (*out["members"].values(), *out["latent_only"].values()):
-        assert stats | {"points", "all_evals_per_point"} <= row.keys()
+        assert stats | {"points", "all_evals_per_point", "start_table_builds", "start_table_hits"} <= row.keys()
     assert "bn(0.5,2)" in out["latent_only"]
+    # the start tables: one per shape sign, built once and then hit
+    starts = out["start_tables"]
+    assert {"builds", "hits", "size", "maxsize"} <= starts.keys()
+    members = out["members"].values()
+    assert sum(row["start_table_builds"] for row in members) == starts["builds"] > 0
+    assert sum(row["start_table_hits"] for row in members) == starts["hits"] > 0
+    assert out["latent_only"]["bn(0.5,2)"]["start_table_builds"] == 0
     for row in out["tables"].values():
         assert {"points", "evals_per_point", "evals_p90", "evals_max", "build_nodes"} <= row.keys()
 

@@ -12,7 +12,13 @@ members.  For the table-backed members (SNB, GBSN, TBSN) it counts the
 table solver's evaluations, the kernel nodes (one log phi each) and
 segments of one table build, and the kernel nodes per point of the
 seeded cdf, sf (where the family has one) and quantile reads of the
-built table.  Prints one JSON object: per member and in total, points,
+built table.  The skew-normal quantile takes its starts from a cached
+table per shape; each member reports the tables its quantile call built
+and the cache hits it had, read from the cache's ``cache_info()`` with
+the cache kept warm across members and seeds, as in one process, and
+``start_tables`` gives the totals and the cache's final size (all
+null for a tree without the cache).  Prints
+one JSON object: per member and in total, points,
 evaluations per point of each solve and of both together, the 90th
 percentile and the maximum of each solve's evaluations over its points
 (so a tail of slow points shows, not only the mean), the maxima over
@@ -101,7 +107,12 @@ def main(argv=None):
                 row = members.setdefault(item.label, {"points": 0})
             else:
                 continue
+            before = start_tables(skewnormal)
             evals = evals_during(lambda: item.dist.quantile(item.q))
+            after = start_tables(skewnormal)
+            for key in ("builds", "hits"):
+                if after[key] is not None:
+                    row[f"start_table_{key}"] = row.get(f"start_table_{key}", 0) + after[key] - before[key]
             row["points"] += item.q.size
             add(row, "sn", evals["sn"])
             add(row, "latent", evals["latent"])
@@ -120,6 +131,8 @@ def main(argv=None):
             **solve_stats("sn_", row["sn"], row["points"]),
             **solve_stats("latent_", row["latent"], row["points"]),
             "all_evals_per_point": (row["sn"].sum() + row["latent"].sum()) / row["points"],
+            "start_table_builds": row.get("start_table_builds"),
+            "start_table_hits": row.get("start_table_hits"),
         }
 
     table = {label: member_stats(row) for label, row in members.items()}
@@ -134,6 +147,7 @@ def main(argv=None):
         ) / points,
         "all_evals_per_point_max": max(row["all_evals_per_point"] for row in table.values()),
         "latent_only": {label: member_stats(row) for label, row in latent_only.items()},
+        "start_tables": start_tables(skewnormal),
         "tables": {
             label: {
                 "points": row["points"],
@@ -146,6 +160,15 @@ def main(argv=None):
         },
     }, indent=2))
     return 0
+
+
+def start_tables(skewnormal):
+    """Builds, hits and size of the skew-normal quantile start-table cache, None without one."""
+    cache = getattr(skewnormal, "_start_table", None)
+    if cache is None:
+        return dict.fromkeys(("builds", "hits", "size", "maxsize"))
+    info = cache.cache_info()
+    return {"builds": info.misses, "hits": info.hits, "size": info.currsize, "maxsize": info.maxsize}
 
 
 def table_counts(balakrishnan, item, counts, row):
