@@ -21,8 +21,6 @@ from .betafamily import (
     BetaHalfNormal,
     BetaNormal,
     Kumaraswamy,
-    beta_generated_cdf,
-    beta_generated_pdf,
 )
 from .bsn import (
     BetaSkewNormal,
@@ -110,8 +108,6 @@ __all__ = [
     "Kumaraswamy",
     "BetaNormal",
     "BetaHalfNormal",
-    "beta_generated_pdf",
-    "beta_generated_cdf",
     "BetaSkewNormal",
     "ModeReport",
     "RejectionSampleBatch",

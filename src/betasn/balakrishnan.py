@@ -43,7 +43,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import legendre
 
-from .core import LocationScale, _quantile_domain, _require
+from .core import _Tails, _quantile_domain, _require
 from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, _log_tail_mass, integrate_line
 from .special import _bracketed_newton, norm_logcdf, norm_logpdf
 
@@ -324,7 +324,7 @@ def _kernel_table(lam1, lam2, n, m, spec):
     return _NumericCdf(lambda z: np.exp(_log_kernel(z, lam1, lam2, n, m)), spec)
 
 
-class PowerOfPhi(LocationScale):
+class PowerOfPhi(_Tails):
     """Density phi(z) Phi(lam1 z)^n Phi(lam2 z)^m / c with z = (x - mu) / sigma.
 
     Subclasses are frozen dataclasses that declare their own fields,
@@ -382,19 +382,6 @@ class PowerOfPhi(LocationScale):
             out = log_held - np.log(table.total)
         out = np.minimum(out, 0.0 if log else 1.0)
         return out if z.ndim else float(out[0])
-
-    def cdf(self, x):
-        return self._tail(x, upper=False, log=False)
-
-    def sf(self, x):
-        """Survival function, relatively accurate in the right tail."""
-        return self._tail(x, upper=True, log=False)
-
-    def logcdf(self, x):
-        return self._tail(x, upper=False, log=True)
-
-    def logsf(self, x):
-        return self._tail(x, upper=True, log=True)
 
     def quantile(self, q):
         return self.location + self.scale * _kernel_table(*self._key).quantile(q)

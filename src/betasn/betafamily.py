@@ -1,12 +1,15 @@
-"""Beta, generalized beta, Kumaraswamy, and beta-generated distributions.
+"""Beta, generalized beta and Kumaraswamy laws, and the beta-generated composition.
 
-The beta-generated construction composes a base distribution function F
-with a Beta(a, b) density: g(x) = F(x)^(a-1) (1-F(x))^(b-1) f(x) / B(a,b),
-G(x) = I_F(x)(a, b).  Specializing the base gives the beta-normal and
-the beta-half-normal used as the limit family of the beta skew-normal.
-
-Densities with a, b below 1 are evaluated in log space so the endpoint
-singularities do not poison intermediate products.
+The beta-generated construction (Jones 2004) composes a base cdf F with
+a Beta(a, b) variable: density F^(a-1) S^(b-1) f / B(a, b), S = 1 - F,
+and cdf I_F(a, b).  _BetaGenerated writes it once, in log space, over a
+base that supplies log f, log F, log S and a quantile from a log
+probability; BetaNormal, BetaHalfNormal and bsn.BetaSkewNormal only
+declare their parameters and base.  logpdf goes through one kernel that
+skips a zero exponent (Beta, GB1 and Kumaraswamy use it too); cdf, sf,
+logcdf and logsf each keep relative accuracy in their own tail far past
+where F, S or the value underflows; the quantile solves the latent in
+log space, so q reaches 1e-300 and below on either side.
 """
 
 from __future__ import annotations
@@ -14,41 +17,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import Distribution, LocationScale, _quantile_domain, _require
-from .special import (
-    inv_reg_inc_beta,
-    log_beta,
-    norm_cdf,
-    norm_logcdf,
-    norm_logpdf,
-    norm_quantile,
-    reg_inc_beta,
-)
 from scipy.special import erf, erfinv
 
-__all__ = [
-    "Beta",
-    "GB1",
-    "Kumaraswamy",
-    "BetaNormal",
-    "BetaHalfNormal",
-    "beta_generated_pdf",
-    "beta_generated_cdf",
-]
+from .core import Distribution, _Tails, _quantile_domain, _require
+from .skewnormal import _log_density_limit
+from .special import (
+    _MIRRORED_FLOOR,
+    _inc_beta_lower,
+    _inc_beta_upper,
+    _log_inc_beta_root,
+    _norm_quantile_log,
+    inv_reg_inc_beta,
+    log_beta,
+    norm_logcdf,
+    norm_logpdf,
+    reg_inc_beta,
+)
+
+__all__ = ["Beta", "GB1", "Kumaraswamy", "BetaNormal", "BetaHalfNormal"]
 
 _LOG2 = np.log(2.0)
 _SQRT2 = np.sqrt(2.0)
-# latent beta variates are kept strictly inside (0, 1), so the base
-# quantiles they feed stay finite; only an exact 0 or 1 is moved
-_W_LO = np.nextafter(0.0, 1.0)
-_W_HI = np.nextafter(1.0, 0.0)
 
 
-def _xlogy(e, log_t):
-    """e * log_t with the 0 * (-inf) = 0 convention for vanished exponents."""
-    with np.errstate(invalid="ignore"):
-        return np.where(e == 0.0, 0.0, e * log_t)
+def _log_beta_kernel(acc, a, b, tails):
+    """acc + (a - 1) log F + (b - 1) log S, with (log F, log S) = tails().
+
+    A zero exponent is skipped, and tails not called when both are, so
+    a = 1 or b = 1 picks up no 0 * (-inf) or 0 * (large negative) noise.
+    """
+    if a == 1.0 and b == 1.0:
+        return acc
+    log_f, log_s = tails()
+    if a != 1.0:
+        acc = acc + (a - 1.0) * log_f
+    if b != 1.0:
+        acc = acc + (b - 1.0) * log_s
+    return acc
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,12 @@ class Beta(Distribution):
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
+        inside = (x > 0.0) & (x < 1.0)
+        xs = np.where(inside, x, 0.5)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inside = (x > 0.0) & (x < 1.0)
-            body = (
-                _xlogy(self.a - 1.0, np.log(np.where(inside, x, 0.5)))
-                + _xlogy(self.b - 1.0, np.log1p(-np.where(inside, x, 0.5)))
-                - log_beta(self.a, self.b)
-            )
+            body = _log_beta_kernel(
+                0.0, self.a, self.b, lambda: (np.log(xs), np.log1p(-xs))
+            ) - log_beta(self.a, self.b)
         return np.where(inside, body, -np.inf)
 
     def cdf(self, x):
@@ -125,12 +129,11 @@ class GB1(Distribution):
         inside = (x > 0.0) & (x < self.q)
         xs = np.where(inside, x, 0.5 * self.q)
         u = (xs / self.q) ** self.p
+        ap = self.a * self.p
         with np.errstate(divide="ignore", invalid="ignore"):
             body = (
-                np.log(self.p)
-                + _xlogy(self.a * self.p - 1.0, np.log(xs))
-                - self.a * self.p * np.log(self.q)
-                + _xlogy(self.b - 1.0, np.log1p(-u))
+                _log_beta_kernel(np.log(self.p), ap, self.b, lambda: (np.log(xs), np.log1p(-u)))
+                - ap * np.log(self.q)
                 - log_beta(self.a, self.b)
             )
         return np.where(inside, body, -np.inf)
@@ -167,12 +170,10 @@ class Kumaraswamy(Distribution):
         x = np.asarray(x, dtype=float)
         inside = (x > 0.0) & (x < 1.0)
         xs = np.where(inside, x, 0.5)
+        log_c = np.log(self.p) + np.log(self.b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                np.log(self.p)
-                + np.log(self.b)
-                + _xlogy(self.p - 1.0, np.log(xs))
-                + _xlogy(self.b - 1.0, np.log1p(-(xs**self.p)))
+            body = _log_beta_kernel(
+                log_c, self.p, self.b, lambda: (np.log(xs), np.log1p(-(xs**self.p)))
             )
         return np.where(inside, body, -np.inf)
 
@@ -197,55 +198,16 @@ class Kumaraswamy(Distribution):
         return out if q.ndim else float(out)
 
 
-def _beta_generated_quantile(q, a, b, lower, upper):
-    """Quantile of a beta-generated law, solved on q's own side of 1/2.
+class _BetaGenerated(_Tails):
+    """I_F(z)(a, b) over a base F, with z = (x - location) / scale.
 
-    For q <= 1/2, lower(w) maps the latent cdf w = I^-1(q; a, b) to x.
-    For q > 1/2, upper(s) maps the latent survival s = I^-1(1 - q; b, a),
-    because 1 - w would round to 0 there and lose the upper tail.
+    Subclasses are frozen dataclasses with fields a and b that supply, per
+    standardized point, _log_base(z, log_c) = (log c + log f(z), tails),
+    tails() giving _log_tails(z) = (log F(z), log S(z)), and
+    _base_quantile(log_p, upper), the z with log F(z), or log S(z) if
+    upper, equal to log_p <= log 1/2.  A base that has the smaller tail
+    cheaper than both may override _small_tail.
     """
-    q = _quantile_domain(q)
-    qq = np.atleast_1d(q)
-    out = np.empty_like(qq)
-    left = qq <= 0.5
-    if np.any(left):
-        out[left] = lower(np.clip(inv_reg_inc_beta(qq[left], a, b), _W_LO, _W_HI))
-    if np.any(~left):
-        out[~left] = upper(np.clip(inv_reg_inc_beta(1.0 - qq[~left], b, a), _W_LO, _W_HI))
-    return out if q.ndim else float(out[0])
-
-
-def beta_generated_pdf(base_cdf, base_pdf, a, b, x):
-    """Generic beta-generated density F^(a-1) (1-F)^(b-1) f / B(a, b).
-
-    A direct composition meant for cross-checks and one-off bases; the
-    named family classes use numerically hardened log-space forms.
-    """
-    _require("positive", a=a, b=b)
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(base_pdf(x), dtype=float)
-    big_f = np.clip(np.asarray(base_cdf(x), dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_kernel = _xlogy(a - 1.0, np.log(big_f)) + _xlogy(b - 1.0, np.log1p(-big_f))
-        out = np.exp(log_kernel - log_beta(a, b)) * f
-    return np.where(f > 0.0, out, 0.0)
-
-
-def beta_generated_cdf(base_cdf, a, b, x):
-    """Generic beta-generated distribution function I_F(x)(a, b)."""
-    _require("positive", a=a, b=b)
-    big_f = np.clip(np.asarray(base_cdf(np.asarray(x, dtype=float)), dtype=float), 0.0, 1.0)
-    return reg_inc_beta(big_f, a, b)
-
-
-@dataclass(frozen=True)
-class BetaNormal(LocationScale):
-    """Beta-generated distribution with a N(mu, sigma^2) base."""
-
-    a: float
-    b: float
-    mu: float = 0.0
-    sigma: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -253,26 +215,76 @@ class BetaNormal(LocationScale):
 
     def logpdf(self, x):
         z = self._z(x)
-        return (
-            _xlogy(self.a - 1.0, norm_logcdf(z))
-            + _xlogy(self.b - 1.0, norm_logcdf(-z))
-            + norm_logpdf(z)
-            - log_beta(self.a, self.b)
-            - np.log(self.sigma)
-        )
+        with np.errstate(invalid="ignore"):
+            log_f, tails = self._log_base(z, -log_beta(self.a, self.b))
+            out = _log_beta_kernel(log_f - np.log(self.scale), self.a, self.b, tails)
+        return _log_density_limit(z, out)
 
-    def cdf(self, x):
-        return reg_inc_beta(norm_cdf(self._z(x)), self.a, self.b)
+    def _small_tail(self, z):
+        """(log v, v == F) with v the smaller of F(z) and S(z)."""
+        log_f, log_s = self._log_tails(z)
+        return np.minimum(log_f, log_s), log_f <= log_s
+
+    def _tail(self, x, upper, log):
+        """Mass below x, or above x if upper, as a probability or its log.
+
+        I_w(a, b) with w = F, or w = S and a, b swapped: from w where
+        w <= 1/2, above as 1 - I_(1-w)(b, a), which keeps 1 - w's digits.
+        """
+        z = self._z(x)
+        log_v, on_f = self._small_tail(np.atleast_1d(z))
+        a, b = (self.b, self.a) if upper else (self.a, self.b)
+        own = on_f != upper
+        out = np.empty_like(log_v)
+        out[own] = _inc_beta_lower(log_v[own], a, b, log)
+        out[~own] = _inc_beta_upper(log_v[~own], b, a, _MIRRORED_FLOOR, log)
+        return out if z.ndim else float(out[0])
 
     def quantile(self, q):
-        z = _beta_generated_quantile(
-            q, self.a, self.b, norm_quantile, lambda s: -norm_quantile(s)
-        )
-        return self.mu + self.sigma * z
+        """The base quantile of the latent w, found as log w or log(1 - w) on q's side."""
+        q = _quantile_domain(q)
+        qq = q.reshape(-1)
+        upper = qq > 0.5
+        log_v, on_s = _log_inc_beta_root(np.where(upper, 1.0 - qq, qq), self.a, self.b, upper)
+        z = np.empty_like(log_v)
+        for side in (False, True):
+            at = on_s == side
+            if at.any():
+                z[at] = self._base_quantile(log_v[at], side)
+        out = self.location + self.scale * z.reshape(q.shape)
+        return out if q.ndim else float(out)
 
 
 @dataclass(frozen=True)
-class BetaHalfNormal(Distribution):
+class BetaNormal(_BetaGenerated):
+    """Beta-generated distribution with a N(mu, sigma^2) base."""
+
+    a: float
+    b: float
+    mu: float = 0.0
+    sigma: float = 1.0
+
+    def _log_base(self, z, log_c):
+        return log_c + norm_logpdf(z), lambda: self._log_tails(z)
+
+    @staticmethod
+    def _small_tail(z):
+        return norm_logcdf(-np.abs(z)), z <= 0.0
+
+    def _log_tails(self, z):
+        # one log_ndtr, of the smaller tail; the larger is log1p of minus it
+        small, left = self._small_tail(z)
+        big = np.log1p(-np.exp(small))
+        return np.where(left, small, big), np.where(left, big, small)
+
+    @staticmethod
+    def _base_quantile(log_p, upper):
+        z = _norm_quantile_log(log_p)
+        return -z if upper else z
+
+
+@dataclass(frozen=True)
+class BetaHalfNormal(_BetaGenerated):
     """Beta-generated distribution with a standard half-normal base.
 
     Density 2^b / B(a, b) * (2 Phi(x) - 1)^(a-1) (1 - Phi(x))^(b-1) phi(x)
@@ -282,46 +294,27 @@ class BetaHalfNormal(Distribution):
     a: float
     b: float
 
-    def __post_init__(self):
-        _require("positive", a=self.a, b=self.b)
-
     support = (0.0, np.inf)
+    # standardized: no location or scale fields
     location = 0.0
     scale = 1.0
 
     def _endpoint_singular(self):
         return (self.a - 1.0, False)
 
+    def _log_base(self, x, log_c):
+        log_f = np.where(x <= 0.0, -np.inf, log_c + _LOG2 + norm_logpdf(x))
+        return log_f, lambda: self._log_tails(x)
+
     @staticmethod
-    def _base_cdf(x):
-        # 2 Phi(x) - 1 written as erf keeps full precision near 0
-        return erf(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    def _log_tails(x):
+        # F = erf(x / sqrt 2) keeps its digits near 0, S = 2 Phi(-x) far out
+        xs = np.maximum(x, 0.0)
+        with np.errstate(divide="ignore"):
+            return np.log(erf(xs / _SQRT2)), _LOG2 + norm_logcdf(-xs)
 
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = x > 0.0
-        xs = np.where(inside, x, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                self.b * _LOG2
-                - log_beta(self.a, self.b)
-                + _xlogy(self.a - 1.0, np.log(self._base_cdf(xs)))
-                + _xlogy(self.b - 1.0, norm_logcdf(-xs))
-                + norm_logpdf(xs)
-            )
-        return np.where(inside, body, -np.inf)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return reg_inc_beta(np.clip(self._base_cdf(x), 0.0, 1.0), self.a, self.b)
-
-    def quantile(self, q):
-        # the base cdf is erf(x / sqrt 2) and its survival 2 Phi(-x); each
-        # side inverts its own, so neither forms 1 + w or 1 - s
-        return _beta_generated_quantile(
-            q,
-            self.a,
-            self.b,
-            lambda w: _SQRT2 * erfinv(w),
-            lambda s: -norm_quantile(0.5 * s),
-        )
+    @staticmethod
+    def _base_quantile(log_p, upper):
+        if upper:
+            return -_norm_quantile_log(log_p - _LOG2)
+        return _SQRT2 * erfinv(np.exp(log_p))

@@ -1,9 +1,10 @@
 """Beta skew-normal distribution BSN(lam, a, b) with location and scale.
 
 Standardized density: (2 / B(a,b)) F(z)^(a-1) (1-F(z))^(b-1) phi(z) Phi(lam z),
-where F is the skew-normal cdf with shape lam.  Everything is evaluated in
-log space on top of the tail-stable skew-normal logcdf/logsf, so the a,b < 1
-cases stay finite far into the tails where F underflows any direct formula.
+where F is the skew-normal cdf with shape lam: betafamily's one
+beta-generated composition over that base, in log space on the
+tail-stable skew-normal logcdf/logsf, so every read stays relative far
+into the tails where F underflows any direct formula.
 
 Beyond the distribution surface this module carries the verification ops:
 the moment recursion discrepancy, the mode report, the Beta half-normal
@@ -17,17 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .betafamily import BetaHalfNormal, _beta_generated_quantile
-from .core import LocationScale, _require
+from .betafamily import BetaHalfNormal, _BetaGenerated, _log_beta_kernel
+from .core import _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
-from .skewnormal import SkewNormal, _tails, _log_density_limit
-from .special import (
-    log_beta,
-    norm_logcdf,
-    norm_logpdf,
-    norm_quantile,
-    reg_inc_beta,
-)
+from .skewnormal import SkewNormal, _std_quantile_lower, _tails
+from .special import log_beta, norm_logcdf, norm_logpdf, norm_quantile
 
 __all__ = [
     "BetaSkewNormal",
@@ -41,23 +36,6 @@ __all__ = [
 ]
 
 _LOG2 = np.log(2.0)
-
-
-def _add_log_kernel(acc, z, lam, a, b, log_phi_lz):
-    """acc + (a-1) log F(z) + (b-1) log S(z), with F and S of SN(0, 1, lam).
-
-    Both logs come from one skew-normal tail evaluation per point, which
-    reuses the caller's log Phi(lam z).  A factor whose exponent is
-    exactly 0 is skipped, so a=1 / b=1 cannot pick up 0 * (large
-    negative) noise.
-    """
-    if a != 1.0 or b != 1.0:
-        _, _, log_f, log_s = _tails(z, lam, log_phi_lz)
-        if a != 1.0:
-            acc = acc + (a - 1.0) * log_f
-        if b != 1.0:
-            acc = acc + (b - 1.0) * log_s
-    return acc
 
 
 @dataclass(frozen=True)
@@ -98,8 +76,12 @@ class RejectionSampleBatch:
 
 
 @dataclass(frozen=True)
-class BetaSkewNormal(LocationScale):
-    """BSN(lam, a, b) shifted by mu and scaled by sigma."""
+class BetaSkewNormal(_BetaGenerated):
+    """BSN(lam, a, b) shifted by mu and scaled by sigma.
+
+    The beta-generated composition over SN(0, 1, lam); log F and log S
+    come from one skewnormal._tails evaluation per point.
+    """
 
     lam: float
     a: float
@@ -110,56 +92,24 @@ class BetaSkewNormal(LocationScale):
     def __post_init__(self):
         super().__post_init__()
         _require("finite", lam=self.lam)
-        _require("positive", a=self.a, b=self.b)
 
     @property
     def base(self):
         """The standardized skew-normal whose cdf drives the beta kernel."""
         return SkewNormal(0.0, 1.0, self.lam)
 
-    def logpdf(self, x):
-        z = self._z(x)
-        with np.errstate(invalid="ignore"):
-            log_phi_lz = norm_logcdf(self.lam * z)
-            out = (
-                _LOG2
-                - log_beta(self.a, self.b)
-                + norm_logpdf(z)
-                + log_phi_lz
-                - np.log(self.sigma)
-            )
-            out = _add_log_kernel(out, z, self.lam, self.a, self.b, log_phi_lz)
-        return _log_density_limit(z, out)
+    def _log_base(self, z, log_c):
+        log_phi_lz = norm_logcdf(self.lam * z)
+        log_f = _LOG2 + log_c + norm_logpdf(z) + log_phi_lz
+        return log_f, lambda: _tails(z, self.lam, log_phi_lz)[2:]
 
-    def _beta_ratio_two_sided(self, x, swap):
-        # evaluate I_w(a,b) through whichever latent tail is still resolvable:
-        # near w = 1 the direct ratio amplifies the rounding of w by the
-        # singular slope, while 1 - I_s(b,a) with s = 1 - w stays exact
-        z = np.atleast_1d(self._z(x))
-        a, b = (self.b, self.a) if swap else (self.a, self.b)
-        f, s, _, _ = _tails(z, self.lam)
-        w, s = (s, f) if swap else (f, s)
-        out = np.empty_like(w)
-        lo = w <= 0.5
-        if np.any(lo):
-            out[lo] = reg_inc_beta(w[lo], a, b)
-        if np.any(~lo):
-            out[~lo] = 1.0 - reg_inc_beta(s[~lo], b, a)
-        return out if np.asarray(x).ndim else float(out[0])
+    def _log_tails(self, z):
+        return _tails(z, self.lam)[2:]
 
-    def cdf(self, x):
-        return self._beta_ratio_two_sided(x, swap=False)
-
-    def sf(self, x):
-        """Survival function through the mirrored incomplete beta ratio."""
-        return self._beta_ratio_two_sided(x, swap=True)
-
-    def quantile(self, q):
-        mirror = SkewNormal(0.0, 1.0, -self.lam)
-        z = _beta_generated_quantile(
-            q, self.a, self.b, self.base.quantile, lambda s: -mirror.quantile(s)
-        )
-        return self.mu + self.sigma * z
+    def _base_quantile(self, log_p, upper):
+        if upper:
+            return -_std_quantile_lower(log_p, -self.lam)
+        return _std_quantile_lower(log_p, self.lam)
 
     def mgf(self, t, spec=None):
         """Moment generating function by quadrature.
@@ -180,7 +130,7 @@ class BetaSkewNormal(LocationScale):
             w = y + shift
             log_phi_lw = norm_logcdf(lam * w)
             acc = norm_logpdf(y) + log_phi_lw
-            return np.exp(_add_log_kernel(acc, w, lam, a, b, log_phi_lw))
+            return np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(w, lam, log_phi_lw)[2:]))
 
         total = integrate_line(integrand, spec)
         out = np.exp(self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total))
@@ -369,5 +319,5 @@ def skewing_weight(u, lam, a, b):
     x = norm_quantile(u)
     log_phi_lx = norm_logcdf(lam * x)
     acc = _LOG2 - log_beta(a, b) + log_phi_lx
-    out = np.exp(_add_log_kernel(acc, x, float(lam), a, b, log_phi_lx))
+    out = np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(x, float(lam), log_phi_lx)[2:]))
     return out if u.ndim else float(out)

@@ -118,6 +118,26 @@ class LocationScale(Distribution):
         return (np.asarray(x, dtype=float) - self.location) / self.scale
 
 
+class _Tails(LocationScale):
+    """A LocationScale family whose cdf, sf, logcdf and logsf all read one
+    _tail(x, upper, log): the mass below x, or above x if upper, as a
+    probability or its log.
+    """
+
+    def cdf(self, x):
+        return self._tail(x, upper=False, log=False)
+
+    def sf(self, x):
+        """Survival function, relatively accurate in the right tail."""
+        return self._tail(x, upper=True, log=False)
+
+    def logcdf(self, x):
+        return self._tail(x, upper=False, log=True)
+
+    def logsf(self, x):
+        return self._tail(x, upper=True, log=True)
+
+
 def _quantile_domain(q):
     """q as a float array; NaN, 0, 1 and anything outside (0, 1) raise ValueError.
 

@@ -22,22 +22,19 @@ matters here.
 Every value comes from the left side z <= 0, where the helper _left
 returns F and log F together; the right side is mirrored through
 SN(-lam).  _tails turns that one evaluation per point into
-(F, S, log F, log S): cdf, sf, logcdf and logsf each return one of the
-four, and the beta-generated densities take the pair they need.
+(F, S, log F, log S), for cdf, sf, logcdf, logsf and the beta skew-normal.
 
-The quantile inverts that logcdf: for q <= 1/2 it solves
-log F(z) = log q by bracketed Halley steps, and above 1/2 it reflects
-through SN(-lam) at 1 - q, so both tails are solved on their own side
-and keep the cdf's relative accuracy.  Start and bracket come from a
-cubic-Hermite table of z against v = -sqrt(-2 log F), built once per
-shape from one forward pass over its nodes and cached: the start is
-within a few 1e-9 of the root and the bracket spans the neighbouring
-nodes.  A solve ends on the step whose successor, predicted from g'',
-is below 4 ulp, so nearly every point ends on its first evaluation,
-and a root in Owen's T cancellation zone, where log F carries up to
-about 1e-13 relative noise, stops at its first noise-sized step
-instead of bouncing until its bracket collapses.  Every BSN quantile
-and draw runs through it.
+The quantile solves log F(z) = log p by bracketed Halley steps, and
+above 1/2 reflects through SN(-lam) at 1 - q, so both tails keep the
+cdf's relative accuracy; it takes log p, so the beta skew-normal can
+pass a latent far below the smallest double.  Start and bracket come
+from a cubic-Hermite table of z against v = -sqrt(-2 log F), built once
+per shape and cached, within a few 1e-9 of the root, and beyond its
+first node from the tail asymptote.  A solve ends on the step whose
+successor, predicted from g'', is below 4 ulp, so nearly every point
+ends on its first evaluation.  Where Owen's T cancels to 1e-4 of
+Phi(z), F carries up to 3e-11 relative noise, and a root there stops
+at its first noise-sized step.
 """
 
 from __future__ import annotations
@@ -46,11 +43,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import ndtri_exp
 
 from .core import LocationScale, _quantile_domain, _require
 from .quadrature import _LAGUERRE_NODES, _LAGUERRE_WEIGHTS, _log_tail_mass
 from .special import (
     _bracketed_newton,
+    _norm_quantile_log,
     norm_cdf,
     norm_logcdf,
     norm_logpdf,
@@ -351,7 +350,11 @@ def _start_and_bracket(log_p, lam):
     v = -sqrt(-2 log p), and the bracket runs from the node below the
     root's segment to the node above it: one node wider on each side
     than the segment, so rounding in log F at the nodes cannot leave
-    the root outside.
+    the root outside.  Below the first node (log F < -800) the start is
+    the tail asymptote, 2 Phi(z) for lam < 0 and for lam > 0 Capitanio's
+    (2010) sqrt(2/pi) Phi(s z) / (lam s |z|), s = sqrt(1 + lam^2), after
+    two fixed-point passes; the bracket runs from F <= e Phi(z), or
+    2 e Phi(z) (e covers ndtri_exp's rounding), to the first node.
     """
     v_k, z_k, cubic = _start_table(float(lam))
     v = -np.sqrt(-2.0 * log_p)
@@ -360,21 +363,31 @@ def _start_and_bracket(log_p, lam):
     t = (v - v_k[k]) * inv_h
     lo = z_k[np.maximum(k - 1, 0)]
     hi = z_k[np.minimum(k + 2, z_k.size - 1)]
-    return np.clip(c0 + t * (c1 + t * (c2 + t * c3)), lo, hi), lo, hi
+    start = c0 + t * (c1 + t * (c2 + t * c3))
+    far = v < v_k[0]
+    if far.any():
+        log_p, shift = log_p[far], (_LOG2 if lam < 0.0 else 0.0)
+        lo[far], hi[far] = ndtri_exp(log_p - shift - 1.0), z_k[0]
+        z = ndtri_exp(log_p - shift)
+        if lam > 0.0:
+            s = np.hypot(1.0, lam)
+            for _ in range(2):
+                z = ndtri_exp(log_p - 0.5 * np.log(2.0 / np.pi) + np.log(lam * s * np.abs(z))) / s
+        start[far] = z
+    return np.clip(start, lo, hi), lo, hi
 
 
-def _std_quantile_lower(p, lam):
-    """z with F(z; lam) = p for 0 < p <= 1/2, by bracketed Halley steps on log F.
+def _std_quantile_lower(log_p, lam):
+    """z with log F(z; lam) = log_p for log_p <= log 1/2, by bracketed Halley steps on log F.
 
-    Start and bracket come from the cached table of F's inverse (see
-    _start_and_bracket); the start is within a few 1e-9 of the root
-    relative to max(|z|, 1), so the first step already predicts a
-    successor below 4 ulp and nearly every point ends on its first
-    evaluation.  The steps, and the solver's predicted stop, use the
-    curvature g'' = g' (-z + lam H(lam z) - g') of g = log F - log p,
-    with g' = f / F and H the normal hazard.
+    Start and bracket come from _start_and_bracket, mostly within a few
+    1e-9 of the root, so nearly every point ends on its first evaluation.
+    The steps and the predicted stop use g'' = g' (-z + lam H(lam z) - g')
+    of g = log F - log p, with g' = f / F and H the normal hazard.  At
+    lam = 0, F is Phi, inverted directly.
     """
-    log_p = np.log(p)
+    if lam == 0.0:
+        return _norm_quantile_log(log_p)
     z, lo, hi = _start_and_bracket(log_p, lam)
 
     def log_gap(z, idx):
@@ -437,18 +450,14 @@ class SkewNormal(LocationScale):
         """
         q_in = _quantile_domain(q)
         q1 = np.atleast_1d(q_in)
-        if self.lam == 0.0:
-            # shape zero is exactly normal; skip the root finder
-            z = norm_quantile(q1)
-        else:
-            z = np.empty_like(q1)
-            low = q1 <= 0.5
-            # each side solved only where it has points, so a call builds
-            # only the start tables it reads
-            if low.any():
-                z[low] = _std_quantile_lower(q1[low], self.lam)
-            if not low.all():
-                z[~low] = -_std_quantile_lower(1.0 - q1[~low], -self.lam)
+        z = np.empty_like(q1)
+        low = q1 <= 0.5
+        # each side solved only where it has points, so a call builds only
+        # the start tables it reads
+        if low.any():
+            z[low] = _std_quantile_lower(np.log(q1[low]), self.lam)
+        if not low.all():
+            z[~low] = -_std_quantile_lower(np.log(1.0 - q1[~low]), -self.lam)
         res = self.xi + self.psi * z
         return res if q_in.ndim else float(res[0])
 

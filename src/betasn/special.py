@@ -32,7 +32,8 @@ _LOG2 = np.log(2.0)
 # steps, and the incomplete-beta inverse's 744 wide bracket in log w in
 # about 60
 _NEWTON_MAX_STEPS = 100
-_NEWTON_ULPS = 4.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_NEWTON_ULPS = 4.0 * _EPS
 # a step this small, relative to max(|x|, 1), may end a solve on the
 # predicted size of the next one; above it a vanishing g'' could end a
 # step that is still far from the root
@@ -82,6 +83,20 @@ def norm_quantile(p):
     return _sp.ndtri(p)
 
 
+def _norm_quantile_log(log_p):
+    """z with log Phi(z) = log_p, also below the log of the smallest double."""
+    z = _sp.ndtri_exp(log_p)
+    # one Newton step on log Phi where ndtri_exp drifts by up to 1e-13 of log p
+    far = log_p < -700.0
+    if far.any():
+        zf = z[far]
+        log_cdf = norm_logcdf(zf)
+        with np.errstate(invalid="ignore"):
+            step = (log_cdf - log_p[far]) * np.exp(log_cdf - norm_logpdf(zf))
+        z[far] = np.where(np.isfinite(step), zf - step, zf)
+    return z
+
+
 def owen_t(h, a):
     """Owen's T function T(h, a).
 
@@ -118,15 +133,11 @@ def reg_inc_beta(y, a, b):
 def inv_reg_inc_beta(p, a, b):
     """Inverse of reg_inc_beta in its first argument.
 
-    Solves log I_w(a, b) = log p for u = log w by bracketed Halley steps
-    on [log 5e-324, 0]; above p = 1/2 it solves the complement
-    1 - I_w(a, b) = 1 - p instead, so each side keeps its own tail
-    probability to relative accuracy.  The result is p's w to within
-    about an ulp of w: below 1/2 the round trip is relative to p down to
-    subnormal w, which carries few significant bits, and near w = 1 it
-    is the forward slope times the spacing of w.  p = 0 and p = 1 map to
-    0 and 1, as does any p whose w rounds to them, and NaN to NaN.  a and
-    b broadcast against p.
+    Solved for log w, or for log(1 - w) where the root lies above 1/2
+    (see _log_inc_beta_root), so each side keeps its own tail to relative
+    accuracy: w to about an ulp, down to subnormal w, which carries few
+    bits.  p = 0 and p = 1 map to 0 and 1, as does any p whose w rounds
+    to them, and NaN to NaN.  a and b broadcast against p.
     """
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -145,7 +156,8 @@ def inv_reg_inc_beta(p, a, b):
     w = np.where((p == 0.0) | (p == 1.0), p, np.nan)
     inside = (p > 0.0) & (p < 1.0) & np.isfinite(a) & np.isfinite(b)
     if np.any(inside):
-        w[inside] = np.exp(_log_inc_beta_root(p[inside], *_take(inside, a, b)))
+        log_v, swap = _log_inc_beta_root(p[inside], *_take(inside, a, b))
+        w[inside] = np.where(swap, -np.expm1(log_v), np.exp(log_v))
     return w.reshape(shape)[()]
 
 
@@ -155,27 +167,109 @@ def _take(idx, *values):
 
 
 _LOG_W_MIN = np.log(np.nextafter(0.0, 1.0))
-# down to this, 1 - I_w below w = 1/2 is 1 - betainc(a, b, w), the same
-# bits as 1 - reg_inc_beta; each ulp of 1 that betainc is off by is then
-# at most 1.5e-11 of it.  Below, the slower betaincc keeps it relative.
+_LOG_TINY = np.log(np.finfo(float).tiny)
+# betainc keeps values to 4e-13 down to here (shapes up to 5000, against
+# mpmath) and loses 1e-11 near e^-682; the continued fraction serves below
+_CF_BELOW = np.exp(-600.0)
+# 1 - I_v is 1 - betainc down to a floor, the ten times slower betaincc
+# below (betainc can be off by 7 ulp of 1).  Where the root's own side is
+# 1 - I_v(a, b) it must follow reg_inc_beta, which reads betainc, to 2^-16;
+# where it stands for I_(1-v)(b, a) of a mirrored law, 1e-4 keeps it to
+# 1e-11.  One floor misses the incomplete beta check's inverse round trip:
+# 1e-4 by 1.4e-12 at (0.1, 10), 2^-16 by 1.2e-12 at (10, 0.1).
 _COMPLEMENT_FLOOR = 2.0**-16
+_MIRRORED_FLOOR = 1e-4
 
 
-def _log_inc_beta_root(p, a, b):
-    """u = log w with I_w(a, b) = p, for a 1-d array p in (0, 1).
+def _inc_beta_lower(log_v, a, b, log=False):
+    """I_v(a, b), or its log, at v = e^log_v <= 1/2, relative however small v is.
 
-    a and b are floats or arrays shaped like p.  The start is the root of
-    whichever endpoint asymptote has the smaller second series term
-    there: I_w ~ w^a / (a B) (1 + a (1 - b) w / (a + 1)) near 0, and
-    1 - I_w the same with a, b and w, 1 - w swapped near 1.  The two are
-    exact for b = 1 and a = 1 respectively.  Where p <= 1/2 the unknown
-    solves log I_w(a, b) = log p; above, it solves log(1 - I_w) =
-    log(1 - p), with 1 - I_w = I_(1-w)(b, a) from 1 - w = -expm1(u) at
-    w >= 1/2, and from w below.  Both sides share one solve.
+    betainc serves while v is a normal double and the value is at least
+    _CF_BELOW, _log_inc_beta_cf below.
     """
-    log_b = _sp.betaln(a, b)
-    upper = p > 0.5
+    v = np.exp(log_v)
+    inc = _sp.betainc(a, b, v)
+    deep = (log_v < _LOG_TINY) | ~(inc >= _CF_BELOW)
+    if log:
+        with np.errstate(divide="ignore"):
+            inc = np.log(inc)
+    if np.any(deep):
+        log_i = _log_inc_beta_cf(log_v[deep], np.log1p(-v[deep]), *_take(deep, a, b))
+        inc[deep] = log_i if log else np.exp(log_i)
+    return inc
+
+
+def _inc_beta_upper(log_v, a, b, floor, log=False):
+    """1 - I_v(a, b), or its log, at v = e^log_v <= 1/2, from betaincc below floor.
+
+    A log below log _CF_BELOW is that of I_(1-v)(b, a), by _log_inc_beta_cf.
+    """
+    inc = _inc_beta_lower(log_v, a, b)
+    comp = 1.0 - inc
+    exact = comp < floor
+    if np.any(exact):
+        comp[exact] = _sp.betaincc(*_take(exact, a, b), np.exp(log_v[exact]))
+    if not log:
+        return comp
+    with np.errstate(divide="ignore"):
+        out = np.where(exact, np.log(comp), np.log1p(-inc))
+    deep = ~(comp >= _CF_BELOW)
+    if np.any(deep):
+        out[deep] = _log_inc_beta_cf(np.log1p(-np.exp(log_v[deep])), log_v[deep], *_take(deep, b, a))
+    return out
+
+
+def _log_inc_beta_cf(log_x, log_1mx, a, b):
+    """log I_x(a, b) by the continued fraction of DLMF 8.17.22 (modified Lentz).
+
+    Used where I_x < _CF_BELOW, so x lies far below the mean and it
+    converges in a few terms.  (scipy's hyp2f1, for DLMF 8.17.8, is off by
+    1e-9 at (0.05, 9002) and overflows at (3000, 7001) from x = 0.1.)
+    """
+    x = np.exp(log_x)
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h, c = d.copy(), np.ones_like(x)
+    # where (a + b) x / (a + 1) is below an ulp, the fraction is 1
+    live = np.flatnonzero(~(np.abs(d - 1.0) <= _EPS))
+    a_all, b_all = (np.broadcast_to(s, x.shape) for s in (a, b))
+    m = 1.0
+    while live.size:
+        xl, al, bl = x[live], a_all[live], b_all[live]
+        for coef in (
+            m * (bl - m) * xl / ((al + 2.0 * m - 1.0) * (al + 2.0 * m)),
+            -(al + m) * (al + bl + m) * xl / ((al + 2.0 * m) * (al + 2.0 * m + 1.0)),
+        ):
+            d[live] = 1.0 / (1.0 + coef * d[live])
+            c[live] = 1.0 + coef / c[live]
+            step = d[live] * c[live]
+            h[live] *= step
+        live = live[np.abs(step - 1.0) > _EPS]
+        m += 1.0
+    return a * log_x + b * log_1mx - np.log(a) - _sp.betaln(a, b) + np.log(h)
+
+
+def _log_inc_beta_root(p, a, b, mirror=False):
+    """(log v, swap) with I_w(a, b) = p, or I_(1-w)(b, a) = p where mirror.
+
+    p is a 1-d array in (0, 1), a and b floats or arrays like p.  v is
+    the smaller of w and 1 - w; swap marks v = 1 - w.  A root above 1/2
+    (p above I_1/2) solves the mirrored equation for 1 - p, so
+    u = log v <= -log 2, where the solver's stop of 4 ulp of max(|u|, 1)
+    is relative to v.  u solves log I_v = log p where that p is at most
+    1/2, down to v = 0 (_inc_beta_lower), and log(1 - I_v) = log(1 - p)
+    above.  It starts from the endpoint asymptote with the smaller second
+    term, I_v ~ v^a / (a B) (1 + a (1 - b) v / (a + 1)) near 0 or its
+    mirror near 1, in a bracket from I_v <= v^a max(1, 2^(1 - b)) / (a B).
+    """
+    flip = p > np.where(mirror, _sp.betainc(b, a, 0.5), _sp.betainc(a, b, 0.5))
+    swap = flip != mirror
     log_p, log_q = np.log(p), np.log1p(-p)
+    log_p, log_q = np.where(flip, log_q, log_p), np.where(flip, log_p, log_q)
+    # B(a, b) = B(b, a), bit for bit in betaln
+    log_b = _sp.betaln(a, b)
+    if swap.any():
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+    upper = log_q < log_p
     log_tail = np.where(upper, log_q, log_p)
     from_0 = (log_p + np.log(a) + log_b) / a
     log_1mw = (log_q + np.log(b) + log_b) / b
@@ -186,47 +280,31 @@ def _log_inc_beta_root(p, a, b):
         near_0 = np.log(np.abs(a * (b - 1.0) / (a + 1.0))) + from_0 <= (
             np.log(np.abs(b * (a - 1.0) / (b + 1.0))) + log_1mw
         )
-    # an asymptote that puts w outside (0, 1) gives way to the other one,
+    # an asymptote that puts v outside (0, 1) gives way to the other one,
     # and to the mean where both do
     start = np.where((valid_0 & near_0) | ~valid_1, from_0, from_1)
     start = np.where(valid_0 | valid_1, start, np.log(a / (a + b)))
-    start = np.clip(start, _LOG_W_MIN, -np.finfo(float).eps)
+    lo = np.minimum(from_0 - np.maximum(1.0 - b, 0.0) * _LOG2 / a, _LOG_W_MIN)
+    start = np.clip(start, lo, -_LOG2)
     sign = np.where(upper, -1.0, 1.0)
+    floor = np.where(flip, _MIRRORED_FLOOR, _COMPLEMENT_FLOOR)
 
     def log_gap(u, idx):
         a_i, b_i, log_b_i = _take(idx, a, b, log_b)
         up, sign_i = upper[idx], sign[idx]
-        w, y = np.exp(u), -np.expm1(u)
-        # the lower side, and the upper side below w = 1/2, take their
-        # value from w; the rest of the upper side takes it from 1 - w
-        from_w = ~up | (w < 0.5)
-        a_w, b_w = _take(from_w, a_i, b_i)
-        a_y, b_y = _take(~from_w, a_i, b_i)
-        tail = np.empty_like(u)
-        tail[~from_w] = _sp.betainc(b_y, a_y, y[~from_w])
-        inc = _sp.betainc(a_w, b_w, w[from_w])
-        comp = up[from_w]
-        inc[comp] = 1.0 - inc[comp]
-        deep = comp & (inc < _COMPLEMENT_FLOOR)
-        if np.any(deep):
-            inc[deep] = _sp.betaincc(*_take(deep, a_w, b_w), w[from_w][deep])
-        tail[from_w] = inc
-        # a value taken from w belongs to log w, not to u: `moved` carries
-        # it back to u along the slope, which keeps g smooth below the
-        # spacing of w, far coarser than that of u near w = 1
-        moved = np.where(from_w, u - np.log(w), 0.0)
-        with np.errstate(divide="ignore"):
-            log_i = np.log(tail)
-        # g' = w f(w) / I_w on the lower side and w f(w) / (1 - I_w) on the
+        log_i = np.empty_like(u)
+        low = ~up
+        log_i[low] = _inc_beta_lower(u[low], *_take(low, a_i, b_i), log=True)
+        if up.any():
+            log_i[up] = _inc_beta_upper(u[up], *_take(up, a_i, b_i), floor[idx][up], log=True)
+        w = np.exp(u)
+        # g' = w f(w) / I_v on the lower side and w f(w) / (1 - I_v) on the
         # upper, with f the beta density
-        dg = np.exp(a_i * u + _sp.xlogy(b_i - 1.0, y) - log_b_i - log_i)
-        g = sign_i * (log_i - log_tail[idx]) + dg * moved
-        return g, dg, dg * (a_i - (b_i - 1.0) * w / y - sign_i * dg)
+        dg = np.exp(a_i * u + (b_i - 1.0) * np.log1p(-w) - log_b_i - log_i)
+        g = sign_i * (log_i - log_tail[idx])
+        return g, dg, dg * (a_i - (b_i - 1.0) * w / (1.0 - w) - sign_i * dg)
 
-    u = _bracketed_newton(log_gap, start, np.full_like(p, _LOG_W_MIN), np.zeros_like(p))
-    # a root below half the smallest double rounds to w = 0
-    rounds_to_0 = log_p < a * (_LOG_W_MIN - _LOG2) - np.log(a) - log_b
-    return np.where(rounds_to_0, -np.inf, u)
+    return _bracketed_newton(log_gap, start, lo, np.full_like(p, -_LOG2)), swap
 
 
 def _bracketed_newton(fun, x, lo, hi):
@@ -237,9 +315,9 @@ def _bracketed_newton(fun, x, lo, hi):
     value.  Each step is Newton's, or Halley's where fun gives the
     curvature: the Newton step divided by 1 - g g'' / (2 g'^2), kept to
     Newton where that factor is not finite or is below 1/2.  A step
-    whose point is not finite or leaves the bracket becomes a bisection
-    of it; the sign of g shrinks the bracket, and a point with g == 0
-    keeps its x.
+    whose point is not finite or leaves the bracket, or whose factor is
+    above 4, becomes a bisection of it; the sign of g shrinks the
+    bracket, and a point with g == 0 keeps its x.
 
     An element stops, with its step applied and clipped into its
     bracket, once that step is a few ulp of max(|x|, 1), or once the
@@ -283,6 +361,10 @@ def _bracketed_newton(fun, x, lo, hi):
         scale = np.maximum(np.abs(xi), 1.0)
         tol = _NEWTON_ULPS * scale
         inside = (newton > lo_i) & (newton < hi_i)
+        if d2g:
+            # far out on a flat g, Halley's factor cuts a step that leaves
+            # the bracket to about 2 g' / g'', and such steps creep
+            inside &= ~(factor > 4.0)
         # NaN predictions (no secant yet) compare False; a predicted stop
         # whose point leaves the bracket by more than tol is contradicted
         # by it, one within tol of an end is a root on that end

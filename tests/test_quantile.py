@@ -2,8 +2,9 @@
 
 SN and BSN quantiles solve the skew-normal cdf by bracketed Newton in log
 space; SNB, GBSN and TBSN solve the per-segment polynomial of their
-cumulative table the same way.
-BetaNormal and BetaHalfNormal invert the incomplete beta on q's own side.
+cumulative table the same way.  BSN, BetaNormal and BetaHalfNormal share
+one beta-generated composition: the latent incomplete-beta root in log
+space, then the base quantile from that log probability.
 Round trips are judged on q's own side of 1/2: cdf(x) against q, or
 sf(x) against 1 - q where the family has an sf, relative to that tail
 probability.
@@ -28,7 +29,9 @@ from betasn import (
     BetaSkewNormal,
     Kumaraswamy,
     Normal,
+    OrderStatSpec,
     SkewNormal,
+    analytic_order_stat,
     balakrishnan,
     inv_reg_inc_beta,
     skewnormal,
@@ -85,8 +88,9 @@ def test_table_far_tail_repro():
     assert np.max(np.abs(dist.cdf(x) - q) / q) <= RTOL
 
 
-# BetaNormal and BetaHalfNormal have no sf; their round trips go through
-# scipy's incomplete beta of the base cdf (q <= 1/2) or survival (q > 1/2)
+# BetaNormal and BetaHalfNormal round-trip through their own cdf and sf
+# (_check_tails), and also through scipy's incomplete beta of the base cdf
+# (q <= 1/2) or survival (q > 1/2), which shares no code with the library
 BETA_SHAPES = [(3.0, 0.5), (1.0, 0.3), (0.5, 0.05), (0.5, 2.0), (20.0, 0.05), (0.05, 20.0)]
 
 
@@ -99,6 +103,7 @@ def _latent_miss(q, a, b, base_cdf, base_sf):
 
 @pytest.mark.parametrize("a, b", BETA_SHAPES)
 def test_beta_normal_tails(a, b):
+    _check_tails(BetaNormal(a, b))
     x = BetaNormal(a, b).quantile(Q_GRID)
     assert np.all(np.diff(x) >= 0.0)
     assert np.max(_latent_miss(Q_GRID, a, b, ndtr(x), ndtr(-x))) <= RTOL
@@ -127,10 +132,94 @@ def test_beta_normal_subnormal_latent():
 
 @pytest.mark.parametrize("a, b", BETA_SHAPES)
 def test_beta_half_normal_tails(a, b):
+    _check_tails(BetaHalfNormal(a, b))
     x = BetaHalfNormal(a, b).quantile(Q_GRID)
     assert np.all(x > 0.0) and np.all(np.diff(x) >= 0.0)
     u = x / np.sqrt(2.0)
     assert np.max(_latent_miss(Q_GRID, a, b, erf(u), erfc(u))) <= RTOL
+
+
+# Every beta-generated family over the box of shapes and skews, down to
+# q = 1e-300 below 1/2 (against cdf) and to 1 - 1e-12 above (against sf).
+BOX_SHAPES = (0.05, 0.3, 2.0, 20.0)
+BOX_LAMS = (-50.0, -1.0, 0.0, 1.0, 50.0)
+BOX_LOWER = np.geomspace(1e-300, 0.5, 100)
+BOX_UPPER = 1.0 - np.geomspace(1e-12, 0.5, 30)[-2::-1]
+BOX = [
+    dist
+    for a in BOX_SHAPES
+    for b in BOX_SHAPES
+    for dist in (
+        *(BetaSkewNormal(lam, a, b) for lam in BOX_LAMS),
+        BetaNormal(a, b),
+        BetaHalfNormal(a, b),
+    )
+]
+# Known defect: near z = -3.72 the lam = 1 skew-normal cdf comes from
+# Phi(z) - 2 T(z, 1), which cancels to 1e-4 of Phi(z) just before the tail
+# repair takes over, and carries up to 3e-11 relative error there; the
+# composition raises it to the power a, so at a = 20 these round trips
+# miss by up to 6e-10 near q = 1e-159.
+SN_NOISE = pytest.mark.xfail(
+    reason="skew-normal cdf noise where Owen's T cancels, amplified a-fold", strict=True
+)
+
+
+def _noisy(dist):
+    return isinstance(dist, BetaSkewNormal) and (dist.lam, dist.a) == (1.0, 20.0)
+
+
+@pytest.mark.parametrize(
+    "dist", [pytest.param(d, marks=SN_NOISE) if _noisy(d) else d for d in BOX], ids=repr
+)
+def test_beta_generated_box_tails(dist):
+    lower = dist.quantile(BOX_LOWER)
+    upper = dist.quantile(BOX_UPPER)
+    # the half-normal's lowest quantiles are subnormal x, which carry
+    # few bits; only normal doubles are judged
+    ok = np.abs(lower) >= np.finfo(float).tiny
+    assert np.all(np.diff(np.concatenate([lower[ok], upper])) > 0.0)
+    want = BOX_LOWER[ok]
+    assert np.max(np.abs(dist.cdf(lower[ok]) - want) / want) <= RTOL
+    want = 1.0 - BOX_UPPER
+    assert np.max(np.abs(dist.sf(upper) - want) / want) <= RTOL
+
+
+@pytest.mark.parametrize("dist", BOX, ids=repr)
+def test_beta_generated_logs_finite(dist):
+    # logcdf and logsf are finite wherever logpdf is, far past the
+    # underflow of F, S and the cdf itself
+    z = np.linspace(-60.0, 60.0, 241)
+    finite = np.isfinite(dist.logpdf(z))
+    assert np.all(np.isfinite(dist.logcdf(z)[finite]))
+    assert np.all(np.isfinite(dist.logsf(z)[finite]))
+
+
+# the order statistics of samples near 10^4 are BSN laws with shapes in the
+# thousands; the continued fraction for I_w serves only where it is tiny
+LARGE = [(BetaNormal(1000.0, 9002.0), Normal())] + [
+    (analytic_order_stat(OrderStatSpec(base, 10000, 3000)), base)
+    for base in (SkewNormal(0.0, 1.0, lam) for lam in (-3.0, 0.0, 1.0, 5.0))
+]
+
+
+@pytest.mark.parametrize("dist, base", LARGE, ids=repr)
+def test_beta_generated_large_shapes(dist, base):
+    # the body and both tails out to where I_w underflows, and the base's
+    # own 0.3 quantile, where I_w rounds to 1
+    x = np.sort(np.append(dist.quantile(0.5) + np.linspace(-1.0, 1.0, 81), base.quantile(0.3)))
+    w = base.cdf(x)
+    pairs = ((dist.cdf(x), betainc(dist.a, dist.b, w)), (dist.sf(x), betaincc(dist.a, dist.b, w)))
+    for got, want in pairs:
+        # scipy keeps its own digits down to about 1e-250
+        seen = want > 1e-250
+        assert np.max(np.abs(got[seen] - want[seen]) / want[seen]) < 1e-11
+    assert np.all(np.isfinite(dist.logcdf(x))) and np.all(np.isfinite(dist.logsf(x)))
+    lower, upper = dist.quantile(BOX_LOWER), dist.quantile(BOX_UPPER)
+    assert np.all(np.diff(np.concatenate([lower, upper])) > 0.0)
+    assert np.max(np.abs(dist.cdf(lower) - BOX_LOWER) / BOX_LOWER) <= RTOL
+    want = 1.0 - BOX_UPPER
+    assert np.max(np.abs(dist.sf(upper) - want) / want) <= RTOL
 
 
 UNIT_SHAPES = [(a, b) for a in (0.05, 0.5, 2.0, 20.0) for b in (0.05, 0.5, 2.0, 20.0)]

@@ -26,6 +26,11 @@ def test_solver_evals_reports_every_solve():
     for row in (*out["members"].values(), *out["latent_only"].values()):
         assert stats | {"points", "all_evals_per_point", "start_table_builds", "start_table_hits"} <= row.keys()
     assert "bn(0.5,2)" in out["latent_only"]
+    # the latent incomplete-beta solve is counted wherever the beta-generated
+    # composition runs it, so a moved solve cannot read as 0
+    latent = {**out["members"], **out["latent_only"]}
+    for label in [key for key in latent if key.startswith("bsn(")] + ["bn(0.5,2)"]:
+        assert latent[label]["latent_evals_per_point"] > 0, label
     # the start tables: one per shape sign, built once and then hit
     starts = out["start_tables"]
     assert {"builds", "hits", "size", "maxsize"} <= starts.keys()
