@@ -11,10 +11,12 @@ SNB_n(lam):              TBSN_{n,0}(lam, 0), i.e. c_n(lam) phi(x) Phi(lam x)^n;
 GBSN_{n,m}(lam):         TBSN_{n,m}(lam, -lam), i.e. phi(x) Phi(lam x)^n
                          (1 - Phi(lam x))^m / C_{n,m}(lam), standardized.
 
-PowerOfPhi carries the whole surface; the three classes only name their
-parameters and map them onto (lam1, lam2, n, m).  A factor of order 0 is
-skipped wherever the kernel is evaluated, so SNB pays one log Phi per
-point and the three parameterizations give bit-identical values.
+PowerOfPhi supplies the two hooks of core.LocationScale's surface, the
+standardized tail read and the one-sided quantile; the three classes
+only name their parameters and map them onto (lam1, lam2, n, m).  A
+factor of order 0 is skipped wherever the kernel is evaluated, so SNB
+pays one log Phi per point and the three parameterizations give
+bit-identical values.
 
 Normalizing integrals are computed by adaptive quadrature and memoized
 per kernel.  Distribution functions have no closed form; they are served
@@ -26,12 +28,15 @@ sums from the left or from the right, so each keeps relative accuracy
 in its own tail; logcdf and logsf take the log before dividing by the
 total, except below 1e-30 of it, where the table misses the kernel's mass
 beyond the window or underflows, and one Gauss-Laguerre rule on the
-log-concave kernel gives the log tail mass instead.  A quantile finds the segment holding its root by searchsorted
-on the running sums, taken from the left for q <= 1/2 and from the
-right above, and solves the log of that same read by bracketed Newton
-inside the segment.  So cdf and quantile are inverses of each other to
-roundoff, the quantile keeps relative accuracy in q, or in 1 - q, down
-to the far tails, and no read evaluates the kernel.
+log-concave kernel (_log_tail) gives the log tail mass instead.  The
+skew-normal density is twice the n = 1 kernel, so the same rule is the
+skew-normal's t-space tail repair.  A quantile finds the segment holding
+its root by searchsorted on the running sums, taken from the left for
+q <= 1/2 and from the right above, and solves the log of that same read
+by bracketed Newton inside the segment.  So cdf and quantile are
+inverses of each other to roundoff, the quantile keeps relative accuracy
+in q, or in 1 - q, down to the far tails, and no read evaluates the
+kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import legendre
 
-from .core import _Tails, _quantile_domain, _require
+from .core import LocationScale, _by_side, _require
 from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, _log_tail_mass, integrate_line
 from .special import _bracketed_newton, norm_logcdf, norm_logpdf
 
@@ -73,10 +78,12 @@ def _log_kernel(z, lam1, lam2, n, m, log_const=None):
     return out
 
 
-def _log_tail(z, lam1, lam2, n, m):
-    """log of the kernel's mass below z, by the Gauss-Laguerre tail rule.
+def _log_tail(z, lam1, lam2, n, m, log_const=None):
+    """log of the kernel's mass below z, times e^log_const, by the Gauss-Laguerre tail rule.
 
-    The kernel is log-concave, with d log k / dz = -z + sum n lam H(lam z)
+    One 20-point rule in log space (quadrature._log_tail_mass), at 22
+    norm_logcdf evaluations per point and factor of nonzero order.  The
+    kernel is log-concave, with d log k / dz = -z + sum n lam H(lam z)
     and -d2 log k / dz2 = 1 + sum n lam^2 H (lam z + H) over its factors,
     H the normal hazard.  The mass above z is this at -z with both
     shapes negated.
@@ -87,7 +94,7 @@ def _log_tail(z, lam1, lam2, n, m):
             hazard = np.exp(norm_logpdf(lam * z) - norm_logcdf(lam * z))
             slope = slope + order * lam * hazard
             curv = curv + order * lam * lam * np.maximum(hazard * (lam * z + hazard), 0.0)
-    log_kernel = lambda t: _log_kernel(t, lam1, lam2, n, m)
+    log_kernel = lambda t: _log_kernel(t, lam1, lam2, n, m, log_const)
     return _log_tail_mass(log_kernel, z, log_kernel(z), slope, curv)
 
 
@@ -255,7 +262,7 @@ class _NumericCdf:
         return self.cum_right[i + 1] if upper else self.cum[i]
 
     def masses(self, z, upper):
-        """Kernel mass below each z of a 1-d array, or above it if upper."""
+        """Kernel mass below each z of an array, or above it if upper."""
         z = np.clip(z, -self.t, self.t)
         i = np.clip(np.searchsorted(self.edges, z, side="right") - 1, 0, len(self.seg) - 1)
         lo, hi = self.edges[i], self.edges[i + 1]
@@ -264,15 +271,6 @@ class _NumericCdf:
         # at a segment's ends, and so beyond the window, the reads are exact
         partial = np.where(u == -1.0, 0.0, np.where(u == 1.0, seg, _legendre_sum(self.anti, i, u)))
         return _held(self._below(i, upper), seg, partial, upper)
-
-    def quantile(self, q):
-        q = _quantile_domain(q)
-        qq = np.atleast_1d(q)
-        x = np.empty_like(qq)
-        low = qq <= 0.5
-        x[low] = self._solve(qq[low] * self.total, upper=False)
-        x[~low] = self._solve((1.0 - qq[~low]) * self.total, upper=True)
-        return x if q.ndim else float(x[0])
 
     def _solve(self, mass, upper):
         """Points with `mass` of the kernel below them, or above them if upper.
@@ -324,7 +322,7 @@ def _kernel_table(lam1, lam2, n, m, spec):
     return _NumericCdf(lambda z: np.exp(_log_kernel(z, lam1, lam2, n, m)), spec)
 
 
-class PowerOfPhi(_Tails):
+class PowerOfPhi(LocationScale):
     """Density phi(z) Phi(lam1 z)^n Phi(lam2 z)^m / c with z = (x - mu) / sigma.
 
     Subclasses are frozen dataclasses that declare their own fields,
@@ -359,12 +357,9 @@ class PowerOfPhi(_Tails):
         log_kernel = _log_kernel(self._z(x), lam1, lam2, n, m, np.log(self.norm_const))
         return log_kernel - np.log(self.scale)
 
-    def _tail(self, x, upper, log):
-        """Mass below x, or above x if upper, as a probability or its log."""
-        z = self._z(x)
+    def _std_tail(self, z, upper, log):
         table = _kernel_table(*self._key)
-        zz = np.atleast_1d(z)
-        held = table.masses(zz, upper)
+        held = table.masses(z, upper)
         if not log:
             out = held / table.total
         else:
@@ -375,16 +370,16 @@ class PowerOfPhi(_Tails):
                 lam1, lam2, n, m, _ = self._key
                 sign = -1.0 if upper else 1.0
                 with np.errstate(all="ignore"):
-                    rule = _log_tail(sign * zz[far], sign * lam1, sign * lam2, n, m)
+                    rule = _log_tail(sign * z[far], sign * lam1, sign * lam2, n, m)
                 # at infinite z, and past |z| ~ 1e9, where rounding of
                 # log k swamps the rule's differences, the table's log stays
                 log_held[far] = np.where(np.isfinite(rule), rule, log_held[far])
             out = log_held - np.log(table.total)
-        out = np.minimum(out, 0.0 if log else 1.0)
-        return out if z.ndim else float(out[0])
+        return np.minimum(out, 0.0 if log else 1.0)
 
-    def quantile(self, q):
-        return self.location + self.scale * _kernel_table(*self._key).quantile(q)
+    def _std_quantile(self, t, upper):
+        table = _kernel_table(*self._key)
+        return _by_side(lambda t, side: table._solve(t * table.total, side), t, upper)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 The beta-generated construction (Jones 2004) composes a base cdf F with
 a Beta(a, b) variable: density F^(a-1) S^(b-1) f / B(a, b), S = 1 - F,
-and cdf I_F(a, b).  _BetaGenerated writes it once, in log space, over a
-base that supplies log f, log F, log S and a quantile from a log
-probability; BetaNormal, BetaHalfNormal and bsn.BetaSkewNormal only
-declare their parameters and base.  logpdf goes through one kernel that
-skips a zero exponent (Beta, GB1 and Kumaraswamy use it too); cdf, sf,
-logcdf and logsf each keep relative accuracy in their own tail far past
-where F, S or the value underflows; the quantile solves the latent in
-log space, so q reaches 1e-300 and below on either side.
+and cdf I_F(a, b).  _BetaGenerated writes it once, in log space, as the
+two hooks of core.LocationScale's surface (the standardized tail read
+and the one-sided quantile), over a base that supplies log f, log F,
+log S and a quantile from a log probability; BetaNormal, BetaHalfNormal
+and bsn.BetaSkewNormal only declare their parameters and base.  logpdf
+goes through one kernel that skips a zero exponent (Beta, GB1 and
+Kumaraswamy use it too); cdf, sf, logcdf and logsf each keep relative
+accuracy in their own tail far past where F, S or the value underflows;
+the quantile solves the latent in log space, so q reaches 1e-300 and
+below on either side.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .core import Distribution, _Tails, _quantile_domain, _require
+from .core import Distribution, LocationScale, _by_side, _quantile_domain, _require
 from .skewnormal import _log_density_limit
 from .special import (
     _MIRRORED_FLOOR,
@@ -198,15 +200,15 @@ class Kumaraswamy(Distribution):
         return out if q.ndim else float(out)
 
 
-class _BetaGenerated(_Tails):
+class _BetaGenerated(LocationScale):
     """I_F(z)(a, b) over a base F, with z = (x - location) / scale.
 
     Subclasses are frozen dataclasses with fields a and b that supply, per
-    standardized point, _log_base(z, log_c) = (log c + log f(z), tails),
-    tails() giving _log_tails(z) = (log F(z), log S(z)), and
-    _base_quantile(log_p, upper), the z with log F(z), or log S(z) if
-    upper, equal to log_p <= log 1/2.  A base that has the smaller tail
-    cheaper than both may override _small_tail.
+    standardized point, _log_base(z, log_c) = log c + log f(z),
+    _log_tails(z) = (log F(z), log S(z)), and _base_quantile(log_p,
+    upper), the z with log F(z), or log S(z) if upper, equal to
+    log_p <= log 1/2.  A base that has the smaller tail cheaper than
+    both may override _small_tail.
     """
 
     def __post_init__(self):
@@ -216,8 +218,10 @@ class _BetaGenerated(_Tails):
     def logpdf(self, x):
         z = self._z(x)
         with np.errstate(invalid="ignore"):
-            log_f, tails = self._log_base(z, -log_beta(self.a, self.b))
-            out = _log_beta_kernel(log_f - np.log(self.scale), self.a, self.b, tails)
+            log_f = self._log_base(z, -log_beta(self.a, self.b))
+            out = _log_beta_kernel(
+                log_f - np.log(self.scale), self.a, self.b, lambda: self._log_tails(z)
+            )
         return _log_density_limit(z, out)
 
     def _small_tail(self, z):
@@ -225,34 +229,22 @@ class _BetaGenerated(_Tails):
         log_f, log_s = self._log_tails(z)
         return np.minimum(log_f, log_s), log_f <= log_s
 
-    def _tail(self, x, upper, log):
-        """Mass below x, or above x if upper, as a probability or its log.
-
-        I_w(a, b) with w = F, or w = S and a, b swapped: from w where
-        w <= 1/2, above as 1 - I_(1-w)(b, a), which keeps 1 - w's digits.
+    def _std_tail(self, z, upper, log):
+        """I_w(a, b) with w = F, or w = S and a, b swapped if upper: from w
+        where w <= 1/2, above as 1 - I_(1-w)(b, a), which keeps 1 - w's digits.
         """
-        z = self._z(x)
-        log_v, on_f = self._small_tail(np.atleast_1d(z))
+        log_v, on_f = self._small_tail(z)
         a, b = (self.b, self.a) if upper else (self.a, self.b)
         own = on_f != upper
         out = np.empty_like(log_v)
         out[own] = _inc_beta_lower(log_v[own], a, b, log)
         out[~own] = _inc_beta_upper(log_v[~own], b, a, _MIRRORED_FLOOR, log)
-        return out if z.ndim else float(out[0])
+        return out
 
-    def quantile(self, q):
-        """The base quantile of the latent w, found as log w or log(1 - w) on q's side."""
-        q = _quantile_domain(q)
-        qq = q.reshape(-1)
-        upper = qq > 0.5
-        log_v, on_s = _log_inc_beta_root(np.where(upper, 1.0 - qq, qq), self.a, self.b, upper)
-        z = np.empty_like(log_v)
-        for side in (False, True):
-            at = on_s == side
-            if at.any():
-                z[at] = self._base_quantile(log_v[at], side)
-        out = self.location + self.scale * z.reshape(q.shape)
-        return out if q.ndim else float(out)
+    def _std_quantile(self, t, upper):
+        """The base quantile of the latent w, found as log w or log(1 - w) on t's side."""
+        log_v, on_s = _log_inc_beta_root(t, self.a, self.b, upper)
+        return _by_side(self._base_quantile, log_v, on_s)
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,7 @@ class BetaNormal(_BetaGenerated):
     sigma: float = 1.0
 
     def _log_base(self, z, log_c):
-        return log_c + norm_logpdf(z), lambda: self._log_tails(z)
+        return log_c + norm_logpdf(z)
 
     @staticmethod
     def _small_tail(z):
@@ -303,8 +295,7 @@ class BetaHalfNormal(_BetaGenerated):
         return (self.a - 1.0, False)
 
     def _log_base(self, x, log_c):
-        log_f = np.where(x <= 0.0, -np.inf, log_c + _LOG2 + norm_logpdf(x))
-        return log_f, lambda: self._log_tails(x)
+        return np.where(x <= 0.0, -np.inf, log_c + _LOG2 + norm_logpdf(x))
 
     @staticmethod
     def _log_tails(x):

@@ -21,7 +21,7 @@ import numpy as np
 from .betafamily import BetaHalfNormal, _BetaGenerated, _log_beta_kernel
 from .core import _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
-from .skewnormal import SkewNormal, _std_quantile_lower, _tails
+from .skewnormal import SkewNormal, _side_quantile, _tails
 from .special import log_beta, norm_logcdf, norm_logpdf, norm_quantile
 
 __all__ = [
@@ -99,17 +99,13 @@ class BetaSkewNormal(_BetaGenerated):
         return SkewNormal(0.0, 1.0, self.lam)
 
     def _log_base(self, z, log_c):
-        log_phi_lz = norm_logcdf(self.lam * z)
-        log_f = _LOG2 + log_c + norm_logpdf(z) + log_phi_lz
-        return log_f, lambda: _tails(z, self.lam, log_phi_lz)[2:]
+        return _LOG2 + log_c + norm_logpdf(z) + norm_logcdf(self.lam * z)
 
     def _log_tails(self, z):
         return _tails(z, self.lam)[2:]
 
     def _base_quantile(self, log_p, upper):
-        if upper:
-            return -_std_quantile_lower(log_p, -self.lam)
-        return _std_quantile_lower(log_p, self.lam)
+        return _side_quantile(log_p, self.lam, upper)
 
     def mgf(self, t, spec=None):
         """Moment generating function by quadrature.
@@ -128,15 +124,14 @@ class BetaSkewNormal(_BetaGenerated):
         def integrand(y):
             # one component per t, all on the same nodes
             w = y + shift
-            log_phi_lw = norm_logcdf(lam * w)
-            acc = norm_logpdf(y) + log_phi_lw
-            return np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(w, lam, log_phi_lw)[2:]))
+            acc = norm_logpdf(y) + norm_logcdf(lam * w)
+            return np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(w, lam)[2:]))
 
         total = integrate_line(integrand, spec)
         out = np.exp(self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total))
         return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
-    def mode_report(self, spec=None):
+    def mode_report(self):
         """Census of interior modes and a grid log-concavity verdict.
 
         Scans a 4001-point grid on [mu - 8 sigma, mu + 8 sigma] for sign
@@ -145,7 +140,6 @@ class BetaSkewNormal(_BetaGenerated):
         stationary points closer than 1e-4.  Log-concavity is the
         second-difference test on the same grid.
         """
-        spec = DEFAULT_SPEC if spec is None else spec
         grid = np.linspace(self.mu - 8.0 * self.sigma, self.mu + 8.0 * self.sigma, 4001)
         lp = self.logpdf(grid)
         d = np.diff(lp)
@@ -317,7 +311,6 @@ def skewing_weight(u, lam, a, b):
     if np.any(~np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("skewing_weight requires 0 < u < 1")
     x = norm_quantile(u)
-    log_phi_lx = norm_logcdf(lam * x)
-    acc = _LOG2 - log_beta(a, b) + log_phi_lx
-    out = np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(x, float(lam), log_phi_lx)[2:]))
+    acc = _LOG2 - log_beta(a, b) + norm_logcdf(lam * x)
+    out = np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(x, float(lam))[2:]))
     return out if u.ndim else float(out)

@@ -591,14 +591,14 @@ def _mgf_checks(spec):
     return out
 
 
-def _mode_checks(spec):
+def _mode_checks():
     out = []
 
-    rep = BetaSkewNormal(0.0, 1.0, 1.0).mode_report(spec)
+    rep = BetaSkewNormal(0.0, 1.0, 1.0).mode_report()
     ok = rep.mode_count == 1 and abs(rep.mode_locations[0]) < 1e-6
     out.append(_flag("unimodal standard normal mode report", ok))
 
-    rep = BetaSkewNormal(0.0, 0.1, 0.1).mode_report(spec)
+    rep = BetaSkewNormal(0.0, 0.1, 0.1).mode_report()
     ok = (
         rep.mode_count == 2
         and abs(rep.mode_locations[0] + 2.67130522) < 1e-5
@@ -609,7 +609,7 @@ def _mode_checks(spec):
 
     ok = True
     for lam, a, b in ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (-2.0, 3.0, 1.0), (0.0, 2.0, 2.0)):
-        rep = BetaSkewNormal(lam, a, b).mode_report(spec)
+        rep = BetaSkewNormal(lam, a, b).mode_report()
         ok = ok and rep.mode_count == 1 and rep.log_concave_on_grid
     out.append(_flag("log-concavity for a,b >= 1", ok))
 
@@ -662,7 +662,7 @@ def run_moments(seed=0, spec=None):
     checks.append(_recursion_check(spec))
     checks.extend(_normalization_checks(spec))
     checks.extend(_mgf_checks(spec))
-    checks.extend(_mode_checks(spec))
+    checks.extend(_mode_checks())
     checks.extend(_bhn_checks(spec))
     checks.append(_cdf_derivative_check())
     return checks

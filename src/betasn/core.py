@@ -1,13 +1,19 @@
 """Common distribution surface and the generic moment engine.
 
 Every family exposes vectorized pdf/logpdf/cdf/quantile; pdf defaults
-to exp(logpdf).  Families placed on the line by x = location + scale * z
-share LocationScale, which names the two fields, validates them and
-standardizes through _z; _require is the one parameter check behind
-every family.  The default sampler is the quantile transform of a PCG64
-uniform stream (``numpy.random.default_rng``), so one seed policy drives
-every family reproducibly; families with a cheaper exact representation
-override ``sample``.
+to exp(logpdf).  The eight families placed on the line by
+x = location + scale * z (Normal, SN, SNB, GBSN, TBSN, BetaNormal,
+BetaHalfNormal, BSN) share one surface, LocationScale: it names the two
+fields, validates them and standardizes through _z, and its cdf, sf,
+logcdf, logsf and quantile apply the scalar-in/float-out rule, the
+limits at infinite arguments, the quantile domain, the split of q at
+1/2 and the placement once, over two hooks per family: _std_tail, a
+standardized tail read, and _std_quantile, a one-sided quantile, with
+_by_side to solve the two sides apart.  _require is the one parameter
+check behind every family.  The default sampler is the quantile
+transform of a PCG64 uniform stream (``numpy.random.default_rng``), so
+one seed policy drives every family reproducibly; families with a
+cheaper exact representation override ``sample``.
 """
 
 from __future__ import annotations
@@ -97,6 +103,13 @@ class LocationScale(Distribution):
     Subclasses declare the two fields, named by `_placement` (mu and
     sigma unless overridden), and read z through `_z`.  The location
     must be finite and the scale positive and finite.
+
+    cdf, sf, logcdf and logsf all read one hook, _std_tail(z, upper,
+    log): the mass below each z of an array of at least one dimension,
+    or above it if upper, as a probability or its log.  quantile reads
+    the other, _std_quantile(t, upper): the z with tail mass t below
+    them, or above them where upper is set, for the 1-d t = q or 1 - q,
+    whichever is at most 1/2.  Both return a Python float for a scalar.
     """
 
     _placement = ("mu", "sigma")
@@ -117,12 +130,16 @@ class LocationScale(Distribution):
     def _z(self, x):
         return (np.asarray(x, dtype=float) - self.location) / self.scale
 
-
-class _Tails(LocationScale):
-    """A LocationScale family whose cdf, sf, logcdf and logsf all read one
-    _tail(x, upper, log): the mass below x, or above x if upper, as a
-    probability or its log.
-    """
+    def _tail(self, x, upper, log):
+        z = self._z(x)
+        z1 = np.atleast_1d(z)
+        out = self._std_tail(z1, upper, log)
+        # at z = +-inf the mass is all or none, whatever a read rounds to
+        inf = np.isinf(z1)
+        if inf.any():
+            whole = (z1[inf] > 0.0) != upper
+            out[inf] = np.where(whole, 0.0, -np.inf) if log else whole
+        return out if z.ndim else float(out[0])
 
     def cdf(self, x):
         return self._tail(x, upper=False, log=False)
@@ -137,12 +154,39 @@ class _Tails(LocationScale):
     def logsf(self, x):
         return self._tail(x, upper=True, log=True)
 
+    def quantile(self, q):
+        """Inverse cdf, solved on q's own side of 1/2.
+
+        For q > 1/2 the root has mass 1 - q above it, so the upper tail
+        keeps the same relative accuracy as the lower one.
+        """
+        q = _quantile_domain(q)
+        qq = q.reshape(-1)
+        upper = qq > 0.5
+        z = self._std_quantile(np.where(upper, 1.0 - qq, qq), upper)
+        out = self.location + self.scale * z.reshape(q.shape)
+        return out if q.ndim else float(out)
+
+
+def _by_side(solve, t, upper):
+    """solve(t[side], side) for the lower and the upper side, placed back in one array.
+
+    A side without points is not solved, so it builds nothing.
+    """
+    z = np.empty_like(t)
+    for side in (False, True):
+        at = upper == side
+        if at.any():
+            z[at] = solve(t[at], side)
+    return z
+
 
 def _quantile_domain(q):
     """q as a float array; NaN, 0, 1 and anything outside (0, 1) raise ValueError.
 
     Every family's quantile shares this domain and returns a Python float
-    for a scalar q (``out if q.ndim else float(out)``).
+    for a scalar q: LocationScale.quantile applies both once for the
+    line families, and the unit-interval families call this directly.
     """
     q = np.asarray(q, dtype=float)
     if np.any(~np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):

@@ -12,9 +12,11 @@ of e^(-(1 + a^2) z^2 / 2) / (1 + a^2), a positive integrand that needs
 no special function at any node; it serves every lam > 0 point with
 lam |z| >= 4 without Owen's T, and repairs Owen's T where it cancels
 from lam |z| >= 2.  The t-space rule integrates the density over the
-tail in log space, rescaled by its local decay rate; it repairs the
-cancelling points nearer z = 0, where the shape integrand's power-law
-factor defeats its rule, and the lam <= 0 side once Owen's T
+tail in log space, rescaled by its local decay rate: the density is
+twice the power-of-Phi kernel phi(z) Phi(lam z)^1, so this is the tail
+rule balakrishnan._log_tail applies to every such kernel.  It repairs
+the cancelling points nearer z = 0, where the shape integrand's
+power-law factor defeats its rule, and the lam <= 0 side once Owen's T
 underflows.  The beta-generated composition raises this cdf to
 fractional powers, which is why relative (not just absolute) accuracy
 matters here.
@@ -22,10 +24,14 @@ matters here.
 Every value comes from the left side z <= 0, where the helper _left
 returns F and log F together; the right side is mirrored through
 SN(-lam).  _tails turns that one evaluation per point into
-(F, S, log F, log S), for cdf, sf, logcdf, logsf and the beta skew-normal.
+(F, S, log F, log S): one of them is SkewNormal's standardized tail read,
+behind the cdf, sf, logcdf and logsf of core.LocationScale, and log F
+and log S serve the beta skew-normal.  Normal reads ndtr and log_ndtr
+on the same surface.
 
-The quantile solves log F(z) = log p by bracketed Halley steps, and
-above 1/2 reflects through SN(-lam) at 1 - q, so both tails keep the
+The one-sided quantile _side_quantile, SkewNormal's and the beta
+skew-normal base's, solves log F(z) = log p by bracketed Halley steps,
+and on the upper side reflects through SN(-lam), so both tails keep the
 cdf's relative accuracy; it takes log p, so the beta skew-normal can
 pass a latent far below the smallest double.  Start and bracket come
 from a cubic-Hermite table of z against v = -sqrt(-2 log F), built once
@@ -45,8 +51,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri_exp
 
-from .core import LocationScale, _quantile_domain, _require
-from .quadrature import _LAGUERRE_NODES, _LAGUERRE_WEIGHTS, _log_tail_mass
+from .balakrishnan import _log_tail
+from .core import LocationScale, _by_side, _quantile_domain, _require
+from .quadrature import _LAGUERRE_NODES, _LAGUERRE_WEIGHTS
 from .special import (
     _bracketed_newton,
     _norm_quantile_log,
@@ -79,10 +86,12 @@ class Normal(LocationScale):
     def logpdf(self, x):
         return norm_logpdf(self._z(x)) - np.log(self.sigma)
 
-    def cdf(self, x):
-        return norm_cdf(self._z(x))
+    def _std_tail(self, z, upper, log):
+        z = -z if upper else z
+        return norm_logcdf(z) if log else norm_cdf(z)
 
     def quantile(self, q):
+        # one ndtri over the whole range, not the split of LocationScale
         q = _quantile_domain(q)
         out = self.mu + self.sigma * norm_quantile(q)
         return out if q.ndim else float(out)
@@ -160,42 +169,19 @@ def _shape_logcdf(z, lam):
     return -_LOG_PI - 0.5 * s2 * z2 - np.log(rate) + np.log(_LAGUERRE_WEIGHTS @ h)
 
 
-def _t_space_logcdf(z, lam, log_phi_lz=None):
-    """log F(z; lam) on the left tail, by a Gauss-Laguerre rule in log space over t.
-
-    F(z) is the integral of g(t) = 2 phi(t) Phi(lam t) over (-inf, z],
-    and g is log-concave, so quadrature._log_tail_mass applies: one
-    20-point rule on the tail rescaled by the slope and curvature of
-    log g at z.  Near the switch from Owen's T at large lam, log g is
-    nearly a parabola, and the curvature term stretches its decay over
-    several nodes.  The rule resolves F to a few ulp of log F (checked
-    against an mpmath oracle for lam from 0.02 to 1e6), at 21
-    norm_logcdf evaluations per point, or 20 when the caller passes
-    log Phi(lam z) in.
-    """
-    z = np.asarray(z, dtype=float)
-    if log_phi_lz is None:
-        log_phi_lz = norm_logcdf(lam * z)
-    # log g has slope -t + lam H(lam t) and curvature
-    # -1 - lam^2 H (lam t + H), H the normal hazard; H (x + H) >= 0
-    # except for rounding far out on the left
-    hazard = np.exp(norm_logpdf(lam * z) - log_phi_lz)
-    curv = 1.0 + lam * lam * np.maximum(hazard * (lam * z + hazard), 0.0)
-    return _log_tail_mass(
-        lambda t: _log_density(t, norm_logcdf(lam * t)),
-        z,
-        _log_density(z, log_phi_lz),
-        -z + lam * hazard,
-        curv,
-    )
-
-
-def _tail_logcdf(z, lam, log_phi_lz=None):
+def _tail_logcdf(z, lam):
     """log F(z; lam) at the points z <= 0 that _left left unresolved.
 
     A point with lam |z| >= _SHAPE_REPAIR on the lam > 0 side takes the
-    shape rule, every other point the t-space rule, which reuses
-    log_phi_lz, log Phi(lam z), where the caller has it.  Past
+    shape rule, every other point the t-space rule: the density is the
+    power-of-Phi kernel phi(t) Phi(lam t)^1 times 2, so
+    balakrishnan._log_tail integrates it over the tail in log space, one
+    20-point Gauss-Laguerre rule rescaled by the slope and curvature of
+    the log density at z.  Near the switch from Owen's T at large lam
+    the log density is nearly a parabola, and the curvature term
+    stretches its decay over several nodes.  That rule resolves F to a
+    few ulp of log F (checked against an mpmath oracle for lam from 0.02
+    to 1e6), at 22 norm_logcdf evaluations per point.  Past
     |z| ~ 1.3e154, where z^2 overflows and log F < -9e307, and at
     z = -inf, F is 0.
     """
@@ -208,13 +194,12 @@ def _tail_logcdf(z, lam, log_phi_lz=None):
         return _shape_logcdf(z, lam)
     rest = ~(shape | gone)
     if rest.all():
-        return _t_space_logcdf(z, lam, log_phi_lz)
+        return _log_tail(z, lam, 0.0, 1, 0, _LOG2)
     out = np.full_like(z, -np.inf)
     if shape.any():
         out[shape] = _shape_logcdf(z[shape], lam)
     if rest.any():
-        known = None if log_phi_lz is None else log_phi_lz[rest]
-        out[rest] = _t_space_logcdf(z[rest], lam, known)
+        out[rest] = _log_tail(z[rest], lam, 0.0, 1, 0, _LOG2)
     return out
 
 
@@ -253,14 +238,12 @@ def _left(z, lam):
     return _owen_left(z, lam)
 
 
-def _tails(z, lam, log_phi_lz=None):
+def _tails(z, lam):
     """(F, S, log F, log S) of SN(0, 1, lam) at z, as arrays shaped like z.
 
     One left-tail evaluation per point serves all four: at z <= 0 the
     near side is F of SN(lam) at z, elsewhere S, as F of SN(-lam) at -z;
-    the far side is its complement.  log_phi_lz, log Phi(lam z) at z when
-    the caller has it, spares the tail repair recomputing it; the
-    mirrored side has the same product lam z.
+    the far side is its complement.
     """
     z = np.asarray(z, dtype=float)
     zz = z.reshape(-1)
@@ -273,8 +256,7 @@ def _tails(z, lam, log_phi_lz=None):
         z_side, lam_side = sign * zz[side], sign * lam
         f, log_f, bad = _left(z_side, lam_side)
         if np.any(bad):
-            known = () if log_phi_lz is None else (log_phi_lz.reshape(-1)[side][bad],)
-            log_f[bad] = _tail_logcdf(z_side[bad], lam_side, *known)
+            log_f[bad] = _tail_logcdf(z_side[bad], lam_side)
             f[bad] = np.exp(log_f[bad])
         near[side], log_near[side] = f, log_f
     far = 1.0 - near
@@ -327,10 +309,9 @@ def _start_table(lam):
     u = np.arange(np.arcsinh(lo / c), np.arcsinh(hi / c) + 2.0 * _START_STEP, _START_STEP)
     z = c * np.sinh(u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_phi_lz = norm_logcdf(lam * z)
-        log_f = _tails(z, lam, log_phi_lz)[2]
+        log_f = _tails(z, lam)[2]
         v = -np.sqrt(-2.0 * log_f)
-        slope = -v * np.exp(log_f - _log_density(z, log_phi_lz))
+        slope = -v * np.exp(log_f - _log_density(z, norm_logcdf(lam * z)))
     v = np.where(np.isfinite(slope), v, -np.inf)
     keep = v > np.maximum.accumulate(np.r_[-np.inf, v[:-1]])
     v, z, slope = v[keep], z[keep], slope[keep]
@@ -377,22 +358,26 @@ def _start_and_bracket(log_p, lam):
     return np.clip(start, lo, hi), lo, hi
 
 
-def _std_quantile_lower(log_p, lam):
-    """z with log F(z; lam) = log_p for log_p <= log 1/2, by bracketed Halley steps on log F.
+def _side_quantile(log_p, lam, upper):
+    """z with log F(z; lam) = log_p, or log S(z; lam) = log_p if upper, for log_p <= log 1/2.
 
-    Start and bracket come from _start_and_bracket, mostly within a few
+    The upper side is -z of SN(-lam) on the lower one, which is exact,
+    so both tails keep the cdf's relative accuracy.  Bracketed Halley
+    steps on log F solve the lower side.  Start and bracket come from _start_and_bracket, mostly within a few
     1e-9 of the root, so nearly every point ends on its first evaluation.
     The steps and the predicted stop use g'' = g' (-z + lam H(lam z) - g')
     of g = log F - log p, with g' = f / F and H the normal hazard.  At
     lam = 0, F is Phi, inverted directly.
     """
+    if upper:
+        return -_side_quantile(log_p, -lam, False)
     if lam == 0.0:
         return _norm_quantile_log(log_p)
     z, lo, hi = _start_and_bracket(log_p, lam)
 
     def log_gap(z, idx):
         log_phi_lz = norm_logcdf(lam * z)
-        log_f = _tails(z, lam, log_phi_lz)[2]
+        log_f = _tails(z, lam)[2]
         dg = np.exp(_log_density(z, log_phi_lz) - log_f)
         dlog_dens = -z + lam * np.exp(norm_logpdf(lam * z) - log_phi_lz)
         return log_f - log_p[idx], dg, dg * (dlog_dens - dg)
@@ -424,42 +409,29 @@ class SkewNormal(LocationScale):
             out = _log_density(z, norm_logcdf(self.lam * z)) - np.log(self.psi)
         return _log_density_limit(z, out)
 
-    def _tail(self, x, k):
-        v = _tails(self._z(x), self.lam)[k]
-        return v if v.ndim else float(v)
+    def _std_tail(self, z, upper, log):
+        return _tails(z, self.lam)[2 * log + upper]
 
+    def _std_quantile(self, t, upper):
+        return _by_side(lambda t, side: _side_quantile(np.log(t), self.lam, side), t, upper)
+
+    # SkewNormal's own names for the shared surface, so profiles and the
+    # benchmark's traced spans (SkewNormal.quantile, .cdf, ...) attribute
+    # skew-normal work to this class
     def cdf(self, x):
-        return self._tail(x, 0)
+        return super().cdf(x)
 
     def sf(self, x):
-        """Survival function, relatively accurate in the right tail."""
-        return self._tail(x, 1)
+        return super().sf(x)
 
     def logcdf(self, x):
-        return self._tail(x, 2)
+        return super().logcdf(x)
 
     def logsf(self, x):
-        return self._tail(x, 3)
+        return super().logsf(x)
 
     def quantile(self, q):
-        """Inverse cdf, solved in log space on q's own side of 1/2.
-
-        For q <= 1/2 this solves log F(z; lam) = log q.  For q > 1/2 it
-        returns -z of SN(-lam) at 1 - q, which is exact there, so the
-        upper tail keeps the same relative accuracy as the lower one.
-        """
-        q_in = _quantile_domain(q)
-        q1 = np.atleast_1d(q_in)
-        z = np.empty_like(q1)
-        low = q1 <= 0.5
-        # each side solved only where it has points, so a call builds only
-        # the start tables it reads
-        if low.any():
-            z[low] = _std_quantile_lower(np.log(q1[low]), self.lam)
-        if not low.all():
-            z[~low] = -_std_quantile_lower(np.log(1.0 - q1[~low]), -self.lam)
-        res = self.xi + self.psi * z
-        return res if q_in.ndim else float(res[0])
+        return super().quantile(q)
 
     def draw(self, rng, n):
         """Draw n values from an existing generator.

@@ -1,4 +1,5 @@
-"""Quantile contract of every family and tail accuracy of the root-solved ones.
+"""Quantile contract of every family, tail contract of the eight line
+families, and tail accuracy of the root-solved ones.
 
 SN and BSN quantiles solve the skew-normal cdf by bracketed Newton in log
 space; SNB, GBSN and TBSN solve the per-segment polynomial of their
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc, betaincc, erf, erfc, ndtr
+from scipy.special import betainc, betaincc, erf, erfc, log_ndtr, ndtr
 
 from test_special import _roundtrip_slope
 
@@ -37,6 +38,7 @@ from betasn import (
     skewnormal,
     special,
 )
+from betasn.core import LocationScale
 
 RTOL = 1e-10
 TAILS = np.geomspace(1e-12, 0.5, 25)
@@ -300,6 +302,67 @@ def test_quantile_contract(dist):
     x = dist.quantile(q)
     assert x.shape == q.shape
     assert np.array_equal(x.ravel(), dist.quantile(q.ravel()))
+
+
+LINE_FAMILIES = [d for d in FAMILIES if isinstance(d, LocationScale)]
+TAIL_METHODS = ("cdf", "sf", "logcdf", "logsf")
+# the values at -inf and +inf of cdf, sf, logcdf and logsf
+TAIL_LIMITS = {"cdf": (0.0, 1.0), "sf": (1.0, 0.0), "logcdf": (-np.inf, 0.0), "logsf": (0.0, -np.inf)}
+
+
+def _tail_grid(dist):
+    return dist.location + dist.scale * np.linspace(-40.0, 40.0, 1610).reshape(7, 230)
+
+
+@pytest.mark.parametrize("dist", LINE_FAMILIES, ids=repr)
+def test_tail_contract(dist):
+    x = _tail_grid(dist)
+    got = {}
+    for name in TAIL_METHODS:
+        method = getattr(dist, name)
+        got[name] = method(x)
+        assert got[name].shape == x.shape, name
+        assert type(method(dist.location)) is float, name
+        lo, hi, nan = method(np.array([-np.inf, np.inf, np.nan]))
+        assert (lo, hi) == TAIL_LIMITS[name] and np.isnan(nan), name
+    # the tables sum their segments from either end, so a few ulp apart
+    assert np.max(np.abs(got["cdf"] + got["sf"] - 1.0)) <= 8.0 * np.finfo(float).eps
+
+
+# The table families read cdf and sf off their cumulative table, which
+# misses the kernel's mass beyond the truncation window and holds the
+# mass of underflowing segments linear, while logcdf and logsf switch to
+# the Gauss-Laguerre rule below 1e-30 of the total; below about 1e-45
+# the two disagree (on this grid by up to 0.9 relative for TBSN).
+TABLE_TAILS_DISAGREE = pytest.mark.xfail(
+    strict=True, reason="table cdf/sf lose relative accuracy below ~1e-45; their logs do not"
+)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        pytest.param(d, marks=TABLE_TAILS_DISAGREE) if isinstance(d, balakrishnan.PowerOfPhi) else d
+        for d in LINE_FAMILIES
+    ],
+    ids=repr,
+)
+def test_log_tails_match_tails(dist):
+    x = _tail_grid(dist)
+    for f, log_f in (("cdf", "logcdf"), ("sf", "logsf")):
+        v = getattr(dist, f)(x)
+        keep = v > 1e-300
+        assert np.allclose(np.exp(getattr(dist, log_f)(x)[keep]), v[keep], rtol=1e-12, atol=0.0), f
+
+
+def test_normal_tails_match_scipy():
+    d = Normal(0.3, 2.0)
+    x = np.linspace(-80.0, 80.0, 321)
+    z = (x - 0.3) / 2.0
+    assert np.array_equal(d.cdf(x), ndtr(z))
+    assert np.array_equal(d.sf(x), ndtr(-z))
+    assert np.array_equal(d.logcdf(x), log_ndtr(z))
+    assert np.array_equal(d.logsf(x), log_ndtr(-z))
 
 
 # solver evaluations per point on 2,000 tail probabilities log-uniform on

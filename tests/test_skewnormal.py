@@ -229,17 +229,19 @@ def test_sn_oracle_routes_agree(lam, z):
 def test_tail_repair_work_count(monkeypatch):
     # deterministic perf guard.  From lam |z| >= 4 (lam > 0) the shape
     # rule alone serves a point: no Owen's T and no norm_logcdf (the
-    # t-space rule took up to 25 norm_logcdf points per point there)
-    from betasn import skewnormal
+    # t-space rule took up to 25 norm_logcdf points per point there).
+    # The t-space rule is balakrishnan's power-of-Phi tail rule, so
+    # norm_logcdf is counted in both modules
+    from betasn import balakrishnan, skewnormal
 
     counts = {"norm_logcdf": 0, "owen_t": 0}
-    for name in counts:
+    for module, name in ((skewnormal, "norm_logcdf"), (skewnormal, "owen_t"), (balakrishnan, "norm_logcdf")):
 
-        def counted(x, *rest, _inner=getattr(skewnormal, name), _name=name):
+        def counted(x, *rest, _inner=getattr(module, name), _name=name):
             counts[_name] += np.size(x)
             return _inner(x, *rest)
 
-        monkeypatch.setattr(skewnormal, name, counted)
+        monkeypatch.setattr(module, name, counted)
     z = np.linspace(-30.0, -4.0 / 3.0, 1000)
     assert np.all(3.0 * z <= -4.0)
     d = SkewNormal(0.0, 1.0, 3.0)
@@ -248,8 +250,8 @@ def test_tail_repair_work_count(monkeypatch):
     BetaSkewNormal(3.0, 0.5, 2.0).logpdf(z)
     assert counts == {"norm_logcdf": 0, "owen_t": 0}
     # near z = 0 at lam = 1e4 every point is repaired by the t-space rule:
-    # one 20-point Laguerre rule per point (eight 15-point panels took
-    # 122 norm_logcdf points each)
+    # one 20-point Laguerre rule per point, 22 norm_logcdf points in all
+    # (eight 15-point panels took 122 norm_logcdf points each)
     z = np.linspace(-1.9e-4, 0.0, 1000)
     SkewNormal(0.0, 1.0, 1e4).logcdf(z)
     assert counts["owen_t"] == z.size

@@ -60,3 +60,18 @@ def test_tail_routes_counts_every_point():
     # no lam > 0 point with lam |z| >= 4 reaches Owen's T or the t-space rule
     assert total["far_to_owen_t"] == total["far_to_t_space"] == 0
     assert total["shape_only"] > 0 and total["owen_t_only"] > 0
+
+
+def test_output_digest_prints_every_digest():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digest.py"), "--seed", "3"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out.keys() == {"seed", "check_all_sha256", "check_all_bytes", "bulk_digest", "grid_failed_rows"}
+    assert out["seed"] == 3
+    for key in ("check_all_sha256", "bulk_digest"):
+        assert len(out[key]) == 64 and int(out[key], 16) >= 0, key
+    assert out["check_all_bytes"] > 0
+    assert isinstance(out["grid_failed_rows"], int) and out["grid_failed_rows"] >= 0

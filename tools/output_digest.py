@@ -1,0 +1,64 @@
+"""Digests of the library's deterministic outputs, to show a change left them alone.
+
+    python3 tools/output_digest.py [--src DIR] [--seed 3]
+
+Prints one JSON object:
+
+``check_all_sha256``   sha256 of the stdout of
+                       ``python -m betasn.cli check all --seed S``,
+                       with its length in ``check_all_bytes``;
+``bulk_digest``        ``bench/workloads.py``'s digest of every bulk-panel
+                       output (pdf, logpdf, cdf, sf, quantile, sample)
+                       over ``bulk_inputs(S)``, after ``bulk_setup``;
+``grid_failed_rows``   how many rows of ``compare_grid()`` fail.
+
+Two trees print the same object only if these outputs match bit for
+bit.  ``--src`` picks the library tree (default: this checkout's
+``src``), so the digests of another commit's export can be taken the
+same way; ``bench/`` is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", default=str(ROOT / "src"))
+    p.add_argument("--seed", type=int, default=3)
+    args = p.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    sys.path[:0] = [src, str(ROOT / "bench")]
+    import betasn
+    import workloads
+
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    report = subprocess.run(
+        workloads.check_argv(args.seed), env=env, capture_output=True, check=True
+    ).stdout
+    inputs = workloads.bulk_inputs(args.seed)
+    workloads.bulk_setup(inputs)
+    outputs = [workloads.bulk_unit(item)[0] for item in inputs]
+    rows = betasn.compare_grid()
+    print(json.dumps({
+        "seed": args.seed,
+        "check_all_sha256": hashlib.sha256(report).hexdigest(),
+        "check_all_bytes": len(report),
+        "bulk_digest": workloads.bulk_digest(outputs),
+        "grid_failed_rows": sum(not row.passed for row in rows),
+    }, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

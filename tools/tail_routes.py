@@ -17,10 +17,12 @@ route that served them:
 
 ``far_to_owen_t`` and ``far_to_t_space`` count the points with lam > 0
 and lam |z| >= 4 that reached Owen's T or the t-space rule; the routing
-keeps both at 0.  Prints one JSON object with the counts per member and
-op, per op over all members, and in total.  ``--src`` picks the library
-tree to import (default: this checkout's ``src``).  A tree without the
-shape rule counts every repair as t-space.
+keeps both at 0.  The t-space points are the points ``_tail_logcdf``
+sees, less those it passes to the shape rule and those beyond range.
+Prints one JSON object with the counts per member and op, per op over
+all members, and in total.  ``--src`` picks the library tree to import
+(default: this checkout's ``src``).  A tree without the shape rule
+counts every repair within range as t-space.
 """
 
 from __future__ import annotations
@@ -49,48 +51,57 @@ def main(argv=None):
     import workloads
     from betasn import skewnormal
 
+    # beyond this |z|, z^2 overflows and the repair returns F = 0; read
+    # from the library under test, so the counts follow its routing
+    z_square_max = getattr(skewnormal, "_Z_SQUARE_MAX", np.sqrt(np.finfo(float).max))
     raw = dict.fromkeys(
-        ("left", "owen_t", "repaired", "shape", "shape_far", "t_space", "far_owen", "far_t"), 0
+        ("left", "owen_t", "repaired", "gone", "shape", "shape_far", "far_owen", "far_repaired"), 0
     )
 
     def far(z, lam):
-        return int(np.count_nonzero(lam * np.abs(z) >= SHAPE_ONLY)) if lam > 0.0 else 0
+        # the points beyond range are not counted as far
+        if lam <= 0.0:
+            return 0
+        return int(np.count_nonzero((lam * np.abs(z) >= SHAPE_ONLY) & (z >= -z_square_max)))
 
     def wrap(name, key, far_key=None):
         inner = getattr(skewnormal, name)
 
         def counted(z, lam, *rest):
-            raw[key] += np.size(z)
+            z = np.asarray(z)
+            raw[key] += z.size
             if far_key:
-                raw[far_key] += far(np.asarray(z), float(lam))
+                raw[far_key] += far(z, float(lam))
+            if key == "repaired":
+                raw["gone"] += int(np.count_nonzero(z < -z_square_max))
             return inner(z, lam, *rest)
 
         setattr(skewnormal, name, counted)
 
-    shape_rule = hasattr(skewnormal, "_shape_logcdf")
     wrap("_left", "left")
     wrap("owen_t", "owen_t", "far_owen")
-    wrap("_tail_logcdf", "repaired", None if shape_rule else "far_t")
-    if shape_rule:
+    wrap("_tail_logcdf", "repaired", "far_repaired")
+    if hasattr(skewnormal, "_shape_logcdf"):
         wrap("_shape_logcdf", "shape", "shape_far")
-        wrap("_t_space_logcdf", "t_space", "far_t")
 
     def routes_during(action):
         for key in raw:
             raw[key] = 0
         action()
-        # every point Owen's T does not resolve goes to _tail_logcdf, and
-        # only the shape rule takes points with lam |z| >= SHAPE_ONLY
-        t_space = raw["t_space"] if shape_rule else raw["repaired"]
+        # every point Owen's T does not resolve goes to _tail_logcdf, which
+        # passes it to the shape rule, finds it beyond range, or else takes
+        # it by the t-space rule; only the shape rule takes points with
+        # lam |z| >= SHAPE_ONLY
+        t_space = raw["repaired"] - raw["shape"] - raw["gone"]
         return {
             "points": raw["left"],
             "owen_t_only": raw["left"] - raw["repaired"],
             "owen_t_then_shape": raw["shape"] - raw["shape_far"],
             "owen_t_then_t_space": t_space,
             "shape_only": raw["shape_far"],
-            "beyond_range": raw["repaired"] - raw["shape"] - t_space,
+            "beyond_range": raw["gone"],
             "far_to_owen_t": raw["far_owen"],
-            "far_to_t_space": raw["far_t"],
+            "far_to_t_space": raw["far_repaired"] - raw["shape_far"],
         }
 
     members = {}
