@@ -1,5 +1,11 @@
 """Beta, generalized beta and Kumaraswamy laws, and the beta-generated composition.
 
+GB1 (McDonald 1984) holds Beta and Kumaraswamy as special cases, so
+_GB1Law writes the unit-interval laws once: its validation, support,
+endpoint exponents, logpdf, cdf and quantile read (a, b, p, q), onto
+which GB1, Beta and Kumaraswamy map their own fields.  Kumaraswamy
+keeps its closed-form cdf and quantile.
+
 The beta-generated construction (Jones 2004) composes a base cdf F with
 a Beta(a, b) variable: density F^(a-1) S^(b-1) f / B(a, b), S = 1 - F,
 and cdf I_F(a, b).  _BetaGenerated writes it once, in log space, as the
@@ -7,8 +13,8 @@ two hooks of core.LocationScale's surface (the standardized tail read
 and the one-sided quantile), over a base that supplies log f, log F,
 log S and a quantile from a log probability; BetaNormal, BetaHalfNormal
 and bsn.BetaSkewNormal only declare their parameters and base.  logpdf
-goes through one kernel that skips a zero exponent (Beta, GB1 and
-Kumaraswamy use it too); cdf, sf, logcdf and logsf each keep relative
+goes through one kernel that skips a zero exponent (the GB1 base uses
+it too); cdf, sf, logcdf and logsf each keep relative
 accuracy in their own tail far past where F, S or the value underflows;
 the quantile solves the latent in log space, so q reaches 1e-300 and
 below on either side.
@@ -16,7 +22,7 @@ below on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf, erfinv
@@ -58,48 +64,68 @@ def _log_beta_kernel(acc, a, b, tails):
     return acc
 
 
-@dataclass(frozen=True)
-class Beta(Distribution):
-    """Beta distribution on (0, 1) with shape parameters a, b."""
+class _GB1Law(Distribution):
+    """Generalized beta of the first kind (McDonald 1984), written once.
 
-    a: float
-    b: float
+    Density p x^(ap-1) (1 - (x/q)^p)^(b-1) / (q^(ap) B(a, b)) on (0, q)
+    and cdf I_u(a, b) with u = (x/q)^p.  Subclasses are frozen
+    dataclasses of positive fields that `_gb1` maps onto (a, b, p, q).
+    logpdf and cdf return a Python float for a scalar x and NaN for a
+    NaN x.
+    """
 
     def __post_init__(self):
-        _require("positive", a=self.a, b=self.b)
+        _require("positive", **{f.name: getattr(self, f.name) for f in fields(self)})
 
-    support = (0.0, 1.0)
-    location = 0.5
-    scale = 0.25
+    @property
+    def support(self):
+        return (0.0, self._gb1[3])
+
+    @property
+    def location(self):
+        return 0.5 * self._gb1[3]
+
+    @property
+    def scale(self):
+        return 0.25 * self._gb1[3]
 
     def _endpoint_singular(self):
-        return (self.a - 1.0, self.b - 1.0)
+        a, b, p, _ = self._gb1
+        return (a * p - 1.0, b - 1.0)
 
     def logpdf(self, x):
+        a, b, p, q = self._gb1
         x = np.asarray(x, dtype=float)
-        inside = (x > 0.0) & (x < 1.0)
-        xs = np.where(inside, x, 0.5)
+        inside = (x > 0.0) & (x < q)
+        xs = np.where(inside, x, 0.5 * q)
+        u = (xs / q) ** p
+        ap = a * p
         with np.errstate(divide="ignore", invalid="ignore"):
-            body = _log_beta_kernel(
-                0.0, self.a, self.b, lambda: (np.log(xs), np.log1p(-xs))
-            ) - log_beta(self.a, self.b)
-        return np.where(inside, body, -np.inf)
+            body = (
+                _log_beta_kernel(np.log(p), ap, b, lambda: (np.log(xs), np.log1p(-u)))
+                - ap * np.log(q)
+                - log_beta(a, b)
+            )
+        out = np.where(inside, body, np.where(np.isnan(x), np.nan, -np.inf))
+        return out if x.ndim else float(out)
 
     def cdf(self, x):
+        a, b, p, q = self._gb1
         x = np.asarray(x, dtype=float)
-        return reg_inc_beta(np.clip(x, 0.0, 1.0), self.a, self.b)
+        out = reg_inc_beta(np.clip(x / q, 0.0, 1.0) ** p, a, b)
+        return out if x.ndim else float(out)
 
     def quantile(self, q):
+        a, b, p, hi = self._gb1
         q = _quantile_domain(q)
-        out = inv_reg_inc_beta(q, self.a, self.b)
+        out = hi * inv_reg_inc_beta(q, a, b) ** (1.0 / p)
         return out if q.ndim else float(out)
 
 
 @dataclass(frozen=True)
-class GB1(Distribution):
-    """Generalized beta of the first kind.
+class GB1(_GB1Law):
+    """Generalized beta of the first kind: GB1(a, b, p, q) on (0, q).
 
-    Density p x^(ap-1) (1 - (x/q)^p)^(b-1) / (q^(ap) B(a, b)) on (0, q).
     GB1(a, b, 1, 1) is Beta(a, b); GB1(1, b, p, 1) is Kumaraswamy(p, b).
     """
 
@@ -108,83 +134,44 @@ class GB1(Distribution):
     p: float
     q: float
 
-    def __post_init__(self):
-        _require("positive", a=self.a, b=self.b, p=self.p, q=self.q)
-
     @property
-    def support(self):
-        return (0.0, self.q)
-
-    @property
-    def location(self):
-        return 0.5 * self.q
-
-    @property
-    def scale(self):
-        return 0.25 * self.q
-
-    def _endpoint_singular(self):
-        return (self.a * self.p - 1.0, self.b - 1.0)
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > 0.0) & (x < self.q)
-        xs = np.where(inside, x, 0.5 * self.q)
-        u = (xs / self.q) ** self.p
-        ap = self.a * self.p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                _log_beta_kernel(np.log(self.p), ap, self.b, lambda: (np.log(xs), np.log1p(-u)))
-                - ap * np.log(self.q)
-                - log_beta(self.a, self.b)
-            )
-        return np.where(inside, body, -np.inf)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        u = np.clip(x / self.q, 0.0, 1.0) ** self.p
-        return reg_inc_beta(u, self.a, self.b)
-
-    def quantile(self, q):
-        q = _quantile_domain(q)
-        out = self.q * inv_reg_inc_beta(q, self.a, self.b) ** (1.0 / self.p)
-        return out if q.ndim else float(out)
+    def _gb1(self):
+        return (self.a, self.b, self.p, self.q)
 
 
 @dataclass(frozen=True)
-class Kumaraswamy(Distribution):
-    """Kumaraswamy distribution: cdf 1 - (1 - x^p)^b on (0, 1)."""
+class Beta(_GB1Law):
+    """Beta distribution on (0, 1) with shape parameters a, b: GB1(a, b, 1, 1)."""
+
+    a: float
+    b: float
+
+    @property
+    def _gb1(self):
+        return (self.a, self.b, 1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Kumaraswamy(_GB1Law):
+    """Kumaraswamy distribution: cdf 1 - (1 - x^p)^b on (0, 1), GB1(1, b, p, 1).
+
+    cdf and quantile are its closed forms; the density is GB1's.
+    """
 
     p: float
     b: float
 
-    def __post_init__(self):
-        _require("positive", p=self.p, b=self.b)
-
-    support = (0.0, 1.0)
-    location = 0.5
-    scale = 0.25
-
-    def _endpoint_singular(self):
-        return (self.p - 1.0, self.b - 1.0)
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > 0.0) & (x < 1.0)
-        xs = np.where(inside, x, 0.5)
-        log_c = np.log(self.p) + np.log(self.b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = _log_beta_kernel(
-                log_c, self.p, self.b, lambda: (np.log(xs), np.log1p(-(xs**self.p)))
-            )
-        return np.where(inside, body, -np.inf)
+    @property
+    def _gb1(self):
+        return (1.0, self.b, self.p, 1.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         xs = np.clip(x, 0.0, 1.0)
         # log1p(-1) = -inf at the right endpoint; expm1 maps it back to 1
         with np.errstate(divide="ignore"):
-            return -np.expm1(self.b * np.log1p(-(xs**self.p)))
+            out = -np.expm1(self.b * np.log1p(-(xs**self.p)))
+        return out if x.ndim else float(out)
 
     def quantile(self, q):
         # x = exp(log(x^p) / p) with x^p = 1 - (1-q)^(1/b); its log comes
@@ -292,7 +279,7 @@ class BetaHalfNormal(_BetaGenerated):
     scale = 1.0
 
     def _endpoint_singular(self):
-        return (self.a - 1.0, False)
+        return (self.a - 1.0, 0.0)
 
     def _log_base(self, x, log_c):
         return np.where(x <= 0.0, -np.inf, log_c + _LOG2 + norm_logpdf(x))

@@ -6,6 +6,11 @@ pdf and cdf on an even grid), ``sample`` (reproducible draws),
 reference moment grid and report deviations), ``check`` (run a named
 verification suite).
 
+Each family is declared once, as a name mapped to its class: the
+class's dataclass fields are the family's parameter flags (a field
+without a default is required, ``spec`` comes from ``--config``), and
+the help epilog is generated from the same map.
+
 Exit codes are fixed: 0 success, 1 check failure, 2 usage or parameter
 error, 3 numerical failure.  Data goes to stdout, diagnostics to
 stderr.  CSV output uses a header row, comma separators, 12 significant
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -26,112 +32,63 @@ from .betafamily import GB1, Beta, BetaHalfNormal, BetaNormal, Kumaraswamy
 from .bsn import BetaSkewNormal, sample_rejection
 from .checks import SUITES, report_json, run_suite
 from .quadrature import IntegrationError, QuadratureSpec
-from .reference import compare_grid
+from .reference import FIELDS, compare_grid
 from .skewnormal import Normal, SkewNormal
 
-# one row per parameter flag: argparse dest, flag spelling, value parser
-_PARAM_SPECS = (
-    ("lam", "--lambda", float),
-    ("lambda1", "--lambda1", float),
-    ("lambda2", "--lambda2", float),
-    ("a", "--a", float),
-    ("b", "--b", float),
-    ("p", "--p", float),
-    ("q", "--q", float),
-    ("n", "--n", int),
-    ("m", "--m", int),
-    ("mu", "--mu", float),
-    ("sigma", "--sigma", float),
-)
-_FLAG_OF = {dest: flag for dest, flag, _ in _PARAM_SPECS}
-
-# family name -> (required params, optional params, constructor); the
-# constructor receives the given parameters and the quadrature spec
-# (used only by the families that integrate for their cdf)
+# family name -> class; its dataclass fields are its parameter flags: a
+# field without a default is a required flag, and `spec` is the --config
+# quadrature spec, not a flag
 _FAMILIES = {
-    "normal": (
-        (),
-        ("mu", "sigma"),
-        lambda g, spec: Normal(g.get("mu", 0.0), g.get("sigma", 1.0)),
-    ),
-    "sn": (
-        (),
-        ("lam", "mu", "sigma"),
-        # for sn the location/scale flags set xi and psi
-        lambda g, spec: SkewNormal(
-            g.get("mu", 0.0), g.get("sigma", 1.0), g.get("lam", 0.0)
-        ),
-    ),
-    "snb": (
-        ("lam", "n"),
-        ("mu", "sigma"),
-        lambda g, spec: SNB(
-            g["lam"], g["n"], g.get("mu", 0.0), g.get("sigma", 1.0), spec=spec
-        ),
-    ),
-    "gbsn": (
-        ("lam", "n", "m"),
-        (),
-        lambda g, spec: GBSN(g["lam"], g["n"], g["m"], spec=spec),
-    ),
-    "tbsn": (
-        ("lambda1", "lambda2", "n", "m"),
-        ("mu", "sigma"),
-        lambda g, spec: TBSN(
-            g["lambda1"],
-            g["lambda2"],
-            g["n"],
-            g["m"],
-            g.get("mu", 0.0),
-            g.get("sigma", 1.0),
-            spec=spec,
-        ),
-    ),
-    "beta": (("a", "b"), (), lambda g, spec: Beta(g["a"], g["b"])),
-    "gb1": (
-        ("a", "b", "p", "q"),
-        (),
-        lambda g, spec: GB1(g["a"], g["b"], g["p"], g["q"]),
-    ),
-    "kumaraswamy": (
-        ("p", "b"),
-        (),
-        lambda g, spec: Kumaraswamy(g["p"], g["b"]),
-    ),
-    "bn": (
-        ("a", "b"),
-        ("mu", "sigma"),
-        lambda g, spec: BetaNormal(g["a"], g["b"], g.get("mu", 0.0), g.get("sigma", 1.0)),
-    ),
-    "bhn": (("a", "b"), (), lambda g, spec: BetaHalfNormal(g["a"], g["b"])),
-    "bsn": (
-        ("lam", "a", "b"),
-        ("mu", "sigma"),
-        lambda g, spec: BetaSkewNormal(
-            g["lam"], g["a"], g["b"], g.get("mu", 0.0), g.get("sigma", 1.0)
-        ),
-    ),
+    "normal": Normal,
+    "sn": SkewNormal,
+    "snb": SNB,
+    "gbsn": GBSN,
+    "tbsn": TBSN,
+    "beta": Beta,
+    "gb1": GB1,
+    "kumaraswamy": Kumaraswamy,
+    "bn": BetaNormal,
+    "bhn": BetaHalfNormal,
+    "bsn": BetaSkewNormal,
 }
+# the flags spelled other than "--" + field name; sn's location xi and
+# scale psi take the --mu and --sigma of the other families
+_RENAMED = {"lam": "--lambda", "lam1": "--lambda1", "lam2": "--lambda2", "xi": "--mu", "psi": "--sigma"}
 
-_FAMILY_HELP = """\
-families and their parameter flags (brackets mark optional flags):
-  normal       [--mu --sigma]
-  sn           [--lambda --mu --sigma]    (--mu/--sigma set location xi, scale psi)
-  snb          --lambda --n [--mu --sigma]
-  gbsn         --lambda --n --m
-  tbsn         --lambda1 --lambda2 --n --m [--mu --sigma]
-  beta         --a --b
-  gb1          --a --b --p --q
-  kumaraswamy  --p --b
-  bn           --a --b [--mu --sigma]
-  bhn          --a --b
-  bsn          --lambda --a --b [--mu --sigma]
-"""
+
+def _params(cls):
+    """(field name, flag, value parser, required) of each parameter of a family."""
+    return [
+        (f.name, _RENAMED.get(f.name, "--" + f.name), int if f.type == "int" else float, f.default is MISSING)
+        for f in fields(cls)
+        if f.name != "spec"
+    ]
+
+
+# every parameter flag, in order of first use, with its value parser
+_FLAGS = {flag: kind for cls in _FAMILIES.values() for _, flag, kind, _ in _params(cls)}
+
+
+def _family_help():
+    lines = ["families and their parameter flags (brackets mark optional flags):"]
+    for family, cls in _FAMILIES.items():
+        params = _params(cls)
+        required = [flag for _, flag, _, req in params if req]
+        optional = [flag for _, flag, _, req in params if not req]
+        if optional:
+            required.append("[" + " ".join(optional) + "]")
+        lines.append(f"  {family:<12} {' '.join(required)}".rstrip())
+    lines.append("sn's --mu and --sigma set its location xi and scale psi.")
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(value):
     """Format one number with 12 significant digits."""
     return f"{float(value):.12g}"
+
+
+def _floats(record):
+    return {k: float(v) for k, v in record.items()}
 
 
 def _load_spec(path):
@@ -157,20 +114,22 @@ def _load_spec(path):
 
 def _make_dist(args, spec):
     """Validate the parameter flags for the chosen family and build it."""
-    required, optional, build = _FAMILIES[args.family]
-    given = {}
-    for dest, _, _ in _PARAM_SPECS:
-        value = getattr(args, dest)
+    cls = _FAMILIES[args.family]
+    params = _params(cls)
+    kwargs = {}
+    for name, flag, _, required in params:
+        value = getattr(args, flag[2:])
         if value is not None:
-            given[dest] = value
-    for name in required:
-        if name not in given:
-            raise ValueError(f"family {args.family} requires {_FLAG_OF[name]}")
-    allowed = set(required) | set(optional)
-    for name in given:
-        if name not in allowed:
-            raise ValueError(f"family {args.family} does not take {_FLAG_OF[name]}")
-    return build(given, spec)
+            kwargs[name] = value
+        elif required:
+            raise ValueError(f"family {args.family} requires {flag}")
+    taken = {flag for _, flag, _, _ in params}
+    for flag in _FLAGS:
+        if flag not in taken and getattr(args, flag[2:]) is not None:
+            raise ValueError(f"family {args.family} does not take {flag}")
+    if any(f.name == "spec" for f in fields(cls)):
+        kwargs["spec"] = spec
+    return cls(**kwargs)
 
 
 def _cmd_eval(args):
@@ -214,14 +173,12 @@ def _cmd_sample(args):
     if args.method == "rejection":
         if args.family != "bsn":
             raise ValueError("rejection sampling is only available for family bsn")
-        if args.b != 1.0 or args.a < 1.0 or not float(args.a).is_integer():
+        if dist.b != 1.0 or dist.a < 1.0 or not float(dist.a).is_integer():
             raise ValueError(
                 "rejection sampling requires integer --a >= 1 and --b equal to 1"
             )
-        batch = sample_rejection(args.lam, int(args.a), args.count, args.seed)
-        mu = args.mu if args.mu is not None else 0.0
-        sigma = args.sigma if args.sigma is not None else 1.0
-        values = mu + sigma * batch.values
+        batch = sample_rejection(dist.lam, int(dist.a), args.count, args.seed)
+        values = dist.mu + dist.sigma * batch.values
     else:
         values = dist.sample(args.count, args.seed)
     if args.format == "csv":
@@ -238,17 +195,7 @@ def _cmd_moments(args):
     spec = _load_spec(args.config)
     dist = _make_dist(args, spec)
     summary = dist.moments(spec)
-    print(
-        json.dumps(
-            {
-                "mean": float(summary.mean),
-                "sd": float(summary.sd),
-                "skewness": float(summary.skewness),
-                "kurtosis": float(summary.kurtosis),
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(_floats(asdict(summary)), indent=2))
     return 0
 
 
@@ -263,21 +210,11 @@ def _cmd_moment_grid(args):
             "a": cmp.row.a,
             "b": cmp.row.b,
             "lam": cmp.row.lam,
-            "computed": {
-                "mean": float(cmp.computed.mean),
-                "sd": float(cmp.computed.sd),
-                "skewness": float(cmp.computed.skewness),
-                "kurtosis": float(cmp.computed.kurtosis),
-            },
-            "reference": {
-                "mean": cmp.row.mean,
-                "sd": cmp.row.sd,
-                "skewness": cmp.row.skewness,
-                "kurtosis": cmp.row.kurtosis,
-            },
-            "deviations": {k: float(v) for k, v in cmp.deviations.items()},
+            "computed": _floats(asdict(cmp.computed)),
+            "reference": {f: getattr(cmp.row, f) for f in FIELDS},
+            "deviations": _floats(cmp.deviations),
             "asserted": cmp.asserted,
-            "asserted_deviations": {k: float(v) for k, v in cmp.asserted_deviations.items()},
+            "asserted_deviations": _floats(cmp.asserted_deviations),
             "tolerance": cmp.tolerance,
             "excluded": list(cmp.excluded),
             "pass": cmp.passed,
@@ -294,14 +231,6 @@ def _cmd_check(args):
     return 0 if report["passed"] else 1
 
 
-def _add_family_flags(sub):
-    sub.add_argument(
-        "--family", required=True, choices=sorted(_FAMILIES), help="distribution family"
-    )
-    for dest, flag, kind in _PARAM_SPECS:
-        sub.add_argument(flag, dest=dest, type=kind, default=None, metavar="X")
-
-
 def _add_config_flag(sub):
     sub.add_argument(
         "--config",
@@ -310,6 +239,23 @@ def _add_config_flag(sub):
         help="key=value file overriding quadrature defaults "
         "(abs_tol, rel_tol, truncation, max_subdivisions)",
     )
+
+
+def _add_family_command(subs, name, help, func):
+    """A subcommand that builds one family from --family and its parameter flags."""
+    p = subs.add_parser(
+        name,
+        help=help,
+        epilog=_family_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
+    p.add_argument("--family", required=True, choices=sorted(_FAMILIES), help="distribution family")
+    for flag, kind in _FLAGS.items():
+        p.add_argument(flag, type=kind, default=None, metavar="X")
+    _add_config_flag(p)
+    p.set_defaults(func=func)
+    return p
 
 
 def _build_parser():
@@ -321,43 +267,17 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser(
-        "eval",
-        help="evaluate pdf, cdf, or quantile at a point",
-        epilog=_FAMILY_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        allow_abbrev=False,
-    )
-    _add_family_flags(p)
-    _add_config_flag(p)
+    p = _add_family_command(subs, "eval", "evaluate pdf, cdf, or quantile at a point", _cmd_eval)
     p.add_argument("--what", required=True, choices=("pdf", "cdf", "quantile"))
     p.add_argument("--at", required=True, type=float, metavar="X")
-    p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser(
-        "grid",
-        help="tabulate pdf and cdf on an even grid",
-        epilog=_FAMILY_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        allow_abbrev=False,
-    )
-    _add_family_flags(p)
-    _add_config_flag(p)
+    p = _add_family_command(subs, "grid", "tabulate pdf and cdf on an even grid", _cmd_grid)
     p.add_argument("--from", dest="x_from", required=True, type=float, metavar="X")
     p.add_argument("--to", dest="x_to", required=True, type=float, metavar="X")
     p.add_argument("--points", required=True, type=int, metavar="K")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_grid)
 
-    p = subs.add_parser(
-        "sample",
-        help="draw reproducible samples",
-        epilog=_FAMILY_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        allow_abbrev=False,
-    )
-    _add_family_flags(p)
-    _add_config_flag(p)
+    p = _add_family_command(subs, "sample", "draw reproducible samples", _cmd_sample)
     p.add_argument("--count", required=True, type=int, metavar="K", help="number of draws")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.add_argument(
@@ -367,18 +287,8 @@ def _build_parser():
         help="rejection needs family bsn with integer --a >= 1 and --b 1",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_sample)
 
-    p = subs.add_parser(
-        "moments",
-        help="mean, sd, skewness, kurtosis as JSON",
-        epilog=_FAMILY_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        allow_abbrev=False,
-    )
-    _add_family_flags(p)
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_moments)
+    _add_family_command(subs, "moments", "mean, sd, skewness, kurtosis as JSON", _cmd_moments)
 
     p = subs.add_parser(
         "moment-grid",

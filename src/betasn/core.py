@@ -88,10 +88,10 @@ class Distribution:
         return self.quantile(u)
 
     # beta-type endpoint behavior (left, right): the exponent alpha of the
-    # density's z^alpha blow-up at the endpoint, or False when regular;
-    # the moment engine turns these into the matching substitutions
+    # density's z^alpha blow-up at the endpoint, 0 when regular; the
+    # moment engine turns these into the matching substitutions
     def _endpoint_singular(self):
-        return (False, False)
+        return (0.0, 0.0)
 
     def moments(self, spec=None):
         return moment_summary(self, spec)
@@ -186,7 +186,8 @@ def _quantile_domain(q):
 
     Every family's quantile shares this domain and returns a Python float
     for a scalar q: LocationScale.quantile applies both once for the
-    line families, and the unit-interval families call this directly.
+    line families, and betafamily's GB1 base once for the unit-interval
+    ones, with Kumaraswamy's closed-form quantile its one override.
     """
     q = np.asarray(q, dtype=float)
     if np.any(~np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):
@@ -224,7 +225,7 @@ def _raw_moments(dist, spec, orders):
         return np.stack([x**k * pdf * width for k in orders])
 
     if not np.isfinite(hi):
-        sing_r = False
+        sing_r = 0.0
     moments = integrate_unit(integrand, spec, singular_left=sing_l, singular_right=sing_r)
     return [float(m) for m in moments]
 

@@ -285,13 +285,11 @@ def integrate_line(f, spec=None):
     return _adaptive(f, -t, t, spec)
 
 
-def _power_for(flag):
-    # substitution power for one endpoint: z = u^k turns z^alpha into
-    # k u^(k(1+alpha)-1), and k = ceil(2/(1+alpha)) makes that at least
-    # linear at the endpoint; bare True keeps the classic square
-    if isinstance(flag, (bool, np.bool_)):
-        return 2.0 if flag else 0.0
-    alpha = float(flag)
+def _power_for(alpha):
+    # substitution power for an endpoint exponent alpha: z = u^k turns
+    # z^alpha into k u^(k(1+alpha)-1), and k = ceil(2/(1+alpha)) makes that
+    # at least linear at the endpoint; alpha >= 0 needs none
+    alpha = float(alpha)
     if alpha <= -1.0:
         raise ValueError("endpoint exponent must be > -1 to be integrable")
     if alpha >= 0.0:
@@ -299,52 +297,28 @@ def _power_for(flag):
     return float(np.ceil(2.0 / (1.0 + alpha)))
 
 
-def integrate_unit(
-    f,
-    spec=None,
-    lower=0.0,
-    upper=1.0,
-    singular_left=False,
-    singular_right=False,
-):
-    """Integrate over [lower, upper] inside the unit interval.
+def integrate_unit(f, spec=None, singular_left=0.0, singular_right=0.0):
+    """Integrate over the unit interval.
 
-    ``singular_left`` / ``singular_right`` mark beta-type endpoint
-    singularities.  Pass True for the generic z = u^2 (resp. z = 1 - u^2)
-    change of variables, or the exponent alpha of the z^alpha blow-up to
-    get a substitution power matched to it.  The flags only take effect
-    when the corresponding endpoint is actually part of the range.
-    A vector-valued f returns an array of its m integrals, as in
-    ``integrate_line``.
+    ``singular_left`` / ``singular_right`` are the exponents alpha of a
+    beta-type z^alpha (resp. (1 - z)^alpha) blow-up at 0 (resp. 1); a
+    negative one gets a power substitution matched to it, and 0, the
+    default, or above marks a regular endpoint.  A vector-valued f
+    returns an array of its m integrals, as in ``integrate_line``.
     """
     spec = DEFAULT_SPEC if spec is None else spec
-    if not (0.0 <= lower < upper <= 1.0):
-        raise ValueError("need 0 <= lower < upper <= 1")
-
     pieces = []
-    lo, hi = lower, upper
+    lo, hi = 0.0, 1.0
     k_left = _power_for(singular_left)
     k_right = _power_for(singular_right)
-    if k_left > 0.0 and lo == 0.0:
-        cut = min(0.5, hi)
+    if k_left > 0.0:
+        pieces.append((lambda u, k=k_left: f(u**k) * k * u ** (k - 1.0), 0.0, 0.5 ** (1.0 / k_left)))
+        lo = 0.5
+    if k_right > 0.0:
         pieces.append(
-            (
-                lambda u, k=k_left: f(u**k) * k * u ** (k - 1.0),
-                0.0,
-                cut ** (1.0 / k_left),
-            )
+            (lambda u, k=k_right: f(1.0 - u**k) * k * u ** (k - 1.0), 0.0, 0.5 ** (1.0 / k_right))
         )
-        lo = cut
-    if k_right > 0.0 and hi == 1.0 and lo < 1.0:
-        cut = max(0.5, lo)
-        pieces.append(
-            (
-                lambda u, k=k_right: f(1.0 - u**k) * k * u ** (k - 1.0),
-                0.0,
-                (1.0 - cut) ** (1.0 / k_right),
-            )
-        )
-        hi = cut
+        hi = 0.5
     if lo < hi:
         pieces.append((f, lo, hi))
 

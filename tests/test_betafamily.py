@@ -147,3 +147,54 @@ def test_parameter_validation():
                 lambda: BetaNormal(1.0, 1.0, 0.0, 0.0), lambda: BetaHalfNormal(np.nan, 1.0)):
         with pytest.raises(ValueError):
             bad()
+
+
+UNIT_FAMILIES = [Beta(2.0, 3.0), GB1(2.0, 3.0, 1.5, 4.0), Kumaraswamy(2.0, 3.0)]
+
+
+@pytest.mark.parametrize("dist", UNIT_FAMILIES, ids=repr)
+def test_unit_interval_contract(dist):
+    # a scalar in gives a float out, as on the line families; NaN in gives NaN out
+    for name in ("logpdf", "cdf", "quantile"):
+        assert type(getattr(dist, name)(0.3)) is float, name
+    assert isinstance(dist.pdf(0.3), float) and np.ndim(dist.pdf(0.3)) == 0
+    x = np.array([[np.nan, 0.3], [-1.0, 0.7]])
+    for name in ("pdf", "logpdf", "cdf"):
+        method = getattr(dist, name)
+        assert np.isnan(method(np.nan)), name
+        got = method(x)
+        assert got.shape == x.shape and np.isnan(got[0, 0]), name
+        assert np.all(np.isfinite(got[0, 1])) and not np.isnan(got[1]).any(), name
+
+
+def _lbeta(a, b):
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+# Oracles written out here, not read from the library: Beta and
+# Kumaraswamy share GB1's density code, and GB1's cdf is reg_inc_beta
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 1.5), (7.0, 0.8)])
+def test_beta_logpdf_against_lgamma(a, b):
+    want = [(a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _lbeta(a, b) for x in UNIT]
+    assert np.max(np.abs(Beta(a, b).logpdf(UNIT) - want)) < 1e-13
+
+
+@pytest.mark.parametrize("p, b", [(2.0, 3.0), (0.5, 2.0), (3.5, 0.7)])
+def test_kumaraswamy_against_closed_forms(p, b):
+    # density p b x^(p-1) (1 - x^p)^(b-1), quantile (1 - (1 - q)^(1/b))^(1/p)
+    want = [
+        math.log(p * b) + (p - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-(x**p)) for x in UNIT
+    ]
+    k = Kumaraswamy(p, b)
+    assert np.max(np.abs(k.logpdf(UNIT) - want)) < 1e-13
+    q = np.linspace(0.01, 0.99, 99)
+    want = np.array([(-math.expm1(math.log1p(-t) / b)) ** (1.0 / p) for t in q])
+    assert np.max(np.abs(k.quantile(q) / want - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("b, p, q", [(3.0, 2.0, 1.0), (0.7, 0.5, 4.0), (2.5, 1.5, 0.3)])
+def test_gb1_cdf_at_a_one_against_closed_form(b, p, q):
+    # I_u(1, b) = 1 - (1 - u)^b with u = (x/q)^p
+    x = q * UNIT
+    want = np.array([-math.expm1(b * math.log1p(-((v / q) ** p))) for v in x])
+    assert np.max(np.abs(GB1(1.0, b, p, q).cdf(x) / want - 1.0)) < 1e-13

@@ -60,6 +60,58 @@ def test_eval_extra_flag_rejected():
     assert "does not take --lambda" in err
 
 
+# every family's parameter flags, written out: (required, optional)
+FAMILY_FLAGS = {
+    "normal": ((), ("--mu", "--sigma")),
+    "sn": ((), ("--lambda", "--mu", "--sigma")),
+    "snb": (("--lambda", "--n"), ("--mu", "--sigma")),
+    "gbsn": (("--lambda", "--n", "--m"), ()),
+    "tbsn": (("--lambda1", "--lambda2", "--n", "--m"), ("--mu", "--sigma")),
+    "beta": (("--a", "--b"), ()),
+    "gb1": (("--a", "--b", "--p", "--q"), ()),
+    "kumaraswamy": (("--p", "--b"), ()),
+    "bn": (("--a", "--b"), ("--mu", "--sigma")),
+    "bhn": (("--a", "--b"), ()),
+    "bsn": (("--lambda", "--a", "--b"), ("--mu", "--sigma")),
+}
+FLAG_VALUES = {
+    "--lambda": "1.5", "--lambda1": "2", "--lambda2": "-0.5", "--a": "2", "--b": "3",
+    "--p": "1.5", "--q": "1", "--n": "2", "--m": "1", "--mu": "0.1", "--sigma": "1.2",
+}
+EVAL_AT = ["--what", "pdf", "--at", "0.3"]
+
+
+def _flag_args(flags):
+    return [token for flag in flags for token in (flag, FLAG_VALUES[flag])]
+
+
+@pytest.mark.parametrize("family", FAMILY_FLAGS)
+def test_family_flags(family):
+    required, optional = FAMILY_FLAGS[family]
+    base = ["eval", "--family", family] + EVAL_AT
+    code, out, err = run_cli(base + _flag_args(required + optional))
+    assert (code, err) == (0, "") and float(out) > 0.0
+    for flag in required:
+        rest = [f for f in required if f != flag]
+        code, out, err = run_cli(base + _flag_args(rest))
+        assert (code, out, err) == (2, "", f"error: family {family} requires {flag}\n")
+    for flag in set(FLAG_VALUES) - set(required + optional):
+        code, out, err = run_cli(base + _flag_args(required + (flag,)))
+        assert (code, out, err) == (2, "", f"error: family {family} does not take {flag}\n")
+
+
+def test_help_names_every_family_and_flag():
+    for command in ("eval", "grid", "sample", "moments"):
+        code, out, _ = run_cli([command, "--help"])
+        assert code == 0
+        listed = {}
+        for line in out.splitlines():
+            tokens = line.replace("[", " ").replace("]", " ").split()
+            if line.startswith("  ") and tokens and tokens[0] in FAMILY_FLAGS:
+                listed[tokens[0]] = sorted(tokens[1:])
+        assert listed == {f: sorted(r + o) for f, (r, o) in FAMILY_FLAGS.items()}
+
+
 def test_eval_unknown_family():
     code, _, _ = run_cli(["eval", "--family", "cauchy", "--what", "pdf", "--at", "0"])
     assert code == 2
