@@ -21,7 +21,7 @@ import numpy as np
 from .betafamily import BetaHalfNormal, _BetaGenerated, _log_beta_kernel
 from .core import _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
-from .skewnormal import SkewNormal, _side_quantile, _tails
+from .skewnormal import SkewNormal, _log_density_slope, _side_quantile, _tails
 from .special import log_beta, norm_logcdf, norm_logpdf, norm_quantile
 
 __all__ = [
@@ -101,8 +101,14 @@ class BetaSkewNormal(_BetaGenerated):
     def _log_base(self, z, log_c):
         return _LOG2 + log_c + norm_logpdf(z) + norm_logcdf(self.lam * z)
 
+    def _log_base_slope(self, z):
+        return _log_density_slope(z, self.lam)
+
+    def _mirror(self):
+        return BetaSkewNormal(-self.lam, self.b, self.a)
+
     def _log_tails(self, z):
-        return _tails(z, self.lam)[2:]
+        return _tails(z, self.lam, True)
 
     def _base_quantile(self, log_p, upper):
         return _side_quantile(log_p, self.lam, upper)
@@ -125,7 +131,7 @@ class BetaSkewNormal(_BetaGenerated):
             # one component per t, all on the same nodes
             w = y + shift
             acc = norm_logpdf(y) + norm_logcdf(lam * w)
-            return np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(w, lam)[2:]))
+            return np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(w, lam, True)))
 
         total = integrate_line(integrand, spec)
         out = np.exp(self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total))
@@ -312,5 +318,5 @@ def skewing_weight(u, lam, a, b):
         raise ValueError("skewing_weight requires 0 < u < 1")
     x = norm_quantile(u)
     acc = _LOG2 - log_beta(a, b) + norm_logcdf(lam * x)
-    out = np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(x, float(lam))[2:]))
+    out = np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(x, float(lam), True)))
     return out if u.ndim else float(out)

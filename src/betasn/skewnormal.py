@@ -23,20 +23,21 @@ matters here.
 
 Every value comes from the left side z <= 0, where the helper _left
 returns F and log F together; the right side is mirrored through
-SN(-lam).  _tails turns that one evaluation per point into
-(F, S, log F, log S): one of them is SkewNormal's standardized tail read,
-behind the cdf, sf, logcdf and logsf of core.LocationScale, and log F
-and log S serve the beta skew-normal.  Normal reads ndtr and log_ndtr
-on the same surface.
+SN(-lam).  _tails turns that one evaluation per point into (F, S) or
+(log F, log S), forming only the pair asked for: one of them is
+SkewNormal's standardized tail read, behind the cdf, sf, logcdf and
+logsf of core.LocationScale, and the log pair serves the beta
+skew-normal.  Normal reads ndtr and log_ndtr on the same surface.
 
-The one-sided quantile _side_quantile, SkewNormal's and the beta
-skew-normal base's, solves log F(z) = log p by bracketed Halley steps,
-and on the upper side reflects through SN(-lam), so both tails keep the
-cdf's relative accuracy; it takes log p, so the beta skew-normal can
-pass a latent far below the smallest double.  Start and bracket come
-from a cubic-Hermite table of z against v = -sqrt(-2 log F), built once
-per shape and cached, within a few 1e-9 of the root, and beyond its
-first node from the tail asymptote.  A solve ends on the step whose
+The one-sided quantile _side_quantile, SkewNormal's, solves
+log F(z) = log p by bracketed Halley steps, and on the upper side
+reflects through SN(-lam), so both tails keep the cdf's relative
+accuracy.  It takes log p, so the beta skew-normal's composed route,
+which builds its start tables, can pass a latent far below the smallest
+double.  Start and bracket come from a cubic-Hermite table of z against
+v = -sqrt(-2 log F) (special._hermite_table), built once per shape and
+cached, within a few 1e-9 of the root, and beyond its first node from
+the tail asymptote.  A solve ends on the step whose
 successor, predicted from g'', is below 4 ulp, so nearly every point
 ends on its first evaluation.  Where Owen's T cancels to 1e-4 of
 Phi(z), F carries up to 3e-11 relative noise, and a root there stops
@@ -56,6 +57,8 @@ from .core import LocationScale, _by_side, _quantile_domain, _require
 from .quadrature import _LAGUERRE_NODES, _LAGUERRE_WEIGHTS
 from .special import (
     _bracketed_newton,
+    _hermite_start,
+    _hermite_table,
     _norm_quantile_log,
     norm_cdf,
     norm_logcdf,
@@ -100,6 +103,12 @@ class Normal(LocationScale):
 def _log_density(z, log_phi_lz):
     """log of 2 phi(z) Phi(lam z), given log Phi(lam z)."""
     return _LOG2 + norm_logpdf(z) + log_phi_lz
+
+
+def _log_density_slope(z, lam):
+    """(log f, d log f / dz) of SN(0, 1, lam) at z: the slope is -z + lam H(lam z), H the normal hazard."""
+    log_phi_lz = norm_logcdf(lam * z)
+    return _log_density(z, log_phi_lz), -z + lam * np.exp(norm_logpdf(lam * z) - log_phi_lz)
 
 
 def _log_density_limit(z, log_dens):
@@ -238,12 +247,12 @@ def _left(z, lam):
     return _owen_left(z, lam)
 
 
-def _tails(z, lam):
-    """(F, S, log F, log S) of SN(0, 1, lam) at z, as arrays shaped like z.
+def _tails(z, lam, log):
+    """(F, S), or (log F, log S) if log, of SN(0, 1, lam) at z, shaped like z.
 
-    One left-tail evaluation per point serves all four: at z <= 0 the
-    near side is F of SN(lam) at z, elsewhere S, as F of SN(-lam) at -z;
-    the far side is its complement.
+    One left-tail evaluation per point serves both: at z <= 0 the near
+    side is F of SN(lam) at z, elsewhere S, as F of SN(-lam) at -z; the
+    far side is its complement, formed only in the form asked for.
     """
     z = np.asarray(z, dtype=float)
     zz = z.reshape(-1)
@@ -259,15 +268,11 @@ def _tails(z, lam):
             log_f[bad] = _tail_logcdf(z_side[bad], lam_side)
             f[bad] = np.exp(log_f[bad])
         near[side], log_near[side] = f, log_f
-    far = 1.0 - near
-    log_far = np.log1p(-near)
-    out = (
-        np.where(neg, near, far),
-        np.where(neg, far, near),
-        np.where(neg, log_near, log_far),
-        np.where(neg, log_far, log_near),
-    )
-    return tuple(v.reshape(z.shape) for v in out)
+    if log:
+        near, far = log_near, np.log1p(-near)
+    else:
+        far = 1.0 - near
+    return np.where(neg, near, far).reshape(z.shape), np.where(neg, far, near).reshape(z.shape)
 
 
 # Quantile start tables: nodes at z = c sinh(u), c = 1/sqrt(1 + lam^2),
@@ -292,13 +297,10 @@ def _start_table(lam):
     """(v, z, cubic) of a cubic-Hermite inverse of F(.; lam) on v = -sqrt(-2 log F).
 
     One forward pass of log F (through _tails) and the log density at
-    the nodes z gives v and the slope dz/dv = -v F / f there; cubic
-    holds, per segment, the coefficients in t = (v - v_k) / (v_(k+1) -
-    v_k) from the constant up, and its last row 1 / (v_(k+1) - v_k).
-    A node whose slope is not finite, or whose v does not rise above
-    every node before it, is dropped: beyond lam ~ 1e13, F just above
-    z = 0 is 1 - S, which rounds in steps of an ulp of 1, and to 0 past
-    1e16.
+    the nodes z gives v and the slope dz/dv = -v F / f there, for
+    special._hermite_table.  It drops the nodes whose v stops rising:
+    beyond lam ~ 1e13, F just above z = 0 is 1 - S, which rounds in
+    steps of an ulp of 1, and to 0 past 1e16.
     """
     c = 1.0 / np.hypot(1.0, lam)
     f0 = np.arctan2(1.0, abs(lam)) / np.pi
@@ -309,42 +311,24 @@ def _start_table(lam):
     u = np.arange(np.arcsinh(lo / c), np.arcsinh(hi / c) + 2.0 * _START_STEP, _START_STEP)
     z = c * np.sinh(u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = _tails(z, lam)[2]
+        log_f = _tails(z, lam, True)[0]
         v = -np.sqrt(-2.0 * log_f)
         slope = -v * np.exp(log_f - _log_density(z, norm_logcdf(lam * z)))
-    v = np.where(np.isfinite(slope), v, -np.inf)
-    keep = v > np.maximum.accumulate(np.r_[-np.inf, v[:-1]])
-    v, z, slope = v[keep], z[keep], slope[keep]
-    h = np.diff(v)
-    rise = np.diff(z)
-    m0, m1 = h * slope[:-1], h * slope[1:]
-    cubic = np.array([z[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise, 1.0 / h])
-    for table in (v, z, cubic):
-        table.setflags(write=False)
-    return v, z, cubic
+    return _hermite_table(v, z, slope)
 
 
 def _start_and_bracket(log_p, lam):
     """(start, lo, hi) for the roots z of log F(z; lam) = log_p, log_p <= log 1/2.
 
-    The start is the cubic-Hermite interpolant of _start_table(lam) at
-    v = -sqrt(-2 log p), and the bracket runs from the node below the
-    root's segment to the node above it: one node wider on each side
-    than the segment, so rounding in log F at the nodes cannot leave
-    the root outside.  Below the first node (log F < -800) the start is
+    Start and bracket come from special._hermite_start on
+    _start_table(lam).  Below the first node (log F < -800) the start is
     the tail asymptote, 2 Phi(z) for lam < 0 and for lam > 0 Capitanio's
     (2010) sqrt(2/pi) Phi(s z) / (lam s |z|), s = sqrt(1 + lam^2), after
     two fixed-point passes; the bracket runs from F <= e Phi(z), or
     2 e Phi(z) (e covers ndtri_exp's rounding), to the first node.
     """
-    v_k, z_k, cubic = _start_table(float(lam))
-    v = -np.sqrt(-2.0 * log_p)
-    k = np.clip(np.searchsorted(v_k, v) - 1, 0, v_k.size - 2)
-    c0, c1, c2, c3, inv_h = cubic[:, k]
-    t = (v - v_k[k]) * inv_h
-    lo = z_k[np.maximum(k - 1, 0)]
-    hi = z_k[np.minimum(k + 2, z_k.size - 1)]
-    start = c0 + t * (c1 + t * (c2 + t * c3))
+    v_k, z_k, _ = table = _start_table(float(lam))
+    start, lo, hi, v = _hermite_start(table, log_p)
     far = v < v_k[0]
     if far.any():
         log_p, shift = log_p[far], (_LOG2 if lam < 0.0 else 0.0)
@@ -376,10 +360,9 @@ def _side_quantile(log_p, lam, upper):
     z, lo, hi = _start_and_bracket(log_p, lam)
 
     def log_gap(z, idx):
-        log_phi_lz = norm_logcdf(lam * z)
-        log_f = _tails(z, lam)[2]
-        dg = np.exp(_log_density(z, log_phi_lz) - log_f)
-        dlog_dens = -z + lam * np.exp(norm_logpdf(lam * z) - log_phi_lz)
+        log_dens, dlog_dens = _log_density_slope(z, lam)
+        log_f = _tails(z, lam, True)[0]
+        dg = np.exp(log_dens - log_f)
         return log_f - log_p[idx], dg, dg * (dlog_dens - dg)
 
     return _bracketed_newton(log_gap, z, lo, hi)
@@ -410,7 +393,7 @@ class SkewNormal(LocationScale):
         return _log_density_limit(z, out)
 
     def _std_tail(self, z, upper, log):
-        return _tails(z, self.lam)[2 * log + upper]
+        return _tails(z, self.lam, log)[upper]
 
     def _std_quantile(self, t, upper):
         return _by_side(lambda t, side: _side_quantile(np.log(t), self.lam, side), t, upper)

@@ -307,6 +307,47 @@ def _log_inc_beta_root(p, a, b, mirror=False):
     return _bracketed_newton(log_gap, start, lo, np.full_like(p, -_LOG2)), swap
 
 
+def _hermite_table(v, z, slope):
+    """(v, z, cubic): a cubic-Hermite inverse from nodes v, their roots z and dz/dv.
+
+    cubic holds, per segment, the coefficients in t = (v - v_k) /
+    (v_(k+1) - v_k) from the constant up, and its last row
+    1 / (v_(k+1) - v_k).  A node whose slope is not finite, or whose v
+    does not rise above every node before it, is dropped.  The arrays
+    are read-only, so a cached table cannot be changed by its readers.
+    """
+    v = np.where(np.isfinite(slope), v, -np.inf)
+    keep = v > np.maximum.accumulate(np.r_[-np.inf, v[:-1]])
+    v, z, slope = v[keep], z[keep], slope[keep]
+    h = np.diff(v)
+    rise = np.diff(z)
+    m0, m1 = h * slope[:-1], h * slope[1:]
+    cubic = np.array([z[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise, 1.0 / h])
+    for table in (v, z, cubic):
+        table.setflags(write=False)
+    return v, z, cubic
+
+
+def _hermite_start(table, log_p):
+    """(start, lo, hi, v) for the roots of the probabilities e^log_p from a _hermite_table.
+
+    The start is the interpolant at v = -sqrt(-2 log p), and the bracket
+    runs from the node below the root's segment to the node above it:
+    one node wider on each side than the segment, so rounding at the
+    nodes cannot leave the root outside.  A v outside the nodes takes
+    the end segment, and the bracket ends at the end node; the caller
+    handles such points.
+    """
+    v_k, z_k, cubic = table
+    v = -np.sqrt(-2.0 * log_p)
+    k = np.clip(np.searchsorted(v_k, v) - 1, 0, v_k.size - 2)
+    c0, c1, c2, c3, inv_h = cubic[:, k]
+    t = (v - v_k[k]) * inv_h
+    lo = z_k[np.maximum(k - 1, 0)]
+    hi = z_k[np.minimum(k + 2, z_k.size - 1)]
+    return c0 + t * (c1 + t * (c2 + t * c3)), lo, hi, v
+
+
 def _bracketed_newton(fun, x, lo, hi):
     """Roots of increasing functions g_i, one per element, with lo_i <= root_i <= hi_i.
 

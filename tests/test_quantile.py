@@ -1,11 +1,13 @@
 """Quantile contract of every family, tail contract of the eight line
 families, and tail accuracy of the root-solved ones.
 
-SN and BSN quantiles solve the skew-normal cdf by bracketed Newton in log
-space; SNB, GBSN and TBSN solve the per-segment polynomial of their
-cumulative table the same way.  BSN, BetaNormal and BetaHalfNormal share
-one beta-generated composition: the latent incomplete-beta root in log
-space, then the base quantile from that log probability.
+SN quantiles solve the skew-normal cdf by bracketed Newton in log space;
+SNB, GBSN and TBSN solve the per-segment polynomial of their cumulative
+table the same way.  BSN, BetaNormal and BetaHalfNormal share one
+beta-generated composition, whose quantile solves log I_F(z)(a, b) in z
+the same way, started from a per-law table built by the composed route
+(the latent incomplete-beta root in log space, then the base quantile);
+BetaHalfNormal's lower side keeps that composed route.
 Round trips are judged on q's own side of 1/2: cdf(x) against q, or
 sf(x) against 1 - q where the family has an sf, relative to that tail
 probability.
@@ -34,6 +36,7 @@ from betasn import (
     SkewNormal,
     analytic_order_stat,
     balakrishnan,
+    betafamily,
     inv_reg_inc_beta,
     skewnormal,
     special,
@@ -367,30 +370,40 @@ def test_normal_tails_match_scipy():
 
 # solver evaluations per point on 2,000 tail probabilities log-uniform on
 # [1e-12, 0.5], half of them mirrored to 1 - t, by the solve they count:
-# the skew-normal one (sn), BSN's latent incomplete-beta inverse (latent)
-# or the table one of SNB, GBSN and TBSN (table).  Each bound is about 5%
-# above the count.  Every sn point now ends on its first evaluation,
-# started from the cached inverse table; from the tail-asymptote start,
-# with the predicted stop, the sn bounds were 1.88, 2.25, 1.74, 1.63,
-# 1.65 and 2.67, under the step-size rule alone the first five were 2.9,
-# 4.5, 2.2, 1.85 and 1.85, and before the asymptotic start and the
-# Halley step 4.7, 5.9, 6.3, 6.8 and 7.2.
+# the skew-normal one (sn), the latent incomplete-beta inverse (latent),
+# the beta-generated one (bg) or the table one of SNB, GBSN and TBSN
+# (table).  Each bound is about 5% above the count; the start tables are
+# built before counting.  Every sn and bg point now ends on its first
+# evaluation, started from a cached inverse table; from the tail-asymptote
+# start, with the predicted stop, the sn bounds were 1.88, 2.25, 1.74,
+# 1.63, 1.65 and 2.67, under the step-size rule alone the first five were
+# 2.9, 4.5, 2.2, 1.85 and 1.85, and before the asymptotic start and the
+# Halley step 4.7, 5.9, 6.3, 6.8 and 7.2.  A BSN quantile ran the latent
+# solve and then the sn one, with latent bounds 1.83, 2.02 and 2.11 for
+# the three BSN cases below; it now runs neither once its tables are
+# built (bound 0).
 EVALS_PER_POINT = [
     ("sn(3)", SkewNormal(0.0, 1.0, 3.0), "sn", 1.05),
     ("sn(-0.7)", SkewNormal(0.0, 1.0, -0.7), "sn", 1.05),
     ("sn(50)", SkewNormal(0.0, 1.0, 50.0), "sn", 1.05),
-    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "sn", 1.05),
-    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "latent", 1.83),
-    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "sn", 1.05),
-    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "latent", 2.02),
-    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "sn", 1.05),
-    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "latent", 2.11),
+    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "sn", 0.0),
+    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "latent", 0.0),
+    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "sn", 0.0),
+    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "latent", 0.0),
+    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "sn", 0.0),
+    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "latent", 0.0),
+    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0), "bg", 1.05),
+    ("bsn(50,0.05,2)", BetaSkewNormal(50.0, 0.05, 2.0), "bg", 1.05),
+    ("bsn(-50,3,0.05)", BetaSkewNormal(-50.0, 3.0, 0.05), "bg", 1.05),
+    ("bsn(-10,0.3,0.7)", BetaSkewNormal(-10.0, 0.3, 0.7), "bg", 1.05),
+    ("bsn(5,0.05,0.05)", BetaSkewNormal(5.0, 0.05, 0.05), "bg", 1.05),
+    ("bn(0.5,2)", BetaNormal(0.5, 2.0), "bg", 1.05),
     ("snb(1,3)", SNB(1.0, 3), "table", 2.1),
     ("gbsn(2,4,1)", GBSN(2.0, 4, 1), "table", 2.48),
     ("tbsn(5,-0.5,3,2)", TBSN(5.0, -0.5, 3, 2), "table", 2.55),
 ]
 # the module whose reference to the shared solver each solve goes through
-SOLVER_HOLDER = {"sn": skewnormal, "latent": special, "table": balakrishnan}
+SOLVER_HOLDER = {"sn": skewnormal, "latent": special, "bg": betafamily, "table": balakrishnan}
 
 
 def _count_evals(monkeypatch, holder):
@@ -419,10 +432,11 @@ def _count_evals(monkeypatch, holder):
 )
 def test_quantile_solver_evaluations(monkeypatch, dist, solve, most):
     # deterministic perf guard: counts every point one solve evaluates
-    solves = _count_evals(monkeypatch, SOLVER_HOLDER[solve])
     rng = np.random.default_rng(2026)
     t = np.exp(rng.uniform(np.log(1e-12), np.log(0.5), 2000))
     q = np.where(np.arange(t.size) % 2 == 0, t, 1.0 - t)
+    dist.quantile(q[:2])
+    solves = _count_evals(monkeypatch, SOLVER_HOLDER[solve])
     dist.quantile(q)
     assert sum(evals.sum() for evals in solves) / q.size <= most
 
@@ -458,3 +472,37 @@ def test_sn_start_and_bracket(monkeypatch, lam):
     deep = START_P >= 1e-300
     assert np.max(np.abs(dist.cdf(x[deep]) - START_P[deep]) / START_P[deep]) <= RTOL
     assert sum(evals.sum() for evals in solves) / START_P.size <= 1.1
+
+
+@pytest.mark.parametrize("lam", BOX_LAMS)
+@pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.05, 20.0), (0.3, 0.7)])
+def test_bsn_upper_side_is_the_mirrored_lower_side(lam, a, b):
+    # the upper side solves the lower side of BSN(-lam, b, a), so the
+    # reflection holds bit for bit
+    q = 1.0 - np.geomspace(1e-12, 0.49, 40)
+    assert np.array_equal(
+        BetaSkewNormal(lam, a, b).quantile(q), -BetaSkewNormal(-lam, b, a).quantile(1.0 - q)
+    )
+
+
+@pytest.mark.parametrize("lam", BOX_LAMS)
+def test_bsn_with_unit_shapes_is_its_skew_normal(lam):
+    # at a = b = 1 the latent is the tail probability itself
+    q = np.concatenate([np.geomspace(1e-300, 0.5, 60), 1.0 - np.geomspace(1e-12, 0.49, 30)])
+    assert np.array_equal(BetaSkewNormal(lam, 1.0, 1.0).quantile(q), SkewNormal(0.0, 1.0, lam).quantile(q))
+
+
+@pytest.mark.parametrize("dist", BOX + [d for d, _ in LARGE], ids=repr)
+def test_bg_start_table_covers_every_double(dist):
+    # the first node sits at the smallest double's v and survives the
+    # table's node filter, so no tail probability falls below the table
+    v_first = -np.sqrt(-2.0 * np.log(5e-324))
+    for upper in (False, True):
+        # the mirrored upper side reads its mirror's lower table, and the
+        # half-normal's lower side keeps the composed route
+        mirrored = upper and dist._mirror() is not None
+        composed = not upper and dist.support[0] == 0.0
+        if mirrored or composed:
+            continue
+        v_k = betafamily._solve_table(dist._standardized(), upper)[0]
+        assert v_k[0] == v_first and v_k[-1] == -np.sqrt(2.0 * np.log(2.0))

@@ -16,28 +16,34 @@ def test_solver_evals_reports_every_solve():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert {
-        "seeds", "members", "latent_only", "tables", "start_tables",
+        "seeds", "members", "tables", "start_tables", "bg_tables",
         "sn_evals_per_point_weighted", "sn_evals_per_point_max",
         "all_evals_per_point_weighted", "all_evals_per_point_max",
     } <= out.keys()
     stats = {
-        f"{solve}_evals_{kind}" for solve in ("sn", "latent") for kind in ("per_point", "p90", "max")
+        f"{solve}_evals_{kind}"
+        for solve in ("sn", "latent", "bg")
+        for kind in ("per_point", "p90", "max")
     }
-    for row in (*out["members"].values(), *out["latent_only"].values()):
-        assert stats | {"points", "all_evals_per_point", "start_table_builds", "start_table_hits"} <= row.keys()
-    assert "bn(0.5,2)" in out["latent_only"]
-    # the latent incomplete-beta solve is counted wherever the beta-generated
-    # composition runs it, so a moved solve cannot read as 0
-    latent = {**out["members"], **out["latent_only"]}
-    for label in [key for key in latent if key.startswith("bsn(")] + ["bn(0.5,2)"]:
-        assert latent[label]["latent_evals_per_point"] > 0, label
+    counts = {f"{table}_{kind}" for table in ("start_table", "bg_table") for kind in ("builds", "hits")}
+    for row in out["members"].values():
+        assert stats | counts | {"points", "all_evals_per_point"} <= row.keys()
+    members = out["members"]
+    assert "bn(0.5,2)" in members
+    # the beta-generated solve is counted wherever the composition runs it,
+    # so a moved solve cannot read as 0; each member builds one table per
+    # law and side, the lower side of its own law and of its mirror
+    for label in [key for key in members if key.startswith("bsn(")] + ["bn(0.5,2)"]:
+        assert members[label]["bg_evals_per_point"] > 0, label
+        assert members[label]["bg_table_builds"] == 2, label
     # the start tables: one per shape sign, built once and then hit
-    starts = out["start_tables"]
-    assert {"builds", "hits", "size", "maxsize"} <= starts.keys()
-    members = out["members"].values()
-    assert sum(row["start_table_builds"] for row in members) == starts["builds"] > 0
-    assert sum(row["start_table_hits"] for row in members) == starts["hits"] > 0
-    assert out["latent_only"]["bn(0.5,2)"]["start_table_builds"] == 0
+    for table in ("start_table", "bg_table"):
+        totals = out[f"{table}s"]
+        assert {"builds", "hits", "size", "maxsize"} <= totals.keys()
+        assert sum(row[f"{table}_builds"] for row in members.values()) == totals["builds"] > 0
+        assert sum(row[f"{table}_hits"] for row in members.values()) == totals["hits"]
+    assert out["start_tables"]["hits"] > 0
+    assert members["bn(0.5,2)"]["start_table_builds"] == 0
     for row in out["tables"].values():
         assert {"points", "evals_per_point", "evals_p90", "evals_max", "build_nodes"} <= row.keys()
 

@@ -2,29 +2,32 @@
 
     python3 tools/solver_evals.py [--src DIR] [--seed 7 ...]
 
-Feeds each skew-normal and beta skew-normal member of the bulk panel in
-``bench/workloads.py`` its seeded quantile inputs and counts the points
-the skew-normal solver evaluates, and, where the library solves the
-latent incomplete-beta inverse with the same solver, those too.  The
-beta normal member has only the latent solve; it is reported on its own
-under ``latent_only``, so the aggregates stay those of the skew-normal
-members.  For the table-backed members (SNB, GBSN, TBSN) it counts the
-table solver's evaluations, the kernel nodes (one log phi each) and
-segments of one table build, and the kernel nodes per point of the
-seeded cdf, sf (where the family has one) and quantile reads of the
-built table.  The skew-normal quantile takes its starts from a cached
-table per shape; each member reports the tables its quantile call built
-and the cache hits it had, read from the cache's ``cache_info()`` with
-the cache kept warm across members and seeds, as in one process, and
-``start_tables`` gives the totals and the cache's final size (all
-null for a tree without the cache).  Prints
-one JSON object: per member and in total, points,
-evaluations per point of each solve and of both together, the 90th
-percentile and the maximum of each solve's evaluations over its points
-(so a tail of slow points shows, not only the mean), the maxima over
-members, and the table members under ``tables``.  ``--src`` picks the
-library tree to import (default: this checkout's ``src``), so the same
-counts can be taken on another commit's export.
+Feeds each skew-normal, beta skew-normal and beta normal member of the
+bulk panel in ``bench/workloads.py`` its seeded quantile inputs and
+counts the points each root solve evaluates, by solve: the skew-normal
+one (``sn``), the latent incomplete-beta inverse (``latent``) and the
+beta-generated one (``bg``), which solves log I_F(z)(a, b) in z.  Where
+a tree has no ``bg`` solve, the beta-generated quantile runs the latent
+solve and then the base quantile.  For the table-backed members (SNB,
+GBSN, TBSN) it counts the table solver's evaluations, the kernel nodes
+(one log phi each) and segments of one table build, and the kernel
+nodes per point of the seeded cdf, sf (where the family has one) and
+quantile reads of the built table.  The skew-normal and the
+beta-generated quantiles take their starts from cached tables, per
+shape and per law and side; each member reports the tables its
+quantile call built and the cache hits it had, read from each cache's
+``cache_info()`` with the caches kept warm across members and seeds,
+as in one process, and ``start_tables`` and ``bg_tables`` give the
+totals and each cache's final size (all null for a tree without that
+cache).  A table built inside a member's call counts its own solves
+(the beta-generated ones run the latent and skew-normal solves) among
+that member's.  Prints one JSON object: per member and in total,
+points, evaluations per point of each solve and of all together, the
+90th percentile and the maximum of each solve's evaluations over its
+points (so a tail of slow points shows, not only the mean), the maxima
+over members, and the table members under ``tables``.  ``--src`` picks
+the library tree to import (default: this checkout's ``src``), so the
+same counts can be taken on another commit's export.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.path[:0] = [args.src, str(ROOT / "bench")]
     import workloads
-    from betasn import balakrishnan, skewnormal, special
+    from betasn import balakrishnan, betafamily, skewnormal, special
 
     # per solve, one array of evaluations per point for every solver call
-    calls = {"sn": [], "latent": [], "table": []}
+    calls = {"sn": [], "latent": [], "bg": [], "table": []}
     counts = {"nodes": 0}
 
     def counting(key, solver):
@@ -65,10 +68,12 @@ def main(argv=None):
 
         return solve
 
-    # the skew-normal module holds its own reference to the solver; the
-    # incomplete-beta inverse looks it up in special
+    # the skew-normal and beta-generated modules hold their own references
+    # to the solver; the incomplete-beta inverse looks it up in special
     skewnormal._bracketed_newton = counting("sn", skewnormal._bracketed_newton)
     special._bracketed_newton = counting("latent", special._bracketed_newton)
+    if hasattr(betafamily, "_bracketed_newton"):
+        betafamily._bracketed_newton = counting("bg", betafamily._bracketed_newton)
     balakrishnan._bracketed_newton = counting("table", balakrishnan._bracketed_newton)
     # the table kernel takes one log phi per node
     log_phi = balakrishnan.norm_logpdf
@@ -89,7 +94,8 @@ def main(argv=None):
     def add(row, key, evals):
         row[key] = np.concatenate([row.get(key, []), evals])
 
-    members, latent_only, tables = {}, {}, {}
+    caches = {"start_table": (skewnormal, "_start_table"), "bg_table": (betafamily, "_solve_table")}
+    members, tables = {}, {}
     for seed in args.seed or [7]:
         for item in workloads.bulk_inputs(seed):
             if item.label.startswith(("snb(", "gbsn(", "tbsn(")):
@@ -101,21 +107,20 @@ def main(argv=None):
                 row["read_nodes"] += counts["nodes"]
                 add(row, "evals", evals["table"])
                 continue
-            if item.label.startswith("bn("):
-                row = latent_only.setdefault(item.label, {"points": 0})
-            elif item.label.startswith(("sn(", "bsn(")):
-                row = members.setdefault(item.label, {"points": 0})
-            else:
+            if not item.label.startswith(("sn(", "bsn(", "bn(")):
                 continue
-            before = start_tables(skewnormal)
+            row = members.setdefault(item.label, {"points": 0})
+            before = {name: cache_counts(*where) for name, where in caches.items()}
             evals = evals_during(lambda: item.dist.quantile(item.q))
-            after = start_tables(skewnormal)
-            for key in ("builds", "hits"):
-                if after[key] is not None:
-                    row[f"start_table_{key}"] = row.get(f"start_table_{key}", 0) + after[key] - before[key]
+            for name, where in caches.items():
+                after = cache_counts(*where)
+                for key in ("builds", "hits"):
+                    if after[key] is not None:
+                        count = after[key] - before[name][key]
+                        row[f"{name}_{key}"] = row.get(f"{name}_{key}", 0) + count
             row["points"] += item.q.size
-            add(row, "sn", evals["sn"])
-            add(row, "latent", evals["latent"])
+            for solve in SOLVES:
+                add(row, solve, evals[solve])
 
     def solve_stats(prefix, evals, points):
         """Mean per quantile point, and p90 and max over the solve's own points."""
@@ -126,14 +131,14 @@ def main(argv=None):
         }
 
     def member_stats(row):
-        return {
-            "points": row["points"],
-            **solve_stats("sn_", row["sn"], row["points"]),
-            **solve_stats("latent_", row["latent"], row["points"]),
-            "all_evals_per_point": (row["sn"].sum() + row["latent"].sum()) / row["points"],
-            "start_table_builds": row.get("start_table_builds"),
-            "start_table_hits": row.get("start_table_hits"),
-        }
+        stats = {"points": row["points"]}
+        for solve in SOLVES:
+            stats.update(solve_stats(f"{solve}_", row[solve], row["points"]))
+        stats["all_evals_per_point"] = sum(row[solve].sum() for solve in SOLVES) / row["points"]
+        for name in caches:
+            for key in ("builds", "hits"):
+                stats[f"{name}_{key}"] = row.get(f"{name}_{key}")
+        return stats
 
     table = {label: member_stats(row) for label, row in members.items()}
     points = sum(row["points"] for row in members.values())
@@ -143,11 +148,11 @@ def main(argv=None):
         "sn_evals_per_point_weighted": sum(row["sn"].sum() for row in members.values()) / points,
         "sn_evals_per_point_max": max(row["sn_evals_per_point"] for row in table.values()),
         "all_evals_per_point_weighted": sum(
-            row["sn"].sum() + row["latent"].sum() for row in members.values()
+            row[solve].sum() for row in members.values() for solve in SOLVES
         ) / points,
         "all_evals_per_point_max": max(row["all_evals_per_point"] for row in table.values()),
-        "latent_only": {label: member_stats(row) for label, row in latent_only.items()},
-        "start_tables": start_tables(skewnormal),
+        "start_tables": cache_counts(*caches["start_table"]),
+        "bg_tables": cache_counts(*caches["bg_table"]),
         "tables": {
             label: {
                 "points": row["points"],
@@ -162,9 +167,13 @@ def main(argv=None):
     return 0
 
 
-def start_tables(skewnormal):
-    """Builds, hits and size of the skew-normal quantile start-table cache, None without one."""
-    cache = getattr(skewnormal, "_start_table", None)
+# the solves counted for the skew-normal, beta skew-normal and beta normal members
+SOLVES = ("sn", "latent", "bg")
+
+
+def cache_counts(module, name):
+    """Builds, hits and size of module's lru-cached table function name, None without one."""
+    cache = getattr(module, name, None)
     if cache is None:
         return dict.fromkeys(("builds", "hits", "size", "maxsize"))
     info = cache.cache_info()
