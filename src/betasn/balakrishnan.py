@@ -33,7 +33,9 @@ skew-normal density is twice the n = 1 kernel, so the same rule is the
 skew-normal's t-space tail repair.  A quantile finds the segment holding
 its root by searchsorted on the running sums, taken from the left for
 q <= 1/2 and from the right above, and solves the log of that same read
-by bracketed Newton inside the segment.  So cdf and quantile are
+by bracketed Halley steps inside the segment, started from the table's
+cubic-Hermite inverse over the segment edges on that side, like the
+skew-normal and beta-generated solves.  So cdf and quantile are
 inverses of each other to roundoff, the quantile keeps relative accuracy
 in q, or in 1 - q, down to the far tails, and no read evaluates the
 kernel.
@@ -50,7 +52,7 @@ from numpy.polynomial import legendre
 
 from .core import LocationScale, _by_side, _require
 from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, _log_tail_mass, integrate_line
-from .special import _bracketed_newton, norm_logcdf, norm_logpdf
+from .special import _bracketed_newton, _hermite_start, _hermite_table, norm_logcdf, norm_logpdf
 
 __all__ = [
     "PowerOfPhi",
@@ -173,33 +175,31 @@ _TO_LEGENDRE = np.linalg.inv(legendre.legvander(_NODES, 14))
 _ANTIDERIVATIVE = legendre.legint(_TO_LEGENDRE, lbnd=-1)
 
 
-def _legendre_sum(coef, i, u, slope=False):
-    """sum_k coef[k, i] P_k(u) per point by Clenshaw's recurrence, and its d/du if slope.
+def _legendre_sum(coef, i, u, derivs=False):
+    """sum_k coef[k, i] P_k(u) per point by Clenshaw's recurrence, and its d/du and d2/du2 if derivs.
 
     Takes one coefficient row per term at the points' segments i, so no
     (terms, points) block is gathered.
     """
     b1, b2 = coef[-1].take(i), np.zeros_like(u)
     d1, d2 = np.zeros_like(u), np.zeros_like(u)
+    e1, e2 = np.zeros_like(u), np.zeros_like(u)
     for k in range(len(coef) - 2, -1, -1):
         # b_k = c_k + alpha u b_{k+1} - beta b_{k+2}, from
         # P_{k+1} = (2k+1)/(k+1) u P_k - k/(k+1) P_{k-1}; in place, since
         # the arrays are as long as the points
         alpha, beta = (2 * k + 1) / (k + 1), (k + 1) / (k + 2)
-        if slope:
-            d = u * d1
-            d += b1
-            d *= alpha
-            d2 *= beta
-            d -= d2
-            d1, d2 = d, d1
+        if derivs:
+            # d2/du2 and d/du of that recurrence
+            e1, e2 = alpha * (u * e1 + 2.0 * d1) - beta * e2, e1
+            d1, d2 = alpha * (u * d1 + b1) - beta * d2, d1
         b = u * b1
         b *= alpha
         b2 *= beta
         b -= b2
         b += coef[k].take(i)
         b1, b2 = b, b1
-    return (b1, d1) if slope else b1
+    return (b1, d1, e1) if derivs else b1
 
 
 def _held(base, seg, partial, upper):
@@ -272,17 +272,39 @@ class _NumericCdf:
         partial = np.where(u == -1.0, 0.0, np.where(u == 1.0, seg, _legendre_sum(self.anti, i, u)))
         return _held(self._below(i, upper), seg, partial, upper)
 
-    def _solve(self, mass, upper):
-        """Points with `mass` of the kernel below them, or above them if upper.
+    @cached_property
+    def _starts(self):
+        """special._hermite_table of each side, (lower, upper), over the edges.
+
+        The lower side maps the mass below each edge, as a fraction of
+        the total, to the edge z, the upper side the mass above it to
+        -z.  The density at each edge is the kernel's interpolant on
+        the segment to its right, and on the last segment at the last
+        edge, so the tables evaluate no kernel.
+        """
+        last = len(self.seg) - 1
+        i = np.append(np.arange(last + 1), last)
+        u = np.append(np.full(last + 1, -1.0), 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = _legendre_sum(self.anti, i, u, derivs=True)[1] * (2.0 / np.diff(self.edges)[i])
+            log_dens = np.log(dens) - np.log(self.total)
+            log_below, log_above = np.log(self.cum / self.total), np.log(self.cum_right / self.total)
+        return (
+            _hermite_table(self.edges, log_below, log_dens),
+            _hermite_table(-self.edges[::-1], log_above[::-1], log_dens[::-1]),
+        )
+
+    def _solve(self, t, upper):
+        """Points with the fraction t of the kernel's mass below them, or above them if upper.
 
         searchsorted on the running sums picks the one segment holding
-        each root; inside it, bracketed Newton solves the log of the
-        mass the reads return, with the segment's interpolant as its
-        slope, starting from linear interpolation of the mass.  log_gap
-        gives no curvature, so the solver's predicted stop takes g''
-        from the secant of each point's last two slopes: the second
-        evaluation of a point usually ends its solve.
+        each root; inside it, bracketed Halley steps solve the log of
+        the mass the reads return, with the segment's interpolant and
+        its derivative as g' and g''.  They start from the side's
+        _starts table, clipped into that segment, so nearly every point
+        ends on its first evaluation.
         """
+        mass = t * self.total
         last = len(self.seg) - 1
         if upper:
             i = np.clip(np.searchsorted(-self.cum_right, -mass, side="left") - 1, 0, last)
@@ -290,22 +312,23 @@ class _NumericCdf:
             i = np.clip(np.searchsorted(self.cum, mass, side="right") - 1, 0, last)
         base, seg = self._below(i, upper), self.seg[i]
         lo, hi = self.edges[i], self.edges[i + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.clip(np.nan_to_num((mass - base) / seg), 0.0, 1.0)
-        start = hi - frac * (hi - lo) if upper else lo + frac * (hi - lo)
+        sign = -1.0 if upper else 1.0
+        start = sign * _hermite_start(self._starts[upper], np.log(t))[0]
         log_mass = np.log(mass)
         mid, dudz = 0.5 * (lo + hi), 2.0 / (hi - lo)
 
         def log_gap(x, idx):
             u = (x - mid[idx]) * dudz[idx]
-            partial, dpartial = _legendre_sum(self.anti, i[idx], u, slope=True)
+            partial, dpartial, d2partial = _legendre_sum(self.anti, i[idx], u, derivs=True)
             held = _held(base[idx], seg[idx], partial, upper)
             with np.errstate(divide="ignore"):
                 gap = np.log(held) - log_mass[idx]
-            # d/dz of the antiderivative is the kernel's interpolant
-            return (-gap if upper else gap), dpartial * dudz[idx] / held
+            # d/dz of the antiderivative is the kernel's interpolant k, and
+            # g'' = k' / held - sign g'^2
+            dg = dpartial * dudz[idx] / held
+            return sign * gap, dg, d2partial * dudz[idx] ** 2 / held - sign * dg * dg
 
-        return _bracketed_newton(log_gap, start, lo, hi)
+        return _bracketed_newton(log_gap, np.clip(start, lo, hi), lo, hi)
 
 
 # logcdf and logsf take a tail mass below this fraction of the total from
@@ -379,7 +402,7 @@ class PowerOfPhi(LocationScale):
 
     def _std_quantile(self, t, upper):
         table = _kernel_table(*self._key)
-        return _by_side(lambda t, side: table._solve(t * table.total, side), t, upper)
+        return _by_side(table._solve, t, upper)
 
 
 @dataclass(frozen=True)

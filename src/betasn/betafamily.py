@@ -211,15 +211,10 @@ def _solve_table(law, upper):
 
     law is a standardized beta-generated law and y the root z with mass
     t below it, or -z with mass t above it if upper, so y rises with t.
-    The nodes are law's composed quantiles at _SOLVE_T, with slope
-    dy/dv = -v t / f(z).
+    The nodes are law's composed quantiles at _SOLVE_T.
     """
-    log_t = np.log(_SOLVE_T)
     z = law._composed_quantile(_SOLVE_T, upper)
-    v = -np.sqrt(-2.0 * log_t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = -v * np.exp(log_t - law.logpdf(z))
-    return _hermite_table(v, -z if upper else z, slope)
+    return _hermite_table(-z if upper else z, np.log(_SOLVE_T), law.logpdf(z))
 
 
 class _BetaGenerated(LocationScale):

@@ -13,7 +13,8 @@ _by_side to solve the two sides apart.  _require is the one parameter
 check behind every family.  The default sampler is the quantile
 transform of a PCG64 uniform stream (``numpy.random.default_rng``), so
 one seed policy drives every family reproducibly; families with a
-cheaper exact representation override ``sample``.
+cheaper exact representation override ``draw``, which ``sample`` calls
+on a fresh generator.
 """
 
 from __future__ import annotations
@@ -80,12 +81,14 @@ class Distribution:
     def quantile(self, q):
         raise NotImplementedError
 
-    def sample(self, n, seed):
+    def draw(self, rng, n):
+        """Draw n values from an existing generator: the quantile transform of its uniforms."""
         # rng.random lives in [0, 1); nudge an exact 0 into the open
         # interval the quantile functions require
-        rng = np.random.default_rng(seed)
-        u = np.clip(rng.random(int(n)), 1e-300, None)
-        return self.quantile(u)
+        return self.quantile(np.clip(rng.random(int(n)), 1e-300, None))
+
+    def sample(self, n, seed):
+        return self.draw(np.random.default_rng(seed), n)
 
     # beta-type endpoint behavior (left, right): the exponent alpha of the
     # density's z^alpha blow-up at the endpoint, 0 when regular; the

@@ -227,7 +227,7 @@ def mc_conditioning_ks(a, b, lam, n, m=0, trials=10_000, seed=0, max_proposals=1
                     f"proposal cap {max_proposals} exhausted with "
                     f"{n_accepted} of {trials} acceptances"
                 )
-        x = source.quantile(np.clip(rng.random(batch), 1e-300, None))
+        x = source.draw(rng, batch)
         mask = np.ones(batch, dtype=bool)
         if lows:
             below = companion.draw(rng, batch * lows).reshape(batch, lows)

@@ -23,7 +23,7 @@ integrands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -322,10 +322,5 @@ def integrate_unit(f, spec=None, singular_left=0.0, singular_right=0.0):
     if lo < hi:
         pieces.append((f, lo, hi))
 
-    share = QuadratureSpec(
-        abs_tol=spec.abs_tol / len(pieces),
-        rel_tol=spec.rel_tol,
-        truncation=spec.truncation,
-        max_subdivisions=spec.max_subdivisions,
-    )
+    share = replace(spec, abs_tol=spec.abs_tol / len(pieces))
     return sum(_adaptive(g, a, b, share) for g, a, b in pieces)

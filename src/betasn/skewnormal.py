@@ -10,12 +10,12 @@ rules keep cdf and logcdf relatively accurate there.  The shape rule
 integrates Owen's derivative in a, F = (1/pi) * integral over a >= lam
 of e^(-(1 + a^2) z^2 / 2) / (1 + a^2), a positive integrand that needs
 no special function at any node; it serves every lam > 0 point with
-lam |z| >= 4 without Owen's T, and repairs Owen's T where it cancels
-from lam |z| >= 2.  The t-space rule integrates the density over the
-tail in log space, rescaled by its local decay rate: the density is
-twice the power-of-Phi kernel phi(z) Phi(lam z)^1, so this is the tail
-rule balakrishnan._log_tail applies to every such kernel.  It repairs
-the cancelling points nearer z = 0, where the shape integrand's
+lam |z| >= 2, where Owen's T is not formed.  The t-space rule
+integrates the density over the tail in log space, rescaled by its
+local decay rate: the density is twice the power-of-Phi kernel
+phi(z) Phi(lam z)^1, so this is the tail rule balakrishnan._log_tail
+applies to every such kernel.  It repairs
+Owen's T where it cancels nearer z = 0, where the shape integrand's
 power-law factor defeats its rule, and the lam <= 0 side once Owen's T
 underflows.  The beta-generated composition raises this cdf to
 fractional powers, which is why relative (not just absolute) accuracy
@@ -40,8 +40,8 @@ cached, within a few 1e-9 of the root, and beyond its first node from
 the tail asymptote.  A solve ends on the step whose
 successor, predicted from g'', is below 4 ulp, so nearly every point
 ends on its first evaluation.  Where Owen's T cancels to 1e-4 of
-Phi(z), F carries up to 3e-11 relative noise, and a root there stops
-at its first noise-sized step.
+Phi(z), below the shape rule's cut, F carries relative noise far above
+an ulp, and a root there stops at its first noise-sized step.
 """
 
 from __future__ import annotations
@@ -125,22 +125,18 @@ def _log_density_limit(z, log_dens):
     return np.where(nan & ~np.isnan(z), -np.inf, log_dens)[()]
 
 
-# Routing of the lam > 0 side by lam |z|.  From _SHAPE_ONLY on, the
-# shape rule alone serves a point and Owen's T is never formed: on a
-# 400-point lam grid over [0.01, 1e4] the cancellation test first fires
-# at lam |z| of at most 3.89 (lam ~ 0.105), so Owen's T was always
-# discarded there.  From _SHAPE_REPAIR on, a point the test flags gets
-# the shape rule instead of the t-space rule; between the two cuts most
-# points need no repair, and Owen's T is cheaper than the rule (on 2,500
-# points, one core: Owen's T 150-210 ns/pt, the shape rule 260-280, the
-# t-space rule 1,000-1,200).  Below _SHAPE_REPAIR the t-space rule
-# stays: near z = 0 at large lam the factor 1/(1 + a^2) has a power-law
-# tail the Laguerre rule cannot follow (at lam 50 to 1e6, against a
-# 100-digit closed-form oracle, the shape rule was off by up to 3e13 ulp
-# of log F at lam |z| < 0.5, by 1e4 ulp on [1, 1.5), and by at most
-# 1 ulp from 1.6 on).
-_SHAPE_ONLY = 4.0
-_SHAPE_REPAIR = 2.0
+# Routing of the lam > 0 side by lam |z|.  From _SHAPE_CUT on, the shape
+# rule alone serves a point and Owen's T is never formed, so no point
+# there carries Owen's T's cancellation noise (at lam = 1 up to 3e-11
+# relative near z = -3.7, where it cancels to 1e-4 of Phi(z)).  Below
+# the cut Owen's T serves, and the t-space rule repairs the points where
+# it cancels: near z = 0 at large lam the factor 1/(1 + a^2) has a
+# power-law tail the shape rule cannot follow (at lam 50 to 1e6, against
+# a 100-digit closed-form oracle, it was off by up to 3e13 ulp of log F
+# at lam |z| < 0.5, by 1e4 ulp on [1, 1.5), and by at most 1 ulp from
+# 1.6 on).  On 2,500 points, one core, Owen's T took 150-210 ns/pt, the
+# shape rule 260-280 and the t-space rule 1,000-1,200.
+_SHAPE_CUT = 2.0
 
 
 def _shape_logcdf(z, lam):
@@ -181,7 +177,7 @@ def _shape_logcdf(z, lam):
 def _tail_logcdf(z, lam):
     """log F(z; lam) at the points z <= 0 that _left left unresolved.
 
-    A point with lam |z| >= _SHAPE_REPAIR on the lam > 0 side takes the
+    A point with lam |z| >= _SHAPE_CUT on the lam > 0 side takes the
     shape rule, every other point the t-space rule: the density is the
     power-of-Phi kernel phi(t) Phi(lam t)^1 times 2, so
     balakrishnan._log_tail integrates it over the tail in log space, one
@@ -196,7 +192,7 @@ def _tail_logcdf(z, lam):
     """
     gone = z < -_Z_SQUARE_MAX
     if lam > 0.0:
-        shape = (lam * z <= -_SHAPE_REPAIR) & ~gone
+        shape = (lam * z <= -_SHAPE_CUT) & ~gone
     else:
         shape = np.zeros_like(gone)
     if shape.all():
@@ -229,14 +225,14 @@ def _left(z, lam):
     F and log F come from Phi(z) - 2 T(z, lam); the mask flags the
     points that formula cannot resolve, which need _tail_logcdf instead.
     On the lam > 0 side those are every point with lam |z| >=
-    _SHAPE_ONLY, where Owen's T is not formed at all, and the points
+    _SHAPE_CUT, where Owen's T is not formed at all, and the points
     where cancellation leaves under 1e-4 of Phi(z) (or Phi itself
     underflowed); on the lam <= 0 side, where T only adds mass, the
     points whose value drops below 1e-290 while its log stays
     representable.
     """
     if lam > 0.0:
-        far = lam * z <= -_SHAPE_ONLY
+        far = lam * z <= -_SHAPE_CUT
         if far.any():
             f = np.empty_like(z)
             log_f = np.empty_like(z)
@@ -294,11 +290,10 @@ _START_STEP = 0.04
 
 @lru_cache(maxsize=32)
 def _start_table(lam):
-    """(v, z, cubic) of a cubic-Hermite inverse of F(.; lam) on v = -sqrt(-2 log F).
+    """special._hermite_table of z against v = -sqrt(-2 log F) for F(.; lam).
 
     One forward pass of log F (through _tails) and the log density at
-    the nodes z gives v and the slope dz/dv = -v F / f there, for
-    special._hermite_table.  It drops the nodes whose v stops rising:
+    the nodes z.  The table drops the nodes whose v stops rising:
     beyond lam ~ 1e13, F just above z = 0 is 1 - S, which rounds in
     steps of an ulp of 1, and to 0 past 1e16.
     """
@@ -311,10 +306,7 @@ def _start_table(lam):
     u = np.arange(np.arcsinh(lo / c), np.arcsinh(hi / c) + 2.0 * _START_STEP, _START_STEP)
     z = c * np.sinh(u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = _tails(z, lam, True)[0]
-        v = -np.sqrt(-2.0 * log_f)
-        slope = -v * np.exp(log_f - _log_density(z, norm_logcdf(lam * z)))
-    return _hermite_table(v, z, slope)
+        return _hermite_table(z, _tails(z, lam, True)[0], _log_density(z, norm_logcdf(lam * z)))
 
 
 def _start_and_bracket(log_p, lam):
@@ -427,6 +419,3 @@ class SkewNormal(LocationScale):
         d = self.delta
         z = d * np.abs(u) + np.sqrt(1.0 - d * d) * v
         return self.xi + self.psi * z
-
-    def sample(self, n, seed):
-        return self.draw(np.random.default_rng(seed), n)

@@ -307,54 +307,55 @@ def _log_inc_beta_root(p, a, b, mirror=False):
     return _bracketed_newton(log_gap, start, lo, np.full_like(p, -_LOG2)), swap
 
 
-def _hermite_table(v, z, slope):
-    """(v, z, cubic): a cubic-Hermite inverse from nodes v, their roots z and dz/dv.
+def _hermite_table(z, log_t, log_dens):
+    """(v, z, slope): a cubic-Hermite inverse from roots z of tail probabilities e^log_t.
 
-    cubic holds, per segment, the coefficients in t = (v - v_k) /
-    (v_(k+1) - v_k) from the constant up, and its last row
-    1 / (v_(k+1) - v_k).  A node whose slope is not finite, or whose v
+    v = -sqrt(-2 log t) and the slope dz/dv = -v t / f, with f = e^log_dens
+    the density at z.  A node whose slope is not finite, or whose v
     does not rise above every node before it, is dropped.  The arrays
     are read-only, so a cached table cannot be changed by its readers.
     """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = -np.sqrt(-2.0 * log_t)
+        slope = -v * np.exp(log_t - log_dens)
     v = np.where(np.isfinite(slope), v, -np.inf)
     keep = v > np.maximum.accumulate(np.r_[-np.inf, v[:-1]])
-    v, z, slope = v[keep], z[keep], slope[keep]
-    h = np.diff(v)
-    rise = np.diff(z)
-    m0, m1 = h * slope[:-1], h * slope[1:]
-    cubic = np.array([z[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise, 1.0 / h])
-    for table in (v, z, cubic):
-        table.setflags(write=False)
-    return v, z, cubic
+    table = v[keep], z[keep], slope[keep]
+    for nodes in table:
+        nodes.setflags(write=False)
+    return table
 
 
 def _hermite_start(table, log_p):
     """(start, lo, hi, v) for the roots of the probabilities e^log_p from a _hermite_table.
 
-    The start is the interpolant at v = -sqrt(-2 log p), and the bracket
-    runs from the node below the root's segment to the node above it:
-    one node wider on each side than the segment, so rounding at the
-    nodes cannot leave the root outside.  A v outside the nodes takes
-    the end segment, and the bracket ends at the end node; the caller
-    handles such points.
+    The start is the interpolant at v = -sqrt(-2 log p): the cubic in
+    t = (v - v_k) / (v_(k+1) - v_k) through the nodes of v's segment
+    and their slopes.  The bracket runs from the node below the root's
+    segment to the node above it: one node wider on each side than the
+    segment, so rounding at the nodes cannot leave the root outside.  A
+    v outside the nodes takes the end segment, and the bracket ends at
+    the end node; the caller handles such points.
     """
-    v_k, z_k, cubic = table
+    v_k, z_k, slope = table
     v = -np.sqrt(-2.0 * log_p)
     k = np.clip(np.searchsorted(v_k, v) - 1, 0, v_k.size - 2)
-    c0, c1, c2, c3, inv_h = cubic[:, k]
-    t = (v - v_k[k]) * inv_h
+    h = v_k[k + 1] - v_k[k]
+    z0, rise = z_k[k], z_k[k + 1] - z_k[k]
+    m0, m1 = h * slope[k], h * slope[k + 1]
+    c2, c3 = 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise
+    t = (v - v_k[k]) * (1.0 / h)
     lo = z_k[np.maximum(k - 1, 0)]
     hi = z_k[np.minimum(k + 2, z_k.size - 1)]
-    return c0 + t * (c1 + t * (c2 + t * c3)), lo, hi, v
+    return z0 + t * (m0 + t * (c2 + t * c3)), lo, hi, v
 
 
 def _bracketed_newton(fun, x, lo, hi):
     """Roots of increasing functions g_i, one per element, with lo_i <= root_i <= hi_i.
 
-    fun(x, idx) returns g and dg/dx at the points x of the elements idx,
-    an index array into the 1-d inputs, and optionally d2g/dx2 as a third
-    value.  Each step is Newton's, or Halley's where fun gives the
-    curvature: the Newton step divided by 1 - g g'' / (2 g'^2), kept to
+    fun(x, idx) returns g, dg/dx and d2g/dx2 at the points x of the
+    elements idx, an index array into the 1-d inputs.  Each step is
+    Halley's: the Newton step divided by 1 - g g'' / (2 g'^2), kept to
     Newton where that factor is not finite or is below 1/2.  A step
     whose point is not finite or leaves the bracket, or whose factor is
     above 4, becomes a bisection of it; the sign of g shrinks the
@@ -367,9 +368,8 @@ def _bracketed_newton(fun, x, lo, hi):
     and its point lies inside the bracket or within those few ulp of an
     end, so a root on a bracket end stops as early as any other.
     Halley's next step is smaller still, so the prediction holds for
-    both.  Where fun gives no g'', it is the secant of the element's
-    last two slopes, so the prediction cannot end a first evaluation.
-    An element also stops once its bracket is a few ulp wide, and only
+    it, and a start close enough ends on its first evaluation.  An
+    element also stops once its bracket is a few ulp wide, and only
     unconverged elements are evaluated again.  An element still
     unconverged after _NEWTON_MAX_STEPS steps raises
     ArithmeticError; no partial result is returned.
@@ -377,38 +377,27 @@ def _bracketed_newton(fun, x, lo, hi):
     x = np.array(x, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    # the previous point and slope of each element, for the secant g''
-    x_prev = np.full_like(x, np.nan)
-    dg_prev = np.full_like(x, np.nan)
     idx = np.arange(x.size)
     for _ in range(_NEWTON_MAX_STEPS):
         if idx.size == 0:
             return x
         xi = x[idx]
-        g, dg, *d2g = fun(xi, idx)
+        g, dg, curv = fun(xi, idx)
         lo_i = np.where(g < 0.0, xi, lo[idx])
         hi_i = np.where(g > 0.0, xi, hi[idx])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(g == 0.0, 0.0, g / dg)
-            if d2g:
-                curv = d2g[0]
-                factor = 1.0 - 0.5 * step * curv / dg
-                step = np.where(np.isfinite(factor) & (factor >= 0.5), step / factor, step)
-            else:
-                curv = (dg - dg_prev[idx]) / (xi - x_prev[idx])
-                x_prev[idx], dg_prev[idx] = xi, dg
+            factor = 1.0 - 0.5 * step * curv / dg
+            step = np.where(np.isfinite(factor) & (factor >= 0.5), step / factor, step)
             predicted = 0.5 * np.abs(curv / dg) * step * step
         newton = xi - step
         scale = np.maximum(np.abs(xi), 1.0)
         tol = _NEWTON_ULPS * scale
-        inside = (newton > lo_i) & (newton < hi_i)
-        if d2g:
-            # far out on a flat g, Halley's factor cuts a step that leaves
-            # the bracket to about 2 g' / g'', and such steps creep
-            inside &= ~(factor > 4.0)
-        # NaN predictions (no secant yet) compare False; a predicted stop
-        # whose point leaves the bracket by more than tol is contradicted
-        # by it, one within tol of an end is a root on that end
+        # far out on a flat g, Halley's factor cuts a step that leaves
+        # the bracket to about 2 g' / g'', and such steps creep
+        inside = (newton > lo_i) & (newton < hi_i) & ~(factor > 4.0)
+        # a predicted stop whose point leaves the bracket by more than tol
+        # is contradicted by it, one within tol of an end is a root on that end
         done = (np.abs(step) <= tol) | (
             (predicted <= tol)
             & (np.abs(step) <= _NEWTON_PREDICT_BELOW * scale)

@@ -25,22 +25,10 @@ FAMILIES = [
     ("normal", BetaNormal),
     ("half_normal", BetaHalfNormal),
 ]
-# Known defect (see tests/test_quantile.py): the lam = 1 skew-normal cdf
-# carries up to 3e-11 relative error where Owen's T cancels, near z =
-# -3.7, which a = 20 raises 20-fold in the quantile's round trip.
-SN_NOISE = pytest.mark.xfail(
-    reason="skew-normal cdf noise where Owen's T cancels, amplified a-fold", strict=True
-)
 CASES = [
     pytest.param(base, make(a, b), id=repr(make(a, b)))
     for base, make in FAMILIES
     for a, b in SHAPES
-]
-QUANTILE_CASES = [
-    pytest.param(*case.values, marks=SN_NOISE, id=case.id)
-    if case.id.startswith("BetaSkewNormal(lam=1.0, a=20.0")
-    else case
-    for case in CASES
 ]
 LINE = (-40.0, -20.0, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0, 20.0, 40.0)
 HALF_LINE = (1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 37.0)
@@ -66,7 +54,7 @@ def test_tails_against_oracle(base, dist):
             assert abs(g - w) <= LOG_RTOL * max(1.0, abs(w)), (x, g, w)
 
 
-@pytest.mark.parametrize("base, dist", QUANTILE_CASES)
+@pytest.mark.parametrize("base, dist", CASES)
 def test_quantile_against_oracle(base, dist):
     lower, upper = dist.quantile(Q_LOWER), dist.quantile(Q_UPPER)
     # the half-normal's lowest quantiles are subnormal, with few bits

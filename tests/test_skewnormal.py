@@ -156,32 +156,39 @@ def test_half_normal_limit():
     assert d.cdf(0.0) < 2e-3
 
 
-# For lam > 0 the repair first runs (going left) at these z, rounded
+# For lam > 0, Owen's T first cancels (going left) at these z, rounded
 # down to 4 decimals: the largest z with Phi(z) - 2 T(z, lam) at most
-# 1e-4 Phi(z).  From lam of about 6400 on it already runs at z = 0.
-FIRST_REPAIRED_Z = {
+# 1e-4 Phi(z).  From lam of about 6400 on it already does at z = 0.
+OWEN_CANCELS_Z = {
     0.05: -37.6772, 0.3: -12.8953, 1.0: -3.7191, 2.0: -1.754,
     5.0: -0.6336, 10.0: -0.2919, 20.0: -0.134, 50.0: -0.0474,
     200.0: -0.0093, 1000.0: -0.0012, 1e4: 0.0,
+}
+# The lam > 0 side is routed by lam |z|: from the cut 2 on the shape rule
+# alone, below it Owen's T with the t-space rule where it cancels.
+ROUTE_CUTS = (2.0,)
+# So the repair first runs at the larger of the z where Owen's T cancels
+# and the cut's z = -2 / lam, rounded down to 4 decimals.
+FIRST_REPAIRED_Z = {
+    lam: max(z, math.floor(-1e4 * ROUTE_CUTS[0] / lam) / 1e4) for lam, z in OWEN_CANCELS_Z.items()
 }
 
 # (lam, z) where the log-space tail repair runs, down to z = -30.  For
 # lam = -0.7 it runs only once Phi(z) - 2 T(z, lam) underflows, past
 # z = -37.5, so -30 and -6 check the direct formula there.  The points
-# at and just past FIRST_REPAIRED_Z check the switch from Owen's T.
+# at and just past OWEN_CANCELS_Z check the switch from Owen's T where
+# it cancels below the cut (lam = 0.05 and from 200 on), and the shape
+# rule where the cut comes first (lam from 0.3 to 50).
 ORACLE_POINTS = [
     (3.0, -30.0), (3.0, -8.0), (3.0, -2.0),
     (50.0, -30.0), (50.0, -3.0), (50.0, -0.3),
     (0.7, -30.0), (0.7, -12.0), (0.7, -6.0),
     (-0.7, -38.0), (-0.7, -30.0), (-0.7, -6.0),
-] + [(lam, z - dz) for lam, z in FIRST_REPAIRED_Z.items() for dz in (0.0, 0.1)]
+] + [(lam, z - dz) for lam, z in OWEN_CANCELS_Z.items() for dz in (0.0, 0.1)]
 
 
-# The lam > 0 side is routed by lam |z|: from 4 on the shape rule alone,
-# on [2, 4) Owen's T with the shape rule where it cancels, below 2 Owen's
-# T with the t-space rule.  These points sit at and around both cuts and
-# far beyond them, with z >= -1000.
-ROUTE_CUTS = (2.0, 4.0)
+# These points sit at and around the cut, around lam |z| = 4 and far
+# beyond, with z >= -1000.
 ROUTE_POINTS = [
     (lam, -c / lam)
     for lam in (0.02, 0.3, 1.0, 50.0, 1e3, 1e4, 1e6)
@@ -227,7 +234,7 @@ def test_sn_oracle_routes_agree(lam, z):
 
 
 def test_tail_repair_work_count(monkeypatch):
-    # deterministic perf guard.  From lam |z| >= 4 (lam > 0) the shape
+    # deterministic perf guard.  From lam |z| >= 2 (lam > 0) the shape
     # rule alone serves a point: no Owen's T and no norm_logcdf (the
     # t-space rule took up to 25 norm_logcdf points per point there).
     # The t-space rule is balakrishnan's power-of-Phi tail rule, so
@@ -242,8 +249,8 @@ def test_tail_repair_work_count(monkeypatch):
             return _inner(x, *rest)
 
         monkeypatch.setattr(module, name, counted)
-    z = np.linspace(-30.0, -4.0 / 3.0, 1000)
-    assert np.all(3.0 * z <= -4.0)
+    z = np.linspace(-30.0, -2.0 / 3.0, 1000)
+    assert np.all(3.0 * z <= -2.0)
     d = SkewNormal(0.0, 1.0, 3.0)
     for method in (d.cdf, d.sf, d.logcdf, d.logsf):
         method(z)
@@ -258,7 +265,8 @@ def test_tail_repair_work_count(monkeypatch):
     assert 20 * z.size <= counts["norm_logcdf"] <= 25 * z.size
 
 
-@pytest.mark.parametrize("cut", ROUTE_CUTS)
+# 4 lies inside the shape rule's range, where its rate follows lam |z|
+@pytest.mark.parametrize("cut", (*ROUTE_CUTS, 4.0))
 @pytest.mark.parametrize("lam", (0.02, 0.3, 1.0, 50.0, 1e3, 1e4, 1e6))
 def test_routes_meet_at_each_cut(lam, cut):
     # a 1e-6-spaced grid in lam |z| across the cut, in increasing z

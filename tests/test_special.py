@@ -195,39 +195,25 @@ def test_bracketed_newton():
 
     target = np.array([2.0, 0.5, 9.0])
     root = _bracketed_newton(
-        lambda x, idx: (x**3 - target[idx], 3.0 * x * x), np.ones(3), np.zeros(3), np.full(3, 3.0)
+        lambda x, idx: (x**3 - target[idx], 3.0 * x * x, 6.0 * x),
+        np.ones(3), np.zeros(3), np.full(3, 3.0),
     )
     assert np.max(np.abs(root**3 / target - 1.0)) < 1e-15
     # a start exactly on the root keeps it
-    on_root = _bracketed_newton(lambda x, idx: (x - 1.0, np.ones_like(x)), [1.0], [0.0], [2.0])
+    line = lambda x, idx: (x - 1.0, np.ones_like(x), np.zeros_like(x))
+    on_root = _bracketed_newton(line, [1.0], [0.0], [2.0])
     assert on_root[0] == 1.0
+    # a start 1e-10 from the root takes one exact step, and g'' = 0
+    # predicts a zero successor: the first evaluation ends the solve
+    evals = {}
+    near = _bracketed_newton(_counted(evals, "line", line), [1.0 - 1e-10], [0.0], [2.0])
+    assert near[0] == 1.0 and evals["line"] == 1
     # a point that cannot converge raises instead of coming back half-solved
     with pytest.raises(ArithmeticError):
-        _bracketed_newton(lambda x, idx: (np.full_like(x, np.nan), np.ones_like(x)), [1.0], [0.0], [2.0])
-
-    # Halley steps from the curvature reach the same roots in fewer evaluations
-    evals = {}
-
-    def counted(key, fun):
-        evals[key] = 0
-
-        def wrapped(x, idx):
-            evals[key] += x.size
-            return fun(x, idx)
-
-        return wrapped
-
-    def cube(x, idx):
-        return x**3 - target[idx], 3.0 * x * x
-
-    halley = _bracketed_newton(
-        counted("halley", lambda x, idx: (*cube(x, idx), 6.0 * x)),
-        np.ones(3), np.zeros(3), np.full(3, 3.0),
-    )
-    newton = _bracketed_newton(counted("newton", cube), np.ones(3), np.zeros(3), np.full(3, 3.0))
-    assert np.max(np.abs(halley**3 / target - 1.0)) < 1e-15
-    assert np.max(np.abs(halley / newton - 1.0)) < 1e-15
-    assert evals["halley"] < evals["newton"]
+        _bracketed_newton(
+            lambda x, idx: (np.full_like(x, np.nan), np.ones_like(x), np.zeros_like(x)),
+            [1.0], [0.0], [2.0],
+        )
 
     # log x is concave, so from x = 0.5 the Halley point 1.03 overshoots the
     # root 1 and leaves the bracket [0.5, 1.02]: that step bisects instead
@@ -258,33 +244,26 @@ def test_bracketed_newton_stops_on_the_predicted_step():
     from betasn.special import _bracketed_newton
 
     # cube roots of 9 targets from 0.1 to 20, all started at 1 in [0, 3].
-    # Stopping only once a fresh step is within 4 ulp took 42 evaluations
-    # with the curvature (Halley) and 59 without it (Newton); a step whose
-    # predicted successor |g''/g'| step^2 / 2 is below that ends the solve
+    # Stopping only once a fresh step is within 4 ulp took 42 evaluations;
+    # a step whose predicted successor |g''/g'| step^2 / 2 is below that
+    # ends the solve
     target = np.geomspace(0.1, 20.0, 9)
     evals = {}
 
     def cube(x, idx):
-        return x**3 - target[idx], 3.0 * x * x
+        return x**3 - target[idx], 3.0 * x * x, 6.0 * x
 
     start, lo, hi = np.ones(9), np.zeros(9), np.full(9, 3.0)
-    halley = _bracketed_newton(
-        _counted(evals, "halley", lambda x, idx: (*cube(x, idx), 6.0 * x)), start, lo, hi
-    )
-    newton = _bracketed_newton(_counted(evals, "newton", cube), start, lo, hi)
-    for root in (halley, newton):
-        assert np.max(np.abs(root**3 / target - 1.0)) < 1e-15
-    assert evals["halley"] < 42 and evals["newton"] < 59
-    # the three targets of test_bracketed_newton: Halley's last large steps
-    # there, 4e-7 and 1e-7, predict successors above 4 ulp, so that path
-    # keeps its 13 evaluations while Newton's falls from 18
+    root = _bracketed_newton(_counted(evals, "halley", cube), start, lo, hi)
+    assert np.max(np.abs(root**3 / target - 1.0)) < 1e-15
+    assert evals["halley"] < 42
+    # the three targets of test_bracketed_newton: the last large steps
+    # there, 4e-7 and 1e-7, predict successors above 4 ulp, so that solve
+    # keeps its 13 evaluations
     target = np.array([2.0, 0.5, 9.0])
     start, lo, hi = np.ones(3), np.zeros(3), np.full(3, 3.0)
-    _bracketed_newton(
-        _counted(evals, "halley", lambda x, idx: (*cube(x, idx), 6.0 * x)), start, lo, hi
-    )
-    _bracketed_newton(_counted(evals, "newton", cube), start, lo, hi)
-    assert evals["halley"] <= 13 and evals["newton"] < 18
+    _bracketed_newton(_counted(evals, "halley", cube), start, lo, hi)
+    assert evals["halley"] <= 13
 
 
 def test_bracketed_newton_vanishing_curvature_does_not_stop_a_large_step():
@@ -301,26 +280,6 @@ def test_bracketed_newton_vanishing_curvature_does_not_stop_a_large_step():
     root = _bracketed_newton(gap, [0.0], [-1.0], [5.0])
     assert len(seen) > 2 and seen[1] == 2.0
     assert abs(root[0] / np.arcsinh(2.0) - 1.0) < 1e-15
-
-
-def test_bracketed_newton_secant_needs_two_evaluations():
-    from betasn.special import _bracketed_newton
-
-    # a linear g whose root is 1e-10 from the start: one exact Newton step.
-    # Given g'' = 0 the prediction ends the solve on that first step; with
-    # no g'', the secant of the slopes needs a second point, so the first
-    # evaluation cannot end it
-    root = 1.0 + 1e-10
-    evals = {}
-    with_curv = _bracketed_newton(
-        _counted(evals, "curv", lambda x, idx: (x - root, np.ones_like(x), np.zeros_like(x))),
-        [1.0], [0.0], [2.0],
-    )
-    secant = _bracketed_newton(
-        _counted(evals, "secant", lambda x, idx: (x - root, np.ones_like(x))), [1.0], [0.0], [2.0]
-    )
-    assert evals == {"curv": 1, "secant": 2}
-    assert with_curv[0] == secant[0] == root
 
 
 def test_bracketed_newton_stops_on_a_root_at_the_bracket_end():

@@ -63,8 +63,9 @@ def test_tail_routes_counts_every_point():
         for counts in row.values():
             assert sum(counts[k] for k in routes) == counts["points"]
     total = out["total"]
-    # no lam > 0 point with lam |z| >= 4 reaches Owen's T or the t-space rule
-    assert total["far_to_owen_t"] == total["far_to_t_space"] == 0
+    # no lam > 0 point at or past the shape rule's cut reaches Owen's T or
+    # the t-space rule, and no point Owen's T serves goes on to the shape rule
+    assert total["far_to_owen_t"] == total["far_to_t_space"] == total["owen_t_then_shape"] == 0
     assert total["shape_only"] > 0 and total["owen_t_only"] > 0
 
 

@@ -12,12 +12,13 @@ route that served them:
 ``owen_t_only``          Phi(z) - 2 T(z, lam), kept as it stands;
 ``owen_t_then_shape``    Owen's T, then repaired by the shape-space rule;
 ``owen_t_then_t_space``  Owen's T, then repaired by the t-space rule;
-``shape_only``           the shape-space rule alone (lam |z| >= 4, lam > 0);
+``shape_only``           the shape-space rule alone (lam > 0, lam |z| at or
+                         past the library's cut ``_SHAPE_CUT``);
 ``beyond_range``         |z| past the square root of the largest float, F = 0.
 
 ``far_to_owen_t`` and ``far_to_t_space`` count the points with lam > 0
-and lam |z| >= 4 that reached Owen's T or the t-space rule; the routing
-keeps both at 0.  The t-space points are the points ``_tail_logcdf``
+and lam |z| past that cut that reached Owen's T or the t-space rule; the
+routing keeps both at 0, and with one cut ``owen_t_then_shape`` too.  The t-space points are the points ``_tail_logcdf``
 sees, less those it passes to the shape rule and those beyond range.
 Prints one JSON object with the counts per member and op, per op over
 all members, and in total.  ``--src`` picks the library tree to import
@@ -39,7 +40,6 @@ ROUTES = (
     "owen_t_only", "owen_t_then_shape", "owen_t_then_t_space", "shape_only",
     "beyond_range", "far_to_owen_t", "far_to_t_space",
 )
-SHAPE_ONLY = 4.0
 
 
 def main(argv=None):
@@ -51,9 +51,12 @@ def main(argv=None):
     import workloads
     from betasn import skewnormal
 
-    # beyond this |z|, z^2 overflows and the repair returns F = 0; read
-    # from the library under test, so the counts follow its routing
+    # beyond this |z|, z^2 overflows and the repair returns F = 0, and from
+    # lam |z| = shape_only on the shape rule alone serves a point; both read
+    # from the library under test (a tree with two cuts names the second
+    # _SHAPE_ONLY), so the counts follow its routing
     z_square_max = getattr(skewnormal, "_Z_SQUARE_MAX", np.sqrt(np.finfo(float).max))
+    shape_only = getattr(skewnormal, "_SHAPE_CUT", getattr(skewnormal, "_SHAPE_ONLY", 4.0))
     raw = dict.fromkeys(
         ("left", "owen_t", "repaired", "gone", "shape", "shape_far", "far_owen", "far_repaired"), 0
     )
@@ -62,7 +65,7 @@ def main(argv=None):
         # the points beyond range are not counted as far
         if lam <= 0.0:
             return 0
-        return int(np.count_nonzero((lam * np.abs(z) >= SHAPE_ONLY) & (z >= -z_square_max)))
+        return int(np.count_nonzero((lam * np.abs(z) >= shape_only) & (z >= -z_square_max)))
 
     def wrap(name, key, far_key=None):
         inner = getattr(skewnormal, name)
@@ -91,7 +94,7 @@ def main(argv=None):
         # every point Owen's T does not resolve goes to _tail_logcdf, which
         # passes it to the shape rule, finds it beyond range, or else takes
         # it by the t-space rule; only the shape rule takes points with
-        # lam |z| >= SHAPE_ONLY
+        # lam |z| >= shape_only
         t_space = raw["repaired"] - raw["shape"] - raw["gone"]
         return {
             "points": raw["left"],
