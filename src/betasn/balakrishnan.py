@@ -50,7 +50,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import legendre
 
-from .core import LocationScale, _by_side, _require
+from .core import LocationScale, _require
 from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, _log_tail_mass, integrate_line
 from .special import _bracketed_newton, _hermite_start, _hermite_table, norm_logcdf, norm_logpdf
 
@@ -401,8 +401,7 @@ class PowerOfPhi(LocationScale):
         return np.minimum(out, 0.0 if log else 1.0)
 
     def _std_quantile(self, t, upper):
-        table = _kernel_table(*self._key)
-        return _by_side(table._solve, t, upper)
+        return _kernel_table(*self._key)._solve(t, upper)
 
 
 @dataclass(frozen=True)

@@ -266,34 +266,33 @@ class _BetaGenerated(LocationScale):
         """The standardized law whose lower side is minus this one's upper side, if any."""
         return None
 
-    def _std_quantile(self, t, upper):
-        if self.a == 1.0 and self.b == 1.0:
-            # the latent is t itself
-            return _by_side(lambda t, side: self._base_quantile(np.log(t), side), t, upper)
-        return _by_side(self._solve_side, t, upper)
-
     def _composed_quantile(self, t, upper):
         """The base quantile of the latent w, found as log w or log(1 - w) on t's side."""
-        log_v, on_s = _log_inc_beta_root(t, self.a, self.b, upper)
-        return _by_side(self._base_quantile, log_v, on_s)
+        # the mass above z is I_S(z)(b, a)
+        a, b = (self.b, self.a) if upper else (self.a, self.b)
+        log_v, swap = _log_inc_beta_root(t, a, b)
+        return _by_side(self._base_quantile, log_v, swap != upper)
 
-    def _solve_side(self, t, upper):
+    def _std_quantile(self, t, upper):
         """z with mass t below it, or above it if upper, by one solve of log I_F(z)(a, b).
 
-        An upper side is minus the lower side of _mirror() where there
-        is one, which is exact; else it solves y = -z.  Bracketed Halley
-        steps on g(y) = log I - log t, I the tail mass and p the density
-        of this law, use g' = p / I and g'' = g' (d log p / dy - g'),
-        all from the one _log_tails read of each evaluation.  They start
-        from _solve_table, on the panel mostly within 1e-9 of the root,
-        so nearly every point ends on its first evaluation.  A lower
-        side bounded at z = 0 keeps the composed route, whose latent
-        solve is relative in w, where a root in z near 0 would stop at
-        4 ulp of 1 rather than of z.
+        At a = b = 1 the latent is t itself, and the base quantile
+        serves.  An upper side is minus the lower side of _mirror()
+        where there is one, which is exact; else it solves y = -z.
+        Bracketed Halley steps on g(y) = log I - log t, I the tail mass
+        and p the density of this law, use g' = p / I and
+        g'' = g' (d log p / dy - g'), all from the one _log_tails read of
+        each evaluation.  They start from _solve_table, on the panel
+        mostly within 1e-9 of the root, so nearly every point ends on its
+        first evaluation.  A lower side bounded at z = 0 keeps the
+        composed route, whose latent solve is relative in w, where a root
+        in z near 0 would stop at 4 ulp of 1 rather than of z.
         """
+        if self.a == 1.0 and self.b == 1.0:
+            return self._base_quantile(np.log(t), upper)
         mirror = self._mirror() if upper else None
         if mirror is not None:
-            return -mirror._solve_side(t, False)
+            return -mirror._std_quantile(t, False)
         if not upper and self.support[0] == 0.0:
             return self._composed_quantile(t, False)
         log_t = np.log(t)

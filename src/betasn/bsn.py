@@ -21,7 +21,7 @@ import numpy as np
 from .betafamily import BetaHalfNormal, _BetaGenerated, _log_beta_kernel
 from .core import _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
-from .skewnormal import SkewNormal, _log_density_slope, _side_quantile, _tails
+from .skewnormal import SkewNormal, _log_density, _log_density_slope, _side_quantile, _tails
 from .special import log_beta, norm_logcdf, norm_logpdf, norm_quantile
 
 __all__ = [
@@ -249,7 +249,7 @@ def moment_recursion_gap(lam, a, b, k, spec=None):
     dist_v = BetaSkewNormal(lam, a, b - 1.0)
 
     def sn_density(x):
-        return np.exp(_LOG2 + norm_logpdf(x) + norm_logcdf(lam * x))
+        return np.exp(_log_density(x, norm_logcdf(lam * x)))
 
     def hazard_term(x):
         return np.exp(norm_logpdf(lam * x) - norm_logcdf(lam * x))

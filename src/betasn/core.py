@@ -8,8 +8,8 @@ fields, validates them and standardizes through _z, and its cdf, sf,
 logcdf, logsf and quantile apply the scalar-in/float-out rule, the
 limits at infinite arguments, the quantile domain, the split of q at
 1/2 and the placement once, over two hooks per family: _std_tail, a
-standardized tail read, and _std_quantile, a one-sided quantile, with
-_by_side to solve the two sides apart.  _require is the one parameter
+standardized tail read, and _std_quantile, a quantile on one side, which
+_by_side calls once per side.  _require is the one parameter
 check behind every family.  The default sampler is the quantile
 transform of a PCG64 uniform stream (``numpy.random.default_rng``), so
 one seed policy drives every family reproducibly; families with a
@@ -110,9 +110,10 @@ class LocationScale(Distribution):
     cdf, sf, logcdf and logsf all read one hook, _std_tail(z, upper,
     log): the mass below each z of an array of at least one dimension,
     or above it if upper, as a probability or its log.  quantile reads
-    the other, _std_quantile(t, upper): the z with tail mass t below
-    them, or above them where upper is set, for the 1-d t = q or 1 - q,
-    whichever is at most 1/2.  Both return a Python float for a scalar.
+    the other, _std_quantile(t, upper), once per side: the z with tail
+    mass t below them, or above them if upper, for a 1-d t at most 1/2
+    (q below 1/2, 1 - q above).  Both return a Python float for a
+    scalar.
     """
 
     _placement = ("mu", "sigma")
@@ -166,7 +167,7 @@ class LocationScale(Distribution):
         q = _quantile_domain(q)
         qq = q.reshape(-1)
         upper = qq > 0.5
-        z = self._std_quantile(np.where(upper, 1.0 - qq, qq), upper)
+        z = _by_side(self._std_quantile, np.where(upper, 1.0 - qq, qq), upper)
         out = self.location + self.scale * z.reshape(q.shape)
         return out if q.ndim else float(out)
 

@@ -10,14 +10,13 @@ rules keep cdf and logcdf relatively accurate there.  The shape rule
 integrates Owen's derivative in a, F = (1/pi) * integral over a >= lam
 of e^(-(1 + a^2) z^2 / 2) / (1 + a^2), a positive integrand that needs
 no special function at any node; it serves every lam > 0 point with
-lam |z| >= 2, where Owen's T is not formed.  The t-space rule
+lam |z| >= _SHAPE_CUT, where Owen's T is not formed.  The t-space rule
 integrates the density over the tail in log space, rescaled by its
 local decay rate: the density is twice the power-of-Phi kernel
 phi(z) Phi(lam z)^1, so this is the tail rule balakrishnan._log_tail
-applies to every such kernel.  It repairs
-Owen's T where it cancels nearer z = 0, where the shape integrand's
-power-law factor defeats its rule, and the lam <= 0 side once Owen's T
-underflows.  The beta-generated composition raises this cdf to
+applies to every such kernel.  It repairs Owen's T where it cancels
+nearer z = 0, where the shape integrand's power-law factor defeats its
+rule, and the lam <= 0 side once Owen's T underflows.  The beta-generated composition raises this cdf to
 fractional powers, which is why relative (not just absolute) accuracy
 matters here.
 
@@ -37,9 +36,9 @@ which builds its start tables, can pass a latent far below the smallest
 double.  Start and bracket come from a cubic-Hermite table of z against
 v = -sqrt(-2 log F) (special._hermite_table), built once per shape and
 cached, within a few 1e-9 of the root, and beyond its first node from
-the tail asymptote.  A solve ends on the step whose
-successor, predicted from g'', is below 4 ulp, so nearly every point
-ends on its first evaluation.  Where Owen's T cancels to 1e-4 of
+the tail asymptote.  A solve ends on the step whose successor,
+predicted from g'', is below 4 ulp, so nearly every point ends on its
+first evaluation.  Where Owen's T cancels to 1e-4 of
 Phi(z), below the shape rule's cut, F carries relative noise far above
 an ulp, and a root there stops at its first noise-sized step.
 """
@@ -53,7 +52,7 @@ import numpy as np
 from scipy.special import ndtri_exp
 
 from .balakrishnan import _log_tail
-from .core import LocationScale, _by_side, _quantile_domain, _require
+from .core import LocationScale, _quantile_domain, _require
 from .quadrature import _LAGUERRE_NODES, _LAGUERRE_WEIGHTS
 from .special import (
     _bracketed_newton,
@@ -152,8 +151,8 @@ def _shape_logcdf(z, lam):
     the 20-node rule sums
     e^(s (1 - lam z^2 / r) - z^2 s^2 / (2 r^2)) / (1 + a^2), built in
     place on one (20, n) block.  Accurate to a few ulp of log F from
-    lam |z| >= 2 (checked against an mpmath oracle for lam from 0.02 to
-    1e6); nearer z = 0 the power-law factor defeats the rule.
+    lam |z| >= _SHAPE_CUT (checked against an mpmath oracle for lam from
+    0.02 to 1e6); nearer z = 0 the power-law factor defeats the rule.
     """
     z2 = z * z
     s2 = 1.0 + lam * lam
@@ -174,73 +173,49 @@ def _shape_logcdf(z, lam):
     return -_LOG_PI - 0.5 * s2 * z2 - np.log(rate) + np.log(_LAGUERRE_WEIGHTS @ h)
 
 
-def _tail_logcdf(z, lam):
-    """log F(z; lam) at the points z <= 0 that _left left unresolved.
-
-    A point with lam |z| >= _SHAPE_CUT on the lam > 0 side takes the
-    shape rule, every other point the t-space rule: the density is the
-    power-of-Phi kernel phi(t) Phi(lam t)^1 times 2, so
-    balakrishnan._log_tail integrates it over the tail in log space, one
-    20-point Gauss-Laguerre rule rescaled by the slope and curvature of
-    the log density at z.  Near the switch from Owen's T at large lam
-    the log density is nearly a parabola, and the curvature term
-    stretches its decay over several nodes.  That rule resolves F to a
-    few ulp of log F (checked against an mpmath oracle for lam from 0.02
-    to 1e6), at 22 norm_logcdf evaluations per point.  Past
-    |z| ~ 1.3e154, where z^2 overflows and log F < -9e307, and at
-    z = -inf, F is 0.
-    """
-    gone = z < -_Z_SQUARE_MAX
-    if lam > 0.0:
-        shape = (lam * z <= -_SHAPE_CUT) & ~gone
-    else:
-        shape = np.zeros_like(gone)
-    if shape.all():
-        return _shape_logcdf(z, lam)
-    rest = ~(shape | gone)
-    if rest.all():
-        return _log_tail(z, lam, 0.0, 1, 0, _LOG2)
-    out = np.full_like(z, -np.inf)
-    if shape.any():
-        out[shape] = _shape_logcdf(z[shape], lam)
-    if rest.any():
-        out[rest] = _log_tail(z[rest], lam, 0.0, 1, 0, _LOG2)
-    return out
-
-
-def _owen_left(z, lam):
-    """(F, log F, unresolved) from Phi(z) - 2 T(z, lam) at z <= 0; see _left."""
-    phi = norm_cdf(z)
-    f = np.clip(phi - 2.0 * owen_t(z, lam), 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        log_f = np.log(f)
-    # <= so the repair still fires once norm_cdf itself underflows to 0
-    bad = f <= 1e-4 * phi if lam > 0.0 else f < 1e-290
-    return f, log_f, bad
-
-
 def _left(z, lam):
-    """(F, log F, unresolved) of SN(0, 1, lam) at the points of a 1-d array z <= 0.
+    """(F, log F) of SN(0, 1, lam) at the points of a 1-d array z <= 0.
 
-    F and log F come from Phi(z) - 2 T(z, lam); the mask flags the
-    points that formula cannot resolve, which need _tail_logcdf instead.
-    On the lam > 0 side those are every point with lam |z| >=
-    _SHAPE_CUT, where Owen's T is not formed at all, and the points
+    Each point takes one route.  Past |z| ~ 1.3e154, where z^2
+    overflows and log F < -9e307, and at z = -inf, F is 0.  On the
+    lam > 0 side the shape rule serves every point with
+    lam |z| >= _SHAPE_CUT.  The rest take Phi(z) - 2 T(z, lam), and the
+    t-space rule where that cannot resolve them: on the lam > 0 side
     where cancellation leaves under 1e-4 of Phi(z) (or Phi itself
-    underflowed); on the lam <= 0 side, where T only adds mass, the
-    points whose value drops below 1e-290 while its log stays
-    representable.
+    underflowed), and on the lam <= 0 side, where T only adds mass,
+    where F drops below 1e-290 while its log stays representable.  The
+    t-space rule is balakrishnan._log_tail on the kernel
+    phi(t) Phi(lam t)^1, times 2: one 20-point Gauss-Laguerre rule
+    rescaled by the slope and curvature of the log density at z, whose
+    curvature term stretches the nearly parabolic log density near the
+    switch at large lam over several nodes.  It resolves F to a few ulp
+    of log F (checked against an mpmath oracle for lam from 0.02 to
+    1e6), at 22 norm_logcdf evaluations per point.
     """
-    if lam > 0.0:
-        far = lam * z <= -_SHAPE_CUT
-        if far.any():
-            f = np.empty_like(z)
-            log_f = np.empty_like(z)
-            bad = far.copy()
-            near = ~far
-            f[near], log_f[near], bad[near] = _owen_left(z[near], lam)
-            return f, log_f, bad
-    return _owen_left(z, lam)
+    # not z >= -_Z_SQUARE_MAX, which would send a NaN z to F = 0
+    live = ~(z < -_Z_SQUARE_MAX)
+    shape = live & (lam * z <= -_SHAPE_CUT) if lam > 0.0 else np.zeros_like(live)
+    owen = live & ~shape
+    whole = owen.all()
+    z_owen = z if whole else z[owen]
+    phi = norm_cdf(z_owen)
+    f_owen = np.clip(phi - 2.0 * owen_t(z_owen, lam), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        log_owen = np.log(f_owen)
+    # <= so the repair still fires once norm_cdf itself underflows to 0
+    bad = f_owen <= 1e-4 * phi if lam > 0.0 else f_owen < 1e-290
+    if bad.any():
+        log_owen[bad] = _log_tail(z_owen[bad], lam, 0.0, 1, 0, _LOG2)
+        f_owen[bad] = np.exp(log_owen[bad])
+    if whole:
+        return f_owen, log_owen
+    log_f = np.full_like(z, -np.inf)
+    log_f[owen] = log_owen
+    if shape.any():
+        log_f[shape] = _shape_logcdf(z[shape], lam)
+    f = np.exp(log_f)
+    f[owen] = f_owen
+    return f, log_f
 
 
 def _tails(z, lam, log):
@@ -256,14 +231,8 @@ def _tails(z, lam, log):
     near = np.empty_like(zz)
     log_near = np.empty_like(zz)
     for side, sign in ((neg, 1.0), (~neg, -1.0)):
-        if not side.any():
-            continue
-        z_side, lam_side = sign * zz[side], sign * lam
-        f, log_f, bad = _left(z_side, lam_side)
-        if np.any(bad):
-            log_f[bad] = _tail_logcdf(z_side[bad], lam_side)
-            f[bad] = np.exp(log_f[bad])
-        near[side], log_near[side] = f, log_f
+        if side.any():
+            near[side], log_near[side] = _left(sign * zz[side], sign * lam)
     if log:
         near, far = log_near, np.log1p(-near)
     else:
@@ -339,8 +308,9 @@ def _side_quantile(log_p, lam, upper):
 
     The upper side is -z of SN(-lam) on the lower one, which is exact,
     so both tails keep the cdf's relative accuracy.  Bracketed Halley
-    steps on log F solve the lower side.  Start and bracket come from _start_and_bracket, mostly within a few
-    1e-9 of the root, so nearly every point ends on its first evaluation.
+    steps on log F solve the lower side.  Start and bracket come from
+    _start_and_bracket, mostly within a few 1e-9 of the root, so nearly
+    every point ends on its first evaluation.
     The steps and the predicted stop use g'' = g' (-z + lam H(lam z) - g')
     of g = log F - log p, with g' = f / F and H the normal hazard.  At
     lam = 0, F is Phi, inverted directly.
@@ -388,7 +358,7 @@ class SkewNormal(LocationScale):
         return _tails(z, self.lam, log)[upper]
 
     def _std_quantile(self, t, upper):
-        return _by_side(lambda t, side: _side_quantile(np.log(t), self.lam, side), t, upper)
+        return _side_quantile(np.log(t), self.lam, upper)
 
     # SkewNormal's own names for the shared surface, so profiles and the
     # benchmark's traced spans (SkewNormal.quantile, .cdf, ...) attribute

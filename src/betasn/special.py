@@ -248,8 +248,8 @@ def _log_inc_beta_cf(log_x, log_1mx, a, b):
     return a * log_x + b * log_1mx - np.log(a) - _sp.betaln(a, b) + np.log(h)
 
 
-def _log_inc_beta_root(p, a, b, mirror=False):
-    """(log v, swap) with I_w(a, b) = p, or I_(1-w)(b, a) = p where mirror.
+def _log_inc_beta_root(p, a, b):
+    """(log v, swap) with I_w(a, b) = p.
 
     p is a 1-d array in (0, 1), a and b floats or arrays like p.  v is
     the smaller of w and 1 - w; swap marks v = 1 - w.  A root above 1/2
@@ -261,10 +261,9 @@ def _log_inc_beta_root(p, a, b, mirror=False):
     term, I_v ~ v^a / (a B) (1 + a (1 - b) v / (a + 1)) near 0 or its
     mirror near 1, in a bracket from I_v <= v^a max(1, 2^(1 - b)) / (a B).
     """
-    flip = p > np.where(mirror, _sp.betainc(b, a, 0.5), _sp.betainc(a, b, 0.5))
-    swap = flip != mirror
+    swap = p > _sp.betainc(a, b, 0.5)
     log_p, log_q = np.log(p), np.log1p(-p)
-    log_p, log_q = np.where(flip, log_q, log_p), np.where(flip, log_p, log_q)
+    log_p, log_q = np.where(swap, log_q, log_p), np.where(swap, log_p, log_q)
     # B(a, b) = B(b, a), bit for bit in betaln
     log_b = _sp.betaln(a, b)
     if swap.any():
@@ -287,7 +286,7 @@ def _log_inc_beta_root(p, a, b, mirror=False):
     lo = np.minimum(from_0 - np.maximum(1.0 - b, 0.0) * _LOG2 / a, _LOG_W_MIN)
     start = np.clip(start, lo, -_LOG2)
     sign = np.where(upper, -1.0, 1.0)
-    floor = np.where(flip, _MIRRORED_FLOOR, _COMPLEMENT_FLOOR)
+    floor = np.where(swap, _MIRRORED_FLOOR, _COMPLEMENT_FLOOR)
 
     def log_gap(u, idx):
         a_i, b_i, log_b_i = _take(idx, a, b, log_b)

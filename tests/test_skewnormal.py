@@ -201,14 +201,15 @@ ROUTE_POINTS = [
 def test_repair_starts_at_first_repaired_z(monkeypatch, lam, z):
     from betasn import skewnormal
 
+    # the points either rule, shape or t-space, receives
     repaired = []
-    inner = skewnormal._tail_logcdf
+    for name in ("_shape_logcdf", "_log_tail"):
 
-    def recorded(zb, lam_b):
-        repaired.extend(zb.tolist())
-        return inner(zb, lam_b)
+        def recorded(zb, *rest, _inner=getattr(skewnormal, name)):
+            repaired.extend(zb.tolist())
+            return _inner(zb, *rest)
 
-    monkeypatch.setattr(skewnormal, "_tail_logcdf", recorded)
+        monkeypatch.setattr(skewnormal, name, recorded)
     SkewNormal(0.0, 1.0, lam).logcdf(np.array([z + 1e-4, z]))
     assert repaired == [z]
 

@@ -18,12 +18,15 @@ route that served them:
 
 ``far_to_owen_t`` and ``far_to_t_space`` count the points with lam > 0
 and lam |z| past that cut that reached Owen's T or the t-space rule; the
-routing keeps both at 0, and with one cut ``owen_t_then_shape`` too.  The t-space points are the points ``_tail_logcdf``
-sees, less those it passes to the shape rule and those beyond range.
+routing keeps both at 0, and with one cut ``owen_t_then_shape`` too.
+The t-space points are the points ``skewnormal._log_tail`` receives.
 Prints one JSON object with the counts per member and op, per op over
 all members, and in total.  ``--src`` picks the library tree to import
-(default: this checkout's ``src``).  A tree without the shape rule
-counts every repair within range as t-space.
+(default: this checkout's ``src``).  On an older tree, whose ``_left``
+hands the points Owen's T leaves unresolved to ``_tail_logcdf``, the
+t-space points are those less the ones it passes to the shape rule and
+those beyond range; a tree without the shape rule counts every repair
+within range as t-space.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ def main(argv=None):
     # _SHAPE_ONLY), so the counts follow its routing
     z_square_max = getattr(skewnormal, "_Z_SQUARE_MAX", np.sqrt(np.finfo(float).max))
     shape_only = getattr(skewnormal, "_SHAPE_CUT", getattr(skewnormal, "_SHAPE_ONLY", 4.0))
+    # an older tree repairs through _tail_logcdf, which also takes the
+    # points beyond range; a newer one counts those where _left sees them
+    old = hasattr(skewnormal, "_tail_logcdf")
+    gone_at = "repaired" if old else "left"
     raw = dict.fromkeys(
         ("left", "owen_t", "repaired", "gone", "shape", "shape_far", "far_owen", "far_repaired"), 0
     )
@@ -75,7 +82,7 @@ def main(argv=None):
             raw[key] += z.size
             if far_key:
                 raw[far_key] += far(z, float(lam))
-            if key == "repaired":
+            if key == gone_at:
                 raw["gone"] += int(np.count_nonzero(z < -z_square_max))
             return inner(z, lam, *rest)
 
@@ -83,7 +90,7 @@ def main(argv=None):
 
     wrap("_left", "left")
     wrap("owen_t", "owen_t", "far_owen")
-    wrap("_tail_logcdf", "repaired", "far_repaired")
+    wrap("_tail_logcdf" if old else "_log_tail", "repaired", "far_repaired")
     if hasattr(skewnormal, "_shape_logcdf"):
         wrap("_shape_logcdf", "shape", "shape_far")
 
@@ -91,20 +98,23 @@ def main(argv=None):
         for key in raw:
             raw[key] = 0
         action()
-        # every point Owen's T does not resolve goes to _tail_logcdf, which
-        # passes it to the shape rule, finds it beyond range, or else takes
-        # it by the t-space rule; only the shape rule takes points with
-        # lam |z| >= shape_only
-        t_space = raw["repaired"] - raw["shape"] - raw["gone"]
+        # every point is beyond range or goes to the shape rule, Owen's T
+        # alone or Owen's T then the t-space rule; only the shape rule
+        # takes points with lam |z| >= shape_only.  On an older tree
+        # _tail_logcdf also saw the shape-rule and beyond-range points
+        t_space, far_t_space = raw["repaired"], raw["far_repaired"]
+        if old:
+            t_space -= raw["shape"] + raw["gone"]
+            far_t_space -= raw["shape_far"]
         return {
             "points": raw["left"],
-            "owen_t_only": raw["left"] - raw["repaired"],
+            "owen_t_only": raw["left"] - t_space - raw["shape"] - raw["gone"],
             "owen_t_then_shape": raw["shape"] - raw["shape_far"],
             "owen_t_then_t_space": t_space,
             "shape_only": raw["shape_far"],
             "beyond_range": raw["gone"],
             "far_to_owen_t": raw["far_owen"],
-            "far_to_t_space": raw["far_repaired"] - raw["shape_far"],
+            "far_to_t_space": far_t_space,
         }
 
     members = {}
