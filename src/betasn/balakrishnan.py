@@ -22,23 +22,24 @@ Normalizing integrals are computed by adaptive quadrature and memoized
 per kernel.  Distribution functions have no closed form; they are served
 from one piecewise-polynomial cumulative table per kernel over the
 truncation window (see _NumericCdf), built from kernel values at the
-Gauss-Kronrod nodes of its segments.  A cdf or sf read is a searchsorted
-and one 16-term Legendre sum per point, added to the running segment
-sums from the left or from the right, so each keeps relative accuracy
-in its own tail; logcdf and logsf take the log before dividing by the
-total, except below 1e-30 of it, where the table misses the kernel's mass
-beyond the window or underflows, and one Gauss-Laguerre rule on the
-log-concave kernel (_log_tail) gives the log tail mass instead.  The
+Gauss-Kronrod nodes of its segments.  A cdf or sf read is one lookup in
+the edges' guide table (special._SegmentIndex) and one 16-term Legendre
+sum per point, added to the running segment sums from the left or from
+the right, so each keeps relative accuracy in its own tail; logcdf and
+logsf take the log before dividing by the total, except below 1e-30 of
+it, where the table misses the kernel's mass beyond the window or
+underflows, and one Gauss-Laguerre rule on the log-concave kernel
+(_log_tail) gives the log tail mass instead.  The
 skew-normal density is twice the n = 1 kernel, so the same rule is the
-skew-normal's t-space tail repair.  A quantile finds the segment holding
-its root by searchsorted on the running sums, taken from the left for
-q <= 1/2 and from the right above, and solves the log of that same read
-by bracketed Halley steps inside the segment, started from the table's
-cubic-Hermite inverse over the segment edges on that side, like the
-skew-normal and beta-generated solves.  So cdf and quantile are
-inverses of each other to roundoff, the quantile keeps relative accuracy
-in q, or in 1 - q, down to the far tails, and no read evaluates the
-kernel.
+skew-normal's t-space tail repair.  A quantile starts from the table's
+cubic-Hermite inverse over the segment edges on its side, like the
+skew-normal and beta-generated solves, finds the segment holding its
+root by a walk on the running sums, taken from the left for q <= 1/2
+and from the right above, from the edge segment of that start, and
+solves the log of that same read by bracketed Halley steps inside the
+segment.  So cdf and quantile are inverses of each other to roundoff,
+the quantile keeps relative accuracy in q, or in 1 - q, down to the far
+tails, and no read evaluates the kernel.
 """
 
 from __future__ import annotations
@@ -52,7 +53,15 @@ from numpy.polynomial import legendre
 
 from .core import LocationScale, _require
 from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, _log_tail_mass, integrate_line
-from .special import _bracketed_newton, _hermite_start, _hermite_table, norm_logcdf, norm_logpdf
+from .special import (
+    _bracketed_newton,
+    _hermite_start,
+    _hermite_table,
+    _SegmentIndex,
+    _SortedNodes,
+    norm_logcdf,
+    norm_logpdf,
+)
 
 __all__ = [
     "PowerOfPhi",
@@ -224,7 +233,8 @@ class _NumericCdf:
     mass linear, which keeps every read monotone.  The segment masses
     are summed from both ends, so the mass below and the mass above
     every edge keep relative accuracy in their own tail.  Reads (cdf,
-    sf, their logs and the quantile) evaluate no kernel.
+    sf, their logs and the quantile) evaluate no kernel, and find a
+    point's segment in the edges' guide table (special._SegmentIndex).
     """
 
     def __init__(self, kernel, spec, segments=1600):
@@ -256,6 +266,7 @@ class _NumericCdf:
         self.cum = np.concatenate([[0.0], np.cumsum(self.seg)])
         self.cum_right = np.concatenate([np.cumsum(self.seg[::-1])[::-1], [0.0]])
         self.total = float(self.cum[-1])
+        self._edge_index = _SegmentIndex(self.edges, "right")
 
     def _below(self, i, upper):
         """Running sum of the segments below segment i, or above it if upper."""
@@ -264,7 +275,7 @@ class _NumericCdf:
     def masses(self, z, upper):
         """Kernel mass below each z of an array, or above it if upper."""
         z = np.clip(z, -self.t, self.t)
-        i = np.clip(np.searchsorted(self.edges, z, side="right") - 1, 0, len(self.seg) - 1)
+        i = self._edge_index.find(z)
         lo, hi = self.edges[i], self.edges[i + 1]
         u = np.clip((z - 0.5 * (lo + hi)) * (2.0 / (hi - lo)), -1.0, 1.0)
         seg = self.seg[i]
@@ -294,26 +305,34 @@ class _NumericCdf:
             _hermite_table(-self.edges[::-1], log_above[::-1], log_dens[::-1]),
         )
 
+    @cached_property
+    def _running(self):
+        """The running sums as _SortedNodes, (lower, upper), in the order of the edges.
+
+        The lower side's nodes are the mass below each edge, searched
+        from the right, the upper side's minus the mass above it, from
+        the left.
+        """
+        return _SortedNodes(self.cum, "right"), _SortedNodes(-self.cum_right, "left")
+
     def _solve(self, t, upper):
         """Points with the fraction t of the kernel's mass below them, or above them if upper.
 
-        searchsorted on the running sums picks the one segment holding
-        each root; inside it, bracketed Halley steps solve the log of
-        the mass the reads return, with the segment's interpolant and
-        its derivative as g' and g''.  They start from the side's
-        _starts table, clipped into that segment, so nearly every point
-        ends on its first evaluation.
+        The side's _starts table gives each root's start, and the edge
+        index the segment holding the start; a walk on the running sums
+        moves that guess onto the one segment holding the root, as a
+        searchsorted on them would.  Inside it, bracketed Halley steps
+        solve the log of the mass the reads return, with the segment's
+        interpolant and its derivative as g' and g''.  They start from
+        the start clipped into that segment, so nearly every point ends
+        on its first evaluation.
         """
         mass = t * self.total
-        last = len(self.seg) - 1
-        if upper:
-            i = np.clip(np.searchsorted(-self.cum_right, -mass, side="left") - 1, 0, last)
-        else:
-            i = np.clip(np.searchsorted(self.cum, mass, side="right") - 1, 0, last)
-        base, seg = self._below(i, upper), self.seg[i]
-        lo, hi = self.edges[i], self.edges[i + 1]
         sign = -1.0 if upper else 1.0
         start = sign * _hermite_start(self._starts[upper], np.log(t))[0]
+        i = self._running[upper].walk(sign * mass, self._edge_index.find(start))
+        base, seg = self._below(i, upper), self.seg[i]
+        lo, hi = self.edges[i], self.edges[i + 1]
         log_mass = np.log(mass)
         mid, dudz = 0.5 * (lo + hi), 2.0 / (hi - lo)
 

@@ -108,7 +108,7 @@ class BetaSkewNormal(_BetaGenerated):
         return BetaSkewNormal(-self.lam, self.b, self.a)
 
     def _log_tails(self, z):
-        return _tails(z, self.lam, True)
+        return _tails(z, self.lam)
 
     def _base_quantile(self, log_p, upper):
         return _side_quantile(log_p, self.lam, upper)
@@ -131,7 +131,7 @@ class BetaSkewNormal(_BetaGenerated):
             # one component per t, all on the same nodes
             w = y + shift
             acc = norm_logpdf(y) + norm_logcdf(lam * w)
-            return np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(w, lam, True)))
+            return np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(w, lam)))
 
         total = integrate_line(integrand, spec)
         out = np.exp(self.mu * tv + 0.5 * s * s + _LOG2 - log_beta(a, b) + np.log(total))
@@ -318,5 +318,5 @@ def skewing_weight(u, lam, a, b):
         raise ValueError("skewing_weight requires 0 < u < 1")
     x = norm_quantile(u)
     acc = _LOG2 - log_beta(a, b) + norm_logcdf(lam * x)
-    out = np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(x, float(lam), True)))
+    out = np.exp(_log_beta_kernel(acc, a, b, lambda: _tails(x, float(lam))))
     return out if u.ndim else float(out)

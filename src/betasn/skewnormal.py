@@ -21,12 +21,12 @@ fractional powers, which is why relative (not just absolute) accuracy
 matters here.
 
 Every value comes from the left side z <= 0, where the helper _left
-returns F and log F together; the right side is mirrored through
-SN(-lam).  _tails turns that one evaluation per point into (F, S) or
-(log F, log S), forming only the pair asked for: one of them is
-SkewNormal's standardized tail read, behind the cdf, sf, logcdf and
-logsf of core.LocationScale, and the log pair serves the beta
-skew-normal.  Normal reads ndtr and log_ndtr on the same surface.
+returns F and log F together, or the one of them asked for; the right
+side is mirrored through SN(-lam).  _tails turns that one evaluation
+per point into (log F, log S), which serves the beta skew-normal.
+_tail forms one side only: SkewNormal's standardized tail read, behind
+the cdf, sf, logcdf and logsf of core.LocationScale, and the
+quantile's log F.  Normal reads ndtr and log_ndtr on the same surface.
 
 The one-sided quantile _side_quantile, SkewNormal's, solves
 log F(z) = log p by bracketed Halley steps, and on the upper side
@@ -173,8 +173,8 @@ def _shape_logcdf(z, lam):
     return -_LOG_PI - 0.5 * s2 * z2 - np.log(rate) + np.log(_LAGUERRE_WEIGHTS @ h)
 
 
-def _left(z, lam):
-    """(F, log F) of SN(0, 1, lam) at the points of a 1-d array z <= 0.
+def _left(z, lam, log=None):
+    """(F, log F) of SN(0, 1, lam) at a 1-d array z <= 0; only F if log is False, log F if True.
 
     Each point takes one route.  Past |z| ~ 1.3e154, where z^2
     overflows and log F < -9e307, and at z = -inf, F is 0.  On the
@@ -190,7 +190,8 @@ def _left(z, lam):
     curvature term stretches the nearly parabolic log density near the
     switch at large lam over several nodes.  It resolves F to a few ulp
     of log F (checked against an mpmath oracle for lam from 0.02 to
-    1e6), at 22 norm_logcdf evaluations per point.
+    1e6), at 22 norm_logcdf evaluations per point.  F is exp(log F)
+    wherever a rule serves; a form not asked for is not formed.
     """
     # not z >= -_Z_SQUARE_MAX, which would send a NaN z to F = 0
     live = ~(z < -_Z_SQUARE_MAX)
@@ -200,30 +201,42 @@ def _left(z, lam):
     z_owen = z if whole else z[owen]
     phi = norm_cdf(z_owen)
     f_owen = np.clip(phi - 2.0 * owen_t(z_owen, lam), 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        log_owen = np.log(f_owen)
+    if log is not False:
+        with np.errstate(divide="ignore"):
+            log_owen = np.log(f_owen)
     # <= so the repair still fires once norm_cdf itself underflows to 0
     bad = f_owen <= 1e-4 * phi if lam > 0.0 else f_owen < 1e-290
     if bad.any():
-        log_owen[bad] = _log_tail(z_owen[bad], lam, 0.0, 1, 0, _LOG2)
-        f_owen[bad] = np.exp(log_owen[bad])
+        repaired = _log_tail(z_owen[bad], lam, 0.0, 1, 0, _LOG2)
+        if log is not False:
+            log_owen[bad] = repaired
+        if log is not True:
+            f_owen[bad] = np.exp(repaired)
     if whole:
-        return f_owen, log_owen
+        return (f_owen, log_owen) if log is None else log_owen if log else f_owen
+    if log is False:
+        f = np.zeros_like(z)
+        f[owen] = f_owen
+        if shape.any():
+            f[shape] = np.exp(_shape_logcdf(z[shape], lam))
+        return f
     log_f = np.full_like(z, -np.inf)
     log_f[owen] = log_owen
     if shape.any():
         log_f[shape] = _shape_logcdf(z[shape], lam)
+    if log:
+        return log_f
     f = np.exp(log_f)
     f[owen] = f_owen
     return f, log_f
 
 
-def _tails(z, lam, log):
-    """(F, S), or (log F, log S) if log, of SN(0, 1, lam) at z, shaped like z.
+def _tails(z, lam):
+    """(log F, log S) of SN(0, 1, lam) at z, shaped like z.
 
     One left-tail evaluation per point serves both: at z <= 0 the near
     side is F of SN(lam) at z, elsewhere S, as F of SN(-lam) at -z; the
-    far side is its complement, formed only in the form asked for.
+    far side is log1p of minus it.
     """
     z = np.asarray(z, dtype=float)
     zz = z.reshape(-1)
@@ -233,11 +246,30 @@ def _tails(z, lam, log):
     for side, sign in ((neg, 1.0), (~neg, -1.0)):
         if side.any():
             near[side], log_near[side] = _left(sign * zz[side], sign * lam)
-    if log:
-        near, far = log_near, np.log1p(-near)
-    else:
-        far = 1.0 - near
-    return np.where(neg, near, far).reshape(z.shape), np.where(neg, far, near).reshape(z.shape)
+    far = np.log1p(-near)
+    log_f, log_s = np.where(neg, log_near, far), np.where(neg, far, log_near)
+    return log_f.reshape(z.shape), log_s.reshape(z.shape)
+
+
+def _tail(z, lam, upper, log):
+    """F, or S if upper, or its log if log, of SN(0, 1, lam) at z, shaped like z.
+
+    The one side of _tails, with the same values: a point whose left-tail
+    read is the side asked for forms only that, the others only F and
+    its complement.
+    """
+    z = np.asarray(z, dtype=float)
+    zz = z.reshape(-1)
+    neg = zz <= 0.0
+    out = np.empty_like(zz)
+    for side, sign in ((neg, 1.0), (~neg, -1.0)):
+        if side.any():
+            if (sign < 0.0) == upper:
+                out[side] = _left(sign * zz[side], sign * lam, log)
+            else:
+                f = _left(sign * zz[side], sign * lam, False)
+                out[side] = np.log1p(-f) if log else 1.0 - f
+    return out.reshape(z.shape)
 
 
 # Quantile start tables: nodes at z = c sinh(u), c = 1/sqrt(1 + lam^2),
@@ -261,7 +293,7 @@ _START_STEP = 0.04
 def _start_table(lam):
     """special._hermite_table of z against v = -sqrt(-2 log F) for F(.; lam).
 
-    One forward pass of log F (through _tails) and the log density at
+    One forward pass of log F (through _tail) and the log density at
     the nodes z.  The table drops the nodes whose v stops rising:
     beyond lam ~ 1e13, F just above z = 0 is 1 - S, which rounds in
     steps of an ulp of 1, and to 0 past 1e16.
@@ -275,7 +307,7 @@ def _start_table(lam):
     u = np.arange(np.arcsinh(lo / c), np.arcsinh(hi / c) + 2.0 * _START_STEP, _START_STEP)
     z = c * np.sinh(u)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _hermite_table(z, _tails(z, lam, True)[0], _log_density(z, norm_logcdf(lam * z)))
+        return _hermite_table(z, _tail(z, lam, False, True), _log_density(z, norm_logcdf(lam * z)))
 
 
 def _start_and_bracket(log_p, lam):
@@ -288,12 +320,12 @@ def _start_and_bracket(log_p, lam):
     two fixed-point passes; the bracket runs from F <= e Phi(z), or
     2 e Phi(z) (e covers ndtri_exp's rounding), to the first node.
     """
-    v_k, z_k, _ = table = _start_table(float(lam))
+    table = _start_table(float(lam))
     start, lo, hi, v = _hermite_start(table, log_p)
-    far = v < v_k[0]
+    far = v < table.v[0]
     if far.any():
         log_p, shift = log_p[far], (_LOG2 if lam < 0.0 else 0.0)
-        lo[far], hi[far] = ndtri_exp(log_p - shift - 1.0), z_k[0]
+        lo[far], hi[far] = ndtri_exp(log_p - shift - 1.0), table.z[0]
         z = ndtri_exp(log_p - shift)
         if lam > 0.0:
             s = np.hypot(1.0, lam)
@@ -323,7 +355,7 @@ def _side_quantile(log_p, lam, upper):
 
     def log_gap(z, idx):
         log_dens, dlog_dens = _log_density_slope(z, lam)
-        log_f = _tails(z, lam, True)[0]
+        log_f = _tail(z, lam, False, True)
         dg = np.exp(log_dens - log_f)
         return log_f - log_p[idx], dg, dg * (dlog_dens - dg)
 
@@ -355,7 +387,7 @@ class SkewNormal(LocationScale):
         return _log_density_limit(z, out)
 
     def _std_tail(self, z, upper, log):
-        return _tails(z, self.lam, log)[upper]
+        return _tail(z, self.lam, upper, log)
 
     def _std_quantile(self, t, upper):
         return _side_quantile(np.log(t), self.lam, upper)

@@ -4,10 +4,14 @@ Thin wrappers around :mod:`scipy.special` that pin down the domain checks,
 endpoint conventions, and accuracy guarantees the rest of the package
 relies on.  Every function accepts floats or numpy arrays and broadcasts
 like a ufunc.  The incomplete-beta inverse is solved here, on the same
-bracketed root solver as the skew-normal and table quantiles.
+bracketed root solver as the skew-normal and table quantiles, and so are
+the quantile solves' shared pieces: the cubic-Hermite start tables and
+the segment lookup that reads them without a binary search.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -291,11 +295,15 @@ def _log_inc_beta_root(p, a, b):
     def log_gap(u, idx):
         a_i, b_i, log_b_i = _take(idx, a, b, log_b)
         up, sign_i = upper[idx], sign[idx]
-        log_i = np.empty_like(u)
-        low = ~up
-        log_i[low] = _inc_beta_lower(u[low], *_take(low, a_i, b_i), log=True)
-        if up.any():
-            log_i[up] = _inc_beta_upper(u[up], *_take(up, a_i, b_i), floor[idx][up], log=True)
+        if not up.any():
+            log_i = _inc_beta_lower(u, a_i, b_i, log=True)
+        elif up.all():
+            log_i = _inc_beta_upper(u, a_i, b_i, floor[idx], log=True)
+        else:
+            log_i = np.empty_like(u)
+            low = ~up
+            log_i[low] = _inc_beta_lower(u[low], *_take(low, a_i, b_i), log=True)
+            log_i[up] = _inc_beta_upper(u[up], *_take(up, a_i, b_i, floor[idx]), log=True)
         w = np.exp(u)
         # g' = w f(w) / I_v on the lower side and w f(w) / (1 - I_v) on the
         # upper, with f the beta density
@@ -306,23 +314,139 @@ def _log_inc_beta_root(p, a, b):
     return _bracketed_newton(log_gap, start, lo, np.full_like(p, -_LOG2)), swap
 
 
+# a segment index holds at most this many buckets per node
+_BUCKETS_PER_NODE = 16
+# v = -sqrt(-2 log t) at t = 1/2, the largest v a quantile start reads
+_V_HALF = -np.sqrt(2.0 * _LOG2)
+
+
+class _SortedNodes:
+    """Sorted nodes x_0 <= ... <= x_(n-1), n >= 2, and the walk onto a key's segment.
+
+    A key's segment is np.clip(np.searchsorted(x, key, side) - 1, 0, n - 2):
+    side "left" passes the nodes below the key, "right" also those equal
+    to it, and NaN passes every node.  walk steps a guess at each
+    key's segment onto it, bit for bit.  The arrays are read-only.
+    """
+
+    def __init__(self, nodes, side):
+        # x_k, and x_(k+1), of each segment k, with NaN where a walk ends:
+        # two views of one array
+        padded = np.r_[np.nan, nodes[1:-1], np.nan]
+        padded.setflags(write=False)
+        self.behind, self.ahead = padded[:-1], padded[1:]
+        left = side == "left"
+        self.passed = np.less if left else np.less_equal
+        self.short = np.greater_equal if left else np.greater
+
+    def walk(self, keys, k):
+        """The segments of a 1-d array of keys, from guesses k in [0, n - 2] (changed in place).
+
+        Exact from any guess for a key that is not NaN; a NaN key keeps
+        its guess, which must be n - 2.
+        """
+        return _step(_step(k, keys, self.behind, self.short, -1), keys, self.ahead, self.passed, 1)
+
+
+def _step(k, keys, nodes, moves, by):
+    """k, each moved by `by` while moves(nodes[k], key), over the points still off."""
+    off = np.flatnonzero(moves(nodes.take(k), keys))
+    while off.size:
+        k[off] += by
+        off = off[moves(nodes.take(k[off]), keys[off])]
+    return k
+
+
+class _SegmentIndex(_SortedNodes):
+    """_SortedNodes with a guide table (Chen & Asau 1974): find takes no binary search.
+
+    The buckets split [x_0, x_(n-1)] evenly, as narrow as the narrowest
+    segment that starts below top, the largest key the callers expect,
+    and at most _BUCKETS_PER_NODE per node; a key past them, +inf or
+    NaN takes one more bucket.  A key's bucket is
+    floor((key - x_0) * scale), clipped: monotone in the key in floating
+    point.  So a key passes every node whose bucket lies below its own,
+    and each bucket holds, as a read-only int32, the count of those
+    nodes less one (so n - 2 past the last node).  That guess is never
+    above the key's segment, and the walk only steps up.
+    """
+
+    def __init__(self, nodes, side="left", top=np.inf):
+        super().__init__(nodes, side)
+        n = nodes.size
+        span = nodes[-1] - nodes[0]
+        gaps = np.diff(nodes)[nodes[:-1] < top]
+        narrowest = gaps[gaps > 0.0].min(initial=span)
+        # buckets 0 .. count - 2 span the nodes, count - 1 holds x_(n-1)
+        self.count = min(int(np.ceil(span / narrowest)) + 1, _BUCKETS_PER_NODE * n - 1)
+        self.origin, self.scale = nodes[0], (self.count - 1) / span
+        below = np.searchsorted(self._bucket(nodes), np.arange(self.count + 1))
+        self.guess = np.clip(below - 1, 0, n - 2).astype(np.int32)
+        self.guess.setflags(write=False)
+
+    def _bucket(self, keys):
+        t = keys - self.origin
+        t *= self.scale
+        # fmin first, so NaN goes past the last node, with +inf
+        np.fmin(t, self.count, out=t)
+        np.maximum(t, 0.0, out=t)
+        return t.astype(np.intp)
+
+    def find(self, keys):
+        """np.clip(np.searchsorted(nodes, keys, side) - 1, 0, n - 2) bit for bit, shaped like keys."""
+        flat = keys.reshape(-1)
+        k = self.guess.take(self._bucket(flat)).astype(np.intp)
+        return _step(k, flat, self.ahead, self.passed, 1).reshape(keys.shape)
+
+
+class _HermiteTable(NamedTuple):
+    """Nodes v and z of a cubic-Hermite inverse, their _SegmentIndex, and the cubic.
+
+    cubic holds one row per coefficient, one column per segment k:
+    (1/h, m0, c2, c3).  lo and hi hold the bracket of each segment, the
+    nodes z_(k-1) and z_(k+2) clipped to the ends; they and z are views
+    of one array.
+    """
+
+    v: np.ndarray
+    z: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    index: _SegmentIndex
+    cubic: np.ndarray
+
+
 def _hermite_table(z, log_t, log_dens):
-    """(v, z, slope): a cubic-Hermite inverse from roots z of tail probabilities e^log_t.
+    """_HermiteTable: a cubic-Hermite inverse from roots z of tail probabilities e^log_t.
 
     v = -sqrt(-2 log t) and the slope dz/dv = -v t / f, with f = e^log_dens
     the density at z.  A node whose slope is not finite, or whose v
-    does not rise above every node before it, is dropped.  The arrays
-    are read-only, so a cached table cannot be changed by its readers.
+    does not rise above every node before it, is dropped.  Each segment
+    k, of width h, keeps the cubic in t = (v - v_k) / h through its two
+    nodes and their slopes, z_k + t (m0 + t (c2 + t c3)), and the
+    bracket from the node below it to the node above it.  The index's
+    buckets are sized by the segments up to v(1/2), where the starts
+    read.  The arrays are read-only, so a cached table cannot be changed
+    by its readers.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = -np.sqrt(-2.0 * log_t)
         slope = -v * np.exp(log_t - log_dens)
     v = np.where(np.isfinite(slope), v, -np.inf)
     keep = v > np.maximum.accumulate(np.r_[-np.inf, v[:-1]])
-    table = v[keep], z[keep], slope[keep]
-    for nodes in table:
+    v, z, slope = v[keep], z[keep], slope[keep]
+    k = np.arange(v.size - 1)
+    h = v[k + 1] - v[k]
+    rise = z[k + 1] - z[k]
+    m0, m1 = h * slope[k], h * slope[k + 1]
+    c2, c3 = 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise
+    cubic = np.stack([1.0 / h, m0, c2, c3])
+    # z_(k-1), z_k and z_(k+2) of segment k are padded[k], [k + 1] and [k + 3]
+    padded = np.r_[z[0], z, z[-1]]
+    for nodes in (v, padded, cubic):
         nodes.setflags(write=False)
-    return table
+    index = _SegmentIndex(v, top=_V_HALF)
+    return _HermiteTable(v, padded[1:-1], padded[:-3], padded[3:], index, cubic)
 
 
 def _hermite_start(table, log_p):
@@ -330,30 +454,29 @@ def _hermite_start(table, log_p):
 
     The start is the interpolant at v = -sqrt(-2 log p): the cubic in
     t = (v - v_k) / (v_(k+1) - v_k) through the nodes of v's segment
-    and their slopes.  The bracket runs from the node below the root's
-    segment to the node above it: one node wider on each side than the
-    segment, so rounding at the nodes cannot leave the root outside.  A
-    v outside the nodes takes the end segment, and the bracket ends at
-    the end node; the caller handles such points.
+    and their slopes.  The table's index finds the segment, as
+    np.searchsorted would.  The bracket runs from the node below the
+    root's segment to the node above it: one node wider on each side
+    than the segment, so rounding at the nodes cannot leave the root
+    outside.  A v outside the nodes takes the end segment, and the
+    bracket ends at the end node; the caller handles such points.
     """
-    v_k, z_k, slope = table
     v = -np.sqrt(-2.0 * log_p)
-    k = np.clip(np.searchsorted(v_k, v) - 1, 0, v_k.size - 2)
-    h = v_k[k + 1] - v_k[k]
-    z0, rise = z_k[k], z_k[k + 1] - z_k[k]
-    m0, m1 = h * slope[k], h * slope[k + 1]
-    c2, c3 = 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise
-    t = (v - v_k[k]) * (1.0 / h)
-    lo = z_k[np.maximum(k - 1, 0)]
-    hi = z_k[np.minimum(k + 2, z_k.size - 1)]
-    return z0 + t * (m0 + t * (c2 + t * c3)), lo, hi, v
+    k = table.index.find(v)
+    inv_h, m0, c2, c3 = (row.take(k) for row in table.cubic)
+    t = (v - table.v.take(k)) * inv_h
+    z0 = table.z.take(k)
+    return z0 + t * (m0 + t * (c2 + t * c3)), table.lo.take(k), table.hi.take(k), v
 
 
 def _bracketed_newton(fun, x, lo, hi):
     """Roots of increasing functions g_i, one per element, with lo_i <= root_i <= hi_i.
 
     fun(x, idx) returns g, dg/dx and d2g/dx2 at the points x of the
-    elements idx, an index array into the 1-d inputs.  Each step is
+    elements idx into the 1-d inputs: the full slice on the first pass,
+    which takes every element, and then an index array of the
+    unconverged ones.  fun runs with NumPy's divide, invalid and
+    overflow warnings off.  Each step is
     Halley's: the Newton step divided by 1 - g g'' / (2 g'^2), kept to
     Newton where that factor is not finite or is below 1/2.  A step
     whose point is not finite or leaves the bracket, or whose factor is
@@ -373,47 +496,55 @@ def _bracketed_newton(fun, x, lo, hi):
     unconverged after _NEWTON_MAX_STEPS steps raises
     ArithmeticError; no partial result is returned.
     """
-    x = np.array(x, dtype=float)
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    idx = np.arange(x.size)
-    for _ in range(_NEWTON_MAX_STEPS):
-        if idx.size == 0:
-            return x
-        xi = x[idx]
-        g, dg, curv = fun(xi, idx)
-        lo_i = np.where(g < 0.0, xi, lo[idx])
-        hi_i = np.where(g > 0.0, xi, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.where(g == 0.0, 0.0, g / dg)
-            factor = 1.0 - 0.5 * step * curv / dg
-            step = np.where(np.isfinite(factor) & (factor >= 0.5), step / factor, step)
-            predicted = 0.5 * np.abs(curv / dg) * step * step
-        newton = xi - step
-        scale = np.maximum(np.abs(xi), 1.0)
-        tol = _NEWTON_ULPS * scale
-        # far out on a flat g, Halley's factor cuts a step that leaves
-        # the bracket to about 2 g' / g'', and such steps creep
-        inside = (newton > lo_i) & (newton < hi_i) & ~(factor > 4.0)
-        # a predicted stop whose point leaves the bracket by more than tol
-        # is contradicted by it, one within tol of an end is a root on that end
-        done = (np.abs(step) <= tol) | (
-            (predicted <= tol)
-            & (np.abs(step) <= _NEWTON_PREDICT_BELOW * scale)
-            & (newton > lo_i - tol)
-            & (newton < hi_i + tol)
-        )
-        x_new = np.where(inside, newton, 0.5 * (lo_i + hi_i))
-        # a converging step can round onto the bracket end it started
-        # from; that is convergence, not a step outside
-        x_new = np.where(done, np.clip(newton, lo_i, hi_i), x_new)
-        x[idx], lo[idx], hi[idx] = x_new, lo_i, hi_i
-        idx = idx[~(done | (hi_i - lo_i <= tol))]
+    x, lo, hi = (np.asarray(a, dtype=float) for a in (x, lo, hi))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the first pass reads and replaces the whole arrays
+        x, lo, hi, live = _halley_pass(fun, x, lo, hi, slice(None))
+        idx = np.flatnonzero(live)
+        for _ in range(_NEWTON_MAX_STEPS - 1):
+            if idx.size == 0:
+                return x
+            x[idx], lo[idx], hi[idx], live = _halley_pass(fun, x[idx], lo[idx], hi[idx], idx)
+            idx = idx[live]
     if idx.size:
         raise ArithmeticError(
             f"bracketed Newton left {idx.size} points unconverged after {_NEWTON_MAX_STEPS} steps"
         )
     return x
+
+
+def _halley_pass(fun, x, lo, hi, idx):
+    """One step of _bracketed_newton at the points x of the elements idx.
+
+    Returns the new points, the shrunk brackets and which elements go on.
+    """
+    g, dg, curv = fun(x, idx)
+    lo = np.where(g < 0.0, x, lo)
+    hi = np.where(g > 0.0, x, hi)
+    step = np.where(g == 0.0, 0.0, g / dg)
+    factor = 1.0 - 0.5 * step * curv / dg
+    step = np.where(np.isfinite(factor) & (factor >= 0.5), step / factor, step)
+    predicted = 0.5 * np.abs(curv / dg) * step * step
+    newton = x - step
+    scale = np.maximum(np.abs(x), 1.0)
+    tol = _NEWTON_ULPS * scale
+    size = np.abs(step)
+    # far out on a flat g, Halley's factor cuts a step that leaves
+    # the bracket to about 2 g' / g'', and such steps creep
+    inside = (newton > lo) & (newton < hi) & ~(factor > 4.0)
+    # a predicted stop whose point leaves the bracket by more than tol
+    # is contradicted by it, one within tol of an end is a root on that end
+    done = (size <= tol) | (
+        (predicted <= tol)
+        & (size <= _NEWTON_PREDICT_BELOW * scale)
+        & (newton > lo - tol)
+        & (newton < hi + tol)
+    )
+    x_new = np.where(inside, newton, 0.5 * (lo + hi))
+    # a converging step can round onto the bracket end it started
+    # from; that is convergence, not a step outside
+    x_new = np.where(done, np.clip(newton, lo, hi), x_new)
+    return x_new, lo, hi, ~(done | (hi - lo <= tol))
 
 
 def chisq1_cdf(x):

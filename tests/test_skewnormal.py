@@ -303,16 +303,16 @@ def test_infinite_arguments_take_the_limits(lam):
 
 
 def test_tails_shapes_and_scalars():
-    from betasn.skewnormal import _tails
+    from betasn.skewnormal import _tail
 
     d = SkewNormal(0.0, 1.0, 3.0)
     z = np.linspace(-40.0, 40.0, 12).reshape(3, 4)
     methods = (d.cdf, d.sf, d.logcdf, d.logsf)
     for k, method in enumerate(methods):
-        log, upper = divmod(k, 2)
-        assert _tails(z, 3.0, log)[upper].shape == method(z).shape == (3, 4)
+        log, upper = (bool(i) for i in divmod(k, 2))
+        assert _tail(z, 3.0, upper, log).shape == method(z).shape == (3, 4)
         v = method(-3.0)
-        assert type(v) is float and v == _tails(np.array([-3.0]), 3.0, log)[upper][0]
+        assert type(v) is float and v == _tail(np.array([-3.0]), 3.0, upper, log)[0]
 
 
 def test_far_density_does_not_warn():
