@@ -4,143 +4,38 @@ Densities, distribution functions, quantiles, seeded samplers, and a
 verification harness for the skew-normal, its Balakrishnan extensions,
 the beta-generated normal variants, and the beta skew-normal that ties
 them together.
+
+The package exports what its layer modules list in their own __all__,
+in layer order: special functions, quadrature, the distribution base,
+the Balakrishnan families, the skew-normal, the beta-generated
+families, the beta skew-normal, order statistics, the reference moment
+grid and the check suites.  Names outside those lists stay importable
+from their modules.
 """
 
-from .balakrishnan import (
-    GBSN,
-    SNB,
-    TBSN,
-    gbsn_constant,
-    gbsn_constant_series,
-    snb_constant,
-    tbsn_constant,
-)
-from .betafamily import (
-    GB1,
-    Beta,
-    BetaHalfNormal,
-    BetaNormal,
-    Kumaraswamy,
-)
-from .bsn import (
-    BetaSkewNormal,
-    ModeReport,
-    RejectionSampleBatch,
-    bhn_limit_distance,
-    kumaraswamy_transform,
-    moment_recursion_gap,
-    sample_rejection,
-    skewing_weight,
-)
-from .checks import CheckResult, SUITES, report_json, run_suite
-from .core import Distribution, MomentSummary, moment_summary, normalization_error
-from .orderstats import (
-    KS_COEFF_01,
-    ConditioningReport,
-    KsReport,
-    OrderStatSpec,
-    UnsupportedMappingError,
-    analytic_order_stat,
-    ks_statistic,
-    log_concavity_order_stat_check,
-    mc_conditioning_ks,
-    mc_order_stat_ks,
-    order_stat_pdf,
-)
-from .quadrature import DEFAULT_SPEC, IntegrationError, QuadratureSpec, integrate_line, integrate_unit
-from .reference import (
-    REFERENCE_MOMENT_GRID,
-    ReferenceRow,
-    RowComparison,
-    compare_grid,
-    compare_row,
-    excluded_cells,
-    row_tolerance,
-)
-from .skewnormal import Normal, SkewNormal
-from .special import (
-    chisq1_cdf,
-    inv_reg_inc_beta,
-    log_beta,
-    norm_cdf,
-    norm_logcdf,
-    norm_logpdf,
-    norm_pdf,
-    norm_quantile,
-    owen_t,
-    reg_inc_beta,
-)
+from . import balakrishnan, betafamily, bsn, checks, core, orderstats, quadrature, reference, skewnormal, special
+from .special import *
+from .quadrature import *
+from .core import *
+from .balakrishnan import *
+from .skewnormal import *
+from .betafamily import *
+from .bsn import *
+from .orderstats import *
+from .reference import *
+from .checks import *
 
 __all__ = [
-    # core plumbing
-    "Distribution",
-    "MomentSummary",
-    "moment_summary",
-    "normalization_error",
-    "DEFAULT_SPEC",
-    "IntegrationError",
-    "QuadratureSpec",
-    "integrate_line",
-    "integrate_unit",
-    # special functions
-    "norm_pdf",
-    "norm_logpdf",
-    "norm_cdf",
-    "norm_logcdf",
-    "norm_quantile",
-    "owen_t",
-    "log_beta",
-    "reg_inc_beta",
-    "inv_reg_inc_beta",
-    "chisq1_cdf",
-    # distribution families
-    "Normal",
-    "SkewNormal",
-    "SNB",
-    "GBSN",
-    "TBSN",
-    "snb_constant",
-    "gbsn_constant",
-    "gbsn_constant_series",
-    "tbsn_constant",
-    "Beta",
-    "GB1",
-    "Kumaraswamy",
-    "BetaNormal",
-    "BetaHalfNormal",
-    "BetaSkewNormal",
-    "ModeReport",
-    "RejectionSampleBatch",
-    "sample_rejection",
-    "moment_recursion_gap",
-    "bhn_limit_distance",
-    "kumaraswamy_transform",
-    "skewing_weight",
-    # order statistics
-    "KS_COEFF_01",
-    "KsReport",
-    "OrderStatSpec",
-    "ConditioningReport",
-    "UnsupportedMappingError",
-    "ks_statistic",
-    "analytic_order_stat",
-    "order_stat_pdf",
-    "mc_order_stat_ks",
-    "mc_conditioning_ks",
-    "log_concavity_order_stat_check",
-    # reference moment grid
-    "ReferenceRow",
-    "RowComparison",
-    "REFERENCE_MOMENT_GRID",
-    "row_tolerance",
-    "excluded_cells",
-    "compare_row",
-    "compare_grid",
-    # verification suites
-    "CheckResult",
-    "SUITES",
-    "run_suite",
-    "report_json",
+    *special.__all__,
+    *quadrature.__all__,
+    *core.__all__,
+    *balakrishnan.__all__,
+    *skewnormal.__all__,
+    *betafamily.__all__,
+    *bsn.__all__,
+    *orderstats.__all__,
+    *reference.__all__,
+    *checks.__all__,
 ]
 
 __version__ = "0.1.0"

@@ -64,7 +64,6 @@ from .special import (
 )
 
 __all__ = [
-    "PowerOfPhi",
     "SNB",
     "GBSN",
     "TBSN",
@@ -170,10 +169,12 @@ def tbsn_constant(n, m, lam1, lam2, spec=None):
     return _kernel_integral(*_kernel_key(lam1, lam2, n, m, spec))
 
 
-# A segment whose kernel interpolant has |c13| + |c14| above _SPLIT_RTOL
-# times its smallest node value is bisected, into at most
-# 2**_MAX_SPLITS pieces of one starting segment; one with a node value
-# below _LINEAR_BELOW holds its mass linear instead.
+# The truncation window starts as _SEGMENTS even segments.  A segment
+# whose kernel interpolant has |c13| + |c14| above _SPLIT_RTOL times its
+# smallest node value is bisected, into at most 2**_MAX_SPLITS pieces of
+# one starting segment; one with a node value below _LINEAR_BELOW holds
+# its mass linear instead.
+_SEGMENTS = 1600
 _SPLIT_RTOL = 1e-12
 _MAX_SPLITS = 6
 _LINEAR_BELOW = 1e-280
@@ -237,9 +238,9 @@ class _NumericCdf:
     point's segment in the edges' guide table (special._SegmentIndex).
     """
 
-    def __init__(self, kernel, spec, segments=1600):
+    def __init__(self, kernel, spec):
         self.t = spec.truncation
-        edges = np.linspace(-self.t, self.t, segments + 1)
+        edges = np.linspace(-self.t, self.t, _SEGMENTS + 1)
         lo, hi = edges[:-1], edges[1:]
         parts = []
         self.nodes = 0

@@ -26,8 +26,6 @@ from .special import log_beta, norm_logcdf, norm_logpdf, norm_quantile
 
 __all__ = [
     "BetaSkewNormal",
-    "ModeReport",
-    "RejectionSampleBatch",
     "sample_rejection",
     "moment_recursion_gap",
     "bhn_limit_distance",

@@ -51,15 +51,7 @@ from .special import (
     reg_inc_beta,
 )
 
-__all__ = [
-    "CheckResult",
-    "SUITES",
-    "run_identities",
-    "run_moments",
-    "run_orderstats",
-    "run_suite",
-    "report_json",
-]
+__all__ = ["SUITES", "run_suite", "report_json"]
 
 GRID = np.linspace(-6.0, 6.0, 401)
 UNIT_GRID = np.linspace(0.005, 0.995, 199)

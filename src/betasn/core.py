@@ -25,7 +25,7 @@ import numpy as np
 
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
 
-__all__ = ["Distribution", "LocationScale", "MomentSummary", "moment_summary", "normalization_error"]
+__all__ = ["Distribution", "moment_summary", "normalization_error"]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ __all__ = [
     "KS_COEFF_01",
     "KsReport",
     "OrderStatSpec",
-    "ConditioningReport",
     "UnsupportedMappingError",
     "ks_statistic",
     "analytic_order_stat",

@@ -295,15 +295,10 @@ def _log_inc_beta_root(p, a, b):
     def log_gap(u, idx):
         a_i, b_i, log_b_i = _take(idx, a, b, log_b)
         up, sign_i = upper[idx], sign[idx]
-        if not up.any():
-            log_i = _inc_beta_lower(u, a_i, b_i, log=True)
-        elif up.all():
-            log_i = _inc_beta_upper(u, a_i, b_i, floor[idx], log=True)
-        else:
-            log_i = np.empty_like(u)
-            low = ~up
-            log_i[low] = _inc_beta_lower(u[low], *_take(low, a_i, b_i), log=True)
-            log_i[up] = _inc_beta_upper(u[up], *_take(up, a_i, b_i, floor[idx]), log=True)
+        log_i = np.empty_like(u)
+        low = ~up
+        log_i[low] = _inc_beta_lower(u[low], *_take(low, a_i, b_i), log=True)
+        log_i[up] = _inc_beta_upper(u[up], *_take(up, a_i, b_i, floor[idx]), log=True)
         w = np.exp(u)
         # g' = w f(w) / I_v on the lower side and w f(w) / (1 - I_v) on the
         # upper, with f the beta density
@@ -361,9 +356,8 @@ class _SegmentIndex(_SortedNodes):
     """_SortedNodes with a guide table (Chen & Asau 1974): find takes no binary search.
 
     The buckets split [x_0, x_(n-1)] evenly, as narrow as the narrowest
-    segment that starts below top, the largest key the callers expect,
-    and at most _BUCKETS_PER_NODE per node; a key past them, +inf or
-    NaN takes one more bucket.  A key's bucket is
+    segment and at most _BUCKETS_PER_NODE per node; a key past them,
+    +inf or NaN takes one more bucket.  A key's bucket is
     floor((key - x_0) * scale), clipped: monotone in the key in floating
     point.  So a key passes every node whose bucket lies below its own,
     and each bucket holds, as a read-only int32, the count of those
@@ -371,11 +365,11 @@ class _SegmentIndex(_SortedNodes):
     above the key's segment, and the walk only steps up.
     """
 
-    def __init__(self, nodes, side="left", top=np.inf):
+    def __init__(self, nodes, side="left"):
         super().__init__(nodes, side)
         n = nodes.size
         span = nodes[-1] - nodes[0]
-        gaps = np.diff(nodes)[nodes[:-1] < top]
+        gaps = np.diff(nodes)
         narrowest = gaps[gaps > 0.0].min(initial=span)
         # buckets 0 .. count - 2 span the nodes, count - 1 holds x_(n-1)
         self.count = min(int(np.ceil(span / narrowest)) + 1, _BUCKETS_PER_NODE * n - 1)
@@ -421,13 +415,14 @@ def _hermite_table(z, log_t, log_dens):
 
     v = -sqrt(-2 log t) and the slope dz/dv = -v t / f, with f = e^log_dens
     the density at z.  A node whose slope is not finite, or whose v
-    does not rise above every node before it, is dropped.  Each segment
-    k, of width h, keeps the cubic in t = (v - v_k) / h through its two
-    nodes and their slopes, z_k + t (m0 + t (c2 + t c3)), and the
-    bracket from the node below it to the node above it.  The index's
-    buckets are sized by the segments up to v(1/2), where the starts
-    read.  The arrays are read-only, so a cached table cannot be changed
-    by its readers.
+    does not rise above every node before it, is dropped, and so is
+    every node past the one after the first at or above v(1/2): the
+    starts read at v <= v(1/2), and a segment's bracket one node beyond
+    it.  Each segment k, of width h, keeps the cubic in
+    t = (v - v_k) / h through its two nodes and their slopes,
+    z_k + t (m0 + t (c2 + t c3)), and the bracket from the node below it
+    to the node above it.  The arrays are read-only, so a cached table
+    cannot be changed by its readers.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = -np.sqrt(-2.0 * log_t)
@@ -435,6 +430,8 @@ def _hermite_table(z, log_t, log_dens):
     v = np.where(np.isfinite(slope), v, -np.inf)
     keep = v > np.maximum.accumulate(np.r_[-np.inf, v[:-1]])
     v, z, slope = v[keep], z[keep], slope[keep]
+    end = np.searchsorted(v, _V_HALF) + 2
+    v, z, slope = v[:end], z[:end], slope[:end]
     k = np.arange(v.size - 1)
     h = v[k + 1] - v[k]
     rise = z[k + 1] - z[k]
@@ -445,7 +442,7 @@ def _hermite_table(z, log_t, log_dens):
     padded = np.r_[z[0], z, z[-1]]
     for nodes in (v, padded, cubic):
         nodes.setflags(write=False)
-    index = _SegmentIndex(v, top=_V_HALF)
+    index = _SegmentIndex(v)
     return _HermiteTable(v, padded[1:-1], padded[:-3], padded[3:], index, cubic)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betasn import GBSN, SNB, TBSN, BetaNormal, BetaSkewNormal, SkewNormal, balakrishnan, betafamily, skewnormal
-from betasn.special import _BUCKETS_PER_NODE
+from betasn.special import _BUCKETS_PER_NODE, _V_HALF
 
 SN_LAMS = (-50.0, -0.7, 0.05, 3.0, 50.0, 1e6)
 # the bulk panel's beta-generated laws; each upper side reads its mirror's lower table
@@ -113,6 +113,9 @@ def test_every_index_array_is_read_only_and_small():
         assert index.guess.size <= _BUCKETS_PER_NODE * nodes.size, label
         for array in (index.guess, index.behind, index.ahead):
             assert not array.flags.writeable, label
+        if not label.startswith("edges"):
+            # starts read at v <= v(1/2), and a segment's bracket one node past it
+            assert np.count_nonzero(nodes > _V_HALF) <= 2, label
     for label, _, _, walker in running():
         assert not walker.behind.flags.writeable and not walker.ahead.flags.writeable, label
     table = skewnormal._start_table(3.0)

@@ -6,28 +6,25 @@ Feeds each skew-normal, beta skew-normal and beta normal member of the
 bulk panel in ``bench/workloads.py`` its seeded quantile inputs and
 counts the points each root solve evaluates, by solve: the skew-normal
 one (``sn``), the latent incomplete-beta inverse (``latent``) and the
-beta-generated one (``bg``), which solves log I_F(z)(a, b) in z.  Where
-a tree has no ``bg`` solve, the beta-generated quantile runs the latent
-solve and then the base quantile.  For the table-backed members (SNB,
-GBSN, TBSN) it counts the table solver's evaluations, the kernel nodes
-(one log phi each) and segments of one table build, and the kernel
-nodes per point of the seeded cdf, sf (where the family has one) and
+beta-generated one (``bg``), which solves log I_F(z)(a, b) in z.  For
+the table-backed members (SNB, GBSN, TBSN) it counts the table solver's
+evaluations, the kernel nodes (one log phi each) and segments of one
+table build, and the kernel nodes per point of the seeded cdf, sf and
 quantile reads of the built table.  The skew-normal and the
-beta-generated quantiles take their starts from cached tables, per
-shape and per law and side; each member reports the tables its
-quantile call built and the cache hits it had, read from each cache's
-``cache_info()`` with the caches kept warm across members and seeds,
-as in one process, and ``start_tables`` and ``bg_tables`` give the
-totals and each cache's final size (all null for a tree without that
-cache).  A table built inside a member's call counts its own solves
+beta-generated quantiles take their starts from cached tables, per shape
+and per law and side; each member reports the tables its quantile call
+built and the cache hits it had, read from each cache's ``cache_info()``
+with the caches kept warm across members and seeds, as in one process,
+and ``start_tables`` and ``bg_tables`` give the totals and each cache's
+final size.  A table built inside a member's call counts its own solves
 (the beta-generated ones run the latent and skew-normal solves) among
-that member's.  Prints one JSON object: per member and in total,
-points, evaluations per point of each solve and of all together, the
-90th percentile and the maximum of each solve's evaluations over its
-points (so a tail of slow points shows, not only the mean), the maxima
-over members, and the table members under ``tables``.  ``--src`` picks
-the library tree to import (default: this checkout's ``src``), so the
-same counts can be taken on another commit's export.
+that member's.  Prints one JSON object: per member and in total, points,
+evaluations per point of each solve and of all together, the 90th
+percentile and the maximum of each solve's evaluations over its points
+(so a tail of slow points shows, not only the mean), the maxima over
+members, and the table members under ``tables``.  ``--src`` picks the
+library tree to import (default: this checkout's ``src``), so the same
+counts can be taken on another commit's export.
 """
 
 from __future__ import annotations
@@ -72,8 +69,7 @@ def main(argv=None):
     # to the solver; the incomplete-beta inverse looks it up in special
     skewnormal._bracketed_newton = counting("sn", skewnormal._bracketed_newton)
     special._bracketed_newton = counting("latent", special._bracketed_newton)
-    if hasattr(betafamily, "_bracketed_newton"):
-        betafamily._bracketed_newton = counting("bg", betafamily._bracketed_newton)
+    betafamily._bracketed_newton = counting("bg", betafamily._bracketed_newton)
     balakrishnan._bracketed_newton = counting("table", balakrishnan._bracketed_newton)
     # the table kernel takes one log phi per node
     log_phi = balakrishnan.norm_logpdf
@@ -115,9 +111,8 @@ def main(argv=None):
             for name, where in caches.items():
                 after = cache_counts(*where)
                 for key in ("builds", "hits"):
-                    if after[key] is not None:
-                        count = after[key] - before[name][key]
-                        row[f"{name}_{key}"] = row.get(f"{name}_{key}", 0) + count
+                    count = after[key] - before[name][key]
+                    row[f"{name}_{key}"] = row.get(f"{name}_{key}", 0) + count
             row["points"] += item.q.size
             for solve in SOLVES:
                 add(row, solve, evals[solve])
@@ -137,7 +132,7 @@ def main(argv=None):
         stats["all_evals_per_point"] = sum(row[solve].sum() for solve in SOLVES) / row["points"]
         for name in caches:
             for key in ("builds", "hits"):
-                stats[f"{name}_{key}"] = row.get(f"{name}_{key}")
+                stats[f"{name}_{key}"] = row[f"{name}_{key}"]
         return stats
 
     table = {label: member_stats(row) for label, row in members.items()}
@@ -172,11 +167,8 @@ SOLVES = ("sn", "latent", "bg")
 
 
 def cache_counts(module, name):
-    """Builds, hits and size of module's lru-cached table function name, None without one."""
-    cache = getattr(module, name, None)
-    if cache is None:
-        return dict.fromkeys(("builds", "hits", "size", "maxsize"))
-    info = cache.cache_info()
+    """Builds, hits and size of module's lru-cached table function name."""
+    info = getattr(module, name).cache_info()
     return {"builds": info.misses, "hits": info.hits, "size": info.currsize, "maxsize": info.maxsize}
 
 
@@ -192,10 +184,8 @@ def table_counts(balakrishnan, item, counts, row):
     row["build_nodes"], row["segments"] = counts["nodes"], len(built.seg)
     counts["nodes"] = 0
     dist.cdf(item.x_cdf)
-    row["read_points"] += item.x_cdf.size
-    if hasattr(dist, "sf"):
-        dist.sf(item.x_cdf)
-        row["read_points"] += item.x_cdf.size
+    dist.sf(item.x_cdf)
+    row["read_points"] += 2 * item.x_cdf.size
 
 
 if __name__ == "__main__":

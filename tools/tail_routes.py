@@ -22,11 +22,7 @@ routing keeps both at 0, and with one cut ``owen_t_then_shape`` too.
 The t-space points are the points ``skewnormal._log_tail`` receives.
 Prints one JSON object with the counts per member and op, per op over
 all members, and in total.  ``--src`` picks the library tree to import
-(default: this checkout's ``src``).  On an older tree, whose ``_left``
-hands the points Owen's T leaves unresolved to ``_tail_logcdf``, the
-t-space points are those less the ones it passes to the shape rule and
-those beyond range; a tree without the shape rule counts every repair
-within range as t-space.
+(default: this checkout's ``src``).
 """
 
 from __future__ import annotations
@@ -54,16 +50,11 @@ def main(argv=None):
     import workloads
     from betasn import skewnormal
 
-    # beyond this |z|, z^2 overflows and the repair returns F = 0, and from
+    # beyond this |z|, z^2 overflows and _left returns F = 0, and from
     # lam |z| = shape_only on the shape rule alone serves a point; both read
-    # from the library under test (a tree with two cuts names the second
-    # _SHAPE_ONLY), so the counts follow its routing
-    z_square_max = getattr(skewnormal, "_Z_SQUARE_MAX", np.sqrt(np.finfo(float).max))
-    shape_only = getattr(skewnormal, "_SHAPE_CUT", getattr(skewnormal, "_SHAPE_ONLY", 4.0))
-    # an older tree repairs through _tail_logcdf, which also takes the
-    # points beyond range; a newer one counts those where _left sees them
-    old = hasattr(skewnormal, "_tail_logcdf")
-    gone_at = "repaired" if old else "left"
+    # from the library under test, so the counts follow its routing
+    z_square_max = skewnormal._Z_SQUARE_MAX
+    shape_only = skewnormal._SHAPE_CUT
     raw = dict.fromkeys(
         ("left", "owen_t", "repaired", "gone", "shape", "shape_far", "far_owen", "far_repaired"), 0
     )
@@ -82,7 +73,7 @@ def main(argv=None):
             raw[key] += z.size
             if far_key:
                 raw[far_key] += far(z, float(lam))
-            if key == gone_at:
+            if key == "left":
                 raw["gone"] += int(np.count_nonzero(z < -z_square_max))
             return inner(z, lam, *rest)
 
@@ -90,9 +81,8 @@ def main(argv=None):
 
     wrap("_left", "left")
     wrap("owen_t", "owen_t", "far_owen")
-    wrap("_tail_logcdf" if old else "_log_tail", "repaired", "far_repaired")
-    if hasattr(skewnormal, "_shape_logcdf"):
-        wrap("_shape_logcdf", "shape", "shape_far")
+    wrap("_log_tail", "repaired", "far_repaired")
+    wrap("_shape_logcdf", "shape", "shape_far")
 
     def routes_during(action):
         for key in raw:
@@ -100,21 +90,16 @@ def main(argv=None):
         action()
         # every point is beyond range or goes to the shape rule, Owen's T
         # alone or Owen's T then the t-space rule; only the shape rule
-        # takes points with lam |z| >= shape_only.  On an older tree
-        # _tail_logcdf also saw the shape-rule and beyond-range points
-        t_space, far_t_space = raw["repaired"], raw["far_repaired"]
-        if old:
-            t_space -= raw["shape"] + raw["gone"]
-            far_t_space -= raw["shape_far"]
+        # takes points with lam |z| >= shape_only
         return {
             "points": raw["left"],
-            "owen_t_only": raw["left"] - t_space - raw["shape"] - raw["gone"],
+            "owen_t_only": raw["left"] - raw["repaired"] - raw["shape"] - raw["gone"],
             "owen_t_then_shape": raw["shape"] - raw["shape_far"],
-            "owen_t_then_t_space": t_space,
+            "owen_t_then_t_space": raw["repaired"],
             "shape_only": raw["shape_far"],
             "beyond_range": raw["gone"],
             "far_to_owen_t": raw["far_owen"],
-            "far_to_t_space": far_t_space,
+            "far_to_t_space": raw["far_repaired"],
         }
 
     members = {}
