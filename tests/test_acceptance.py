@@ -329,3 +329,6 @@ def test_criterion_10_check_determinism(capsys):
     report = json.loads(outputs[0])
     assert report["seed"] == 3
     assert report["n_checks"] == 169
+    # _by_name and bench/known_defects.json key on the name
+    names = [c["name"] for c in report["checks"]]
+    assert len(set(names)) == len(names)
