@@ -257,22 +257,30 @@ _REDUCTION_ROWS = (
 
 _QUANTILES = np.arange(1, 100) / 100.0
 _EXTREME_QUANTILES = np.array([0.001, 0.999])
+
+_NORMALIZATION_HANDLES = (
+    ("normal(0.3,2)", Normal(0.3, 2.0)),
+    ("sn(-1,2,3)", SkewNormal(-1.0, 2.0, 3.0)),
+    ("snb(-2.3,3;0.5,1.5)", SNB(-2.3, 3, mu=0.5, sigma=1.5)),
+    ("gbsn(0.9,2,3)", GBSN(0.9, 2, 3)),
+    ("tbsn(1.1,-0.4,2,1;-1,0.7)", TBSN(1.1, -0.4, 2, 1, mu=-1.0, sigma=0.7)),
+    ("beta(2,3)", Beta(2.0, 3.0)),
+    ("beta(0.25,0.5)", Beta(0.25, 0.5)),
+    ("gb1(2,3,1.5,4)", GB1(2.0, 3.0, 1.5, 4.0)),
+    ("kumaraswamy(2,3)", Kumaraswamy(2.0, 3.0)),
+    ("kumaraswamy(0.5,1.5)", Kumaraswamy(0.5, 1.5)),
+    ("bn(0.5,0.7)", BetaNormal(0.5, 0.7)),
+    ("bn(2,3;1,2)", BetaNormal(2.0, 3.0, 1.0, 2.0)),
+    ("bhn(0.6,1.3)", BetaHalfNormal(0.6, 1.3)),
+    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0)),
+    ("bsn(1,0.25,0.25)", BetaSkewNormal(1.0, 0.25, 0.25)),
+    ("bsn(-2,3,0.5;1,2)", BetaSkewNormal(-2.0, 3.0, 0.5, mu=1.0, sigma=2.0)),
+)
+# the round trips run on 12 laws of that panel: on these four they would
+# move two reported round-trip values
+_ROUNDTRIP_SKIPPED = {"beta(0.25,0.5)", "kumaraswamy(0.5,1.5)", "bn(2,3;1,2)", "bsn(-2,3,0.5;1,2)"}
 _ROUNDTRIP_HANDLES = tuple(
-    (dist,)
-    for dist in (
-        Normal(0.3, 2.0),
-        SkewNormal(-1.0, 2.0, 3.0),
-        SNB(-2.3, 3, mu=0.5, sigma=1.5),
-        GBSN(0.9, 2, 3),
-        TBSN(1.1, -0.4, 2, 1, mu=-1.0, sigma=0.7),
-        Beta(2.0, 3.0),
-        GB1(2.0, 3.0, 1.5, 4.0),
-        Kumaraswamy(2.0, 3.0),
-        BetaNormal(0.5, 0.7),
-        BetaHalfNormal(0.6, 1.3),
-        BetaSkewNormal(1.0, 2.0, 3.0),
-        BetaSkewNormal(1.0, 0.25, 0.25),
-    )
+    (dist,) for label, dist in _NORMALIZATION_HANDLES if label not in _ROUNDTRIP_SKIPPED
 )
 
 # the skewing weight and the cdf-quantile round trips
@@ -349,26 +357,6 @@ def _grid_row_checks(spec):
         for f in comp.excluded:
             out.append(_info(f"{label} excluded {f} (mirror mismatch)", comp.deviations[f]))
     return out
-
-
-_NORMALIZATION_HANDLES = (
-    ("normal(0.3,2)", Normal(0.3, 2.0)),
-    ("sn(-1,2,3)", SkewNormal(-1.0, 2.0, 3.0)),
-    ("snb(-2.3,3;0.5,1.5)", SNB(-2.3, 3, mu=0.5, sigma=1.5)),
-    ("gbsn(0.9,2,3)", GBSN(0.9, 2, 3)),
-    ("tbsn(1.1,-0.4,2,1;-1,0.7)", TBSN(1.1, -0.4, 2, 1, mu=-1.0, sigma=0.7)),
-    ("beta(2,3)", Beta(2.0, 3.0)),
-    ("beta(0.25,0.5)", Beta(0.25, 0.5)),
-    ("gb1(2,3,1.5,4)", GB1(2.0, 3.0, 1.5, 4.0)),
-    ("kumaraswamy(2,3)", Kumaraswamy(2.0, 3.0)),
-    ("kumaraswamy(0.5,1.5)", Kumaraswamy(0.5, 1.5)),
-    ("bn(0.5,0.7)", BetaNormal(0.5, 0.7)),
-    ("bn(2,3;1,2)", BetaNormal(2.0, 3.0, 1.0, 2.0)),
-    ("bhn(0.6,1.3)", BetaHalfNormal(0.6, 1.3)),
-    ("bsn(1,2,3)", BetaSkewNormal(1.0, 2.0, 3.0)),
-    ("bsn(1,0.25,0.25)", BetaSkewNormal(1.0, 0.25, 0.25)),
-    ("bsn(-2,3,0.5;1,2)", BetaSkewNormal(-2.0, 3.0, 0.5, mu=1.0, sigma=2.0)),
-)
 
 
 def _mgf_checks(spec):

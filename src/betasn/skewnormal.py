@@ -134,8 +134,14 @@ def _log_density_limit(z, log_dens):
 # a 100-digit closed-form oracle, it was off by up to 3e13 ulp of log F
 # at lam |z| < 0.5, by 1e4 ulp on [1, 1.5), and by at most 1 ulp from
 # 1.6 on).  On 2,500 points, one core, Owen's T took 150-210 ns/pt, the
-# shape rule 260-280 and the t-space rule 1,000-1,200.
+# shape rule 260-280 and the t-space rule 1,000-1,200.  Built by one
+# matrix product, the shape rule's blocks take 0.7 of the time of the
+# former ten elementwise passes (110 against 155 ns/pt in one run).
 _SHAPE_CUT = 2.0
+# 1, s and s^2 at the shape rule's nodes s, one row per node
+_SHAPE_POWERS = np.stack(
+    [np.ones_like(_LAGUERRE_NODES), _LAGUERRE_NODES, _LAGUERRE_NODES * _LAGUERRE_NODES], axis=1
+)
 
 
 def _shape_logcdf(z, lam):
@@ -149,28 +155,34 @@ def _shape_logcdf(z, lam):
     a = lam + s/r, r the slope plus four times the root curvature of the
     log integrand at a = lam (the recipe of quadrature._log_tail_mass),
     the 20-node rule sums
-    e^(s (1 - lam z^2 / r) - z^2 s^2 / (2 r^2)) / (1 + a^2), built in
-    place on one (20, n) block.  Accurate to a few ulp of log F from
-    lam |z| >= _SHAPE_CUT (checked against an mpmath oracle for lam from
-    0.02 to 1e6); nearer z = 0 the power-law factor defeats the rule.
+    e^(s (1 - lam z^2 / r) - z^2 s^2 / (2 r^2)) / (1 + a^2).  Per point
+    the exponent and 1 + a^2 are quadratics in s, so one matrix product
+    of _SHAPE_POWERS with their coefficients builds both (20, n) blocks.
+    r is q + lam z^2, so 1 - lam z^2 / r is q / r and does not cancel.
+    The sum runs down each column in node order, so among two or more
+    points a point's value does not depend on the others.  Accurate to
+    a few ulp of log F from lam |z| >= _SHAPE_CUT (checked against an
+    mpmath oracle for lam from 0.02 to 1e6); nearer z = 0 the power-law
+    factor defeats the rule.
     """
     z2 = z * z
     s2 = 1.0 + lam * lam
-    rate = 4.0 * np.sqrt(np.maximum(z2 + 2.0 * (1.0 - lam * lam) / (s2 * s2), 0.0))
-    rate += lam * z2
-    rate += 2.0 * lam / s2
-    u = _LAGUERRE_NODES[:, None] / rate  # a - lam
-    h = 0.5 * u
-    h += lam
-    h *= u
-    h *= z2
-    np.subtract(_LAGUERRE_NODES[:, None], h, out=h)
+    q = 4.0 * np.sqrt(np.maximum(z2 + 2.0 * (1.0 - lam * lam) / (s2 * s2), 0.0))
+    q += 2.0 * lam / s2
+    inv = 1.0 / (q + lam * z2)
+    # coefficients of 1, s, s^2 in the exponent, then in 1 + a^2
+    c = np.empty((2, 3, z.size))
+    c[0, 0] = 0.0
+    np.multiply(q, inv, out=c[0, 1])
+    np.multiply(inv, inv, out=c[1, 2])
+    np.multiply(c[1, 2], -0.5 * z2, out=c[0, 2])
+    c[1, 0] = s2
+    np.multiply(inv, 2.0 * lam, out=c[1, 1])
+    h, d = _SHAPE_POWERS @ c
     np.exp(h, out=h)
-    u += lam
-    u *= u
-    u += 1.0
-    h /= u
-    return -_LOG_PI - 0.5 * s2 * z2 - np.log(rate) + np.log(_LAGUERRE_WEIGHTS @ h)
+    h /= d
+    h *= _LAGUERRE_WEIGHTS[:, None]
+    return -_LOG_PI - 0.5 * s2 * z2 + np.log(h.sum(axis=0) * inv)
 
 
 def _left(z, lam, log=None):

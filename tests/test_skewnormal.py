@@ -266,6 +266,23 @@ def test_tail_repair_work_count(monkeypatch):
     assert 20 * z.size <= counts["norm_logcdf"] <= 25 * z.size
 
 
+def test_shape_rule_value_does_not_depend_on_other_points():
+    # each point's sum runs down its own column in node order; a BLAS
+    # matrix-vector sum over the nodes moved values with their position
+    from betasn import skewnormal
+
+    rng = np.random.default_rng(3)
+    for lam in (0.3, 3.0, 50.0):
+        z = -rng.uniform(2.0, 60.0, 1000) / lam
+        full = skewnormal._shape_logcdf(z, lam)
+        perm = rng.permutation(z.size)
+        assert np.array_equal(skewnormal._shape_logcdf(z[perm], lam), full[perm])
+        for n in (2, 3, 5, 8, 13, 21, 34, 100):
+            for start in range(0, z.size - n, 37):
+                part = slice(start, start + n)
+                assert np.array_equal(skewnormal._shape_logcdf(z[part], lam), full[part])
+
+
 # 4 lies inside the shape rule's range, where its rate follows lam |z|
 @pytest.mark.parametrize("cut", (*ROUTE_CUTS, 4.0))
 @pytest.mark.parametrize("lam", (0.02, 0.3, 1.0, 50.0, 1e3, 1e4, 1e6))
