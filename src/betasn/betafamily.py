@@ -237,10 +237,21 @@ class _BetaGenerated(LocationScale):
     def logpdf(self, x):
         z = self._z(x)
         with np.errstate(invalid="ignore"):
-            log_f = self._log_base(z, -log_beta(self.a, self.b))
-            out = _log_beta_kernel(
-                log_f - np.log(self.scale), self.a, self.b, lambda: self._log_tails(z)
-            )
+            log_base = self._log_base(z, -log_beta(self.a, self.b))
+        return self._logpdf_from(z, log_base, lambda: self._log_tails(z))
+
+    def _logpdf_from(self, z, log_base, tails):
+        """logpdf at standardized z, from log_base = _log_base(z, -log B(a, b))
+        and tails() = (log F(z), log S(z)), which a zero exponent leaves unread.
+
+        The one beta-kernel composition of the density: logpdf reads its own
+        tails, and a caller that holds them for the same z, shared across
+        laws, passes them in and gets the same bits.
+        """
+        # one of log F and log S is above -log 2, so a power or a sum overflows
+        # only to -inf, where the log density is below -1.8e308: its limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _log_beta_kernel(log_base - np.log(self.scale), self.a, self.b, tails)
         return _log_density_limit(z, out)
 
     def _small_tail(self, z):

@@ -15,6 +15,7 @@ representation p(u) with pdf(x) = phi(x) p(Phi(x)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class RejectionSampleBatch:
         return self.n_accepted / self.n_trials
 
 
+def _sn_log_base(log_c, log_phi_z, log_phi_lz):
+    """log c + log 2 phi(z) Phi(lam z), from log phi(z) and log Phi(lam z), summed in one order."""
+    return _LOG2 + log_c + log_phi_z + log_phi_lz
+
+
 @dataclass(frozen=True)
 class BetaSkewNormal(_BetaGenerated):
     """BSN(lam, a, b) shifted by mu and scaled by sigma.
@@ -97,7 +103,7 @@ class BetaSkewNormal(_BetaGenerated):
         return SkewNormal(0.0, 1.0, self.lam)
 
     def _log_base(self, z, log_c):
-        return _LOG2 + log_c + norm_logpdf(z) + norm_logcdf(self.lam * z)
+        return _sn_log_base(log_c, norm_logpdf(z), norm_logcdf(self.lam * z))
 
     def _log_base_slope(self, z):
         return _log_density_slope(z, self.lam)
@@ -221,19 +227,44 @@ def sample_rejection(lam, n_param, count, seed):
     )
 
 
-def _expect(dist, g, spec):
-    return integrate_line(lambda x: g(x) * dist.pdf(x), spec)
+def _logpdf_rows(laws):
+    """A function of standardized nodes z giving the BSN laws' log densities, one row per law.
+
+    Row i is laws[i].logpdf at z bit for bit, from the same
+    _logpdf_from, over reads the laws share: log phi(z) once, and
+    log Phi(lam z) and _tails(z, lam) once per distinct lam (the tails
+    only if some law of that lam has an exponent to apply them to).  So
+    one call costs one tail read per shape, not one per law.
+    """
+    log_c = [-log_beta(law.a, law.b) for law in laws]
+    lams = dict.fromkeys(law.lam for law in laws)
+
+    def log_densities(z):
+        out = np.empty((len(laws),) + z.shape)
+        with np.errstate(invalid="ignore"):
+            log_phi_z = norm_logpdf(z)
+            for lam in lams:
+                log_phi_lz = norm_logcdf(lam * z)
+                tails = cache(partial(_tails, z, lam))
+                for i, law in enumerate(laws):
+                    if law.lam == lam:
+                        log_base = _sn_log_base(log_c[i], log_phi_z, log_phi_lz)
+                        out[i] = law._logpdf_from(z, log_base, tails)
+        return out
+
+    return log_densities
 
 
 def moment_recursion_gap(lam, a, b, k, spec=None):
     """Absolute discrepancy of the raw-moment recursion at order k.
 
-    Each expectation is its own quadrature component, to its own
-    tolerance; the three under X share one adaptive pass over its pdf:
     E[X^k] vs (k-1)E[X^{k-2}] + lam E[X^{k-1} phi(lam X)/Phi(lam X)]
     + (a+b-1)(E_U[U^{k-1} g(U)] - E_V[V^{k-1} g(V)]), with g the
-    skew-normal density with shape lam, U ~ BSN(lam, a-1, b), and
-    V ~ BSN(lam, a, b-1).  Requires a > 1 and b > 1 so that U and V
+    skew-normal density with shape lam, X ~ BSN(lam, a, b),
+    U ~ BSN(lam, a-1, b), and V ~ BSN(lam, a, b-1).  All five
+    expectations are components of one adaptive pass, each to its own
+    tolerance, and the three densities share one _tails read per batch
+    of nodes (_logpdf_rows).  Requires a > 1 and b > 1 so that U and V
     exist.
     """
     if not (a > 1.0 and b > 1.0):
@@ -242,23 +273,25 @@ def moment_recursion_gap(lam, a, b, k, spec=None):
         raise ValueError("k must be an integer >= 2")
     spec = DEFAULT_SPEC if spec is None else spec
     lam = float(lam)
-    dist = BetaSkewNormal(lam, a, b)
-    dist_u = BetaSkewNormal(lam, a - 1.0, b)
-    dist_v = BetaSkewNormal(lam, a, b - 1.0)
-
-    def sn_density(x):
-        return np.exp(_log_density(x, norm_logcdf(lam * x)))
-
-    def hazard_term(x):
-        return np.exp(norm_logpdf(lam * x) - norm_logcdf(lam * x))
-
-    lhs, e_k2, e_hazard = _expect(
-        dist, lambda x: np.stack([x**k, x ** (k - 2), x ** (k - 1) * hazard_term(x)]), spec
+    log_densities = _logpdf_rows(
+        [BetaSkewNormal(lam, a, b), BetaSkewNormal(lam, a - 1.0, b), BetaSkewNormal(lam, a, b - 1.0)]
     )
-    rhs = (k - 1) * e_k2 + lam * e_hazard
-    e_u = _expect(dist_u, lambda x: x ** (k - 1) * sn_density(x), spec)
-    e_v = _expect(dist_v, lambda x: x ** (k - 1) * sn_density(x), spec)
-    rhs += (a + b - 1.0) * (e_u - e_v)
+
+    def integrand(x):
+        pdf_x, pdf_u, pdf_v = np.exp(log_densities(x))
+        log_phi_lx = norm_logcdf(lam * x)
+        weighted_sn = x ** (k - 1) * np.exp(_log_density(x, log_phi_lx))
+        hazard = np.exp(norm_logpdf(lam * x) - log_phi_lx)
+        return np.stack([
+            x**k * pdf_x,
+            x ** (k - 2) * pdf_x,
+            x ** (k - 1) * hazard * pdf_x,
+            weighted_sn * pdf_u,
+            weighted_sn * pdf_v,
+        ])
+
+    lhs, e_k2, e_hazard, e_u, e_v = integrate_line(integrand, spec)
+    rhs = (k - 1) * e_k2 + lam * e_hazard + (a + b - 1.0) * (e_u - e_v)
     return float(abs(lhs - rhs))
 
 

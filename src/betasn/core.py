@@ -236,7 +236,11 @@ def _raw_moments(dist, spec, orders):
 
 def moment_summary(dist, spec=None):
     """Mean, sd, skewness, and non-excess kurtosis by quadrature."""
-    m1, m2, m3, m4 = _raw_moments(dist, spec, (1, 2, 3, 4))
+    return _summary(*_raw_moments(dist, spec, (1, 2, 3, 4)))
+
+
+def _summary(m1, m2, m3, m4):
+    """The MomentSummary of raw moments m1..m4: the central-moment formulas, written once."""
     var = m2 - m1 * m1
     if not var > 0.0:
         raise ArithmeticError(f"computed variance {var!r} is not positive")

@@ -169,7 +169,10 @@ def _shape_logcdf(z, lam):
     s2 = 1.0 + lam * lam
     q = 4.0 * np.sqrt(np.maximum(z2 + 2.0 * (1.0 - lam * lam) / (s2 * s2), 0.0))
     q += 2.0 * lam / s2
-    inv = 1.0 / (q + lam * z2)
+    # (1 + lam^2) z^2 / 2 >= lam z^2, so where either overflows log F is
+    # below -1.8e308: inv is 0 there, and the value the limit -inf
+    with np.errstate(over="ignore"):
+        inv = 1.0 / (q + lam * z2)
     # coefficients of 1, s, s^2 in the exponent, then in 1 + a^2
     c = np.empty((2, 3, z.size))
     c[0, 0] = 0.0
@@ -182,7 +185,8 @@ def _shape_logcdf(z, lam):
     np.exp(h, out=h)
     h /= d
     h *= _LAGUERRE_WEIGHTS[:, None]
-    return -_LOG_PI - 0.5 * s2 * z2 + np.log(h.sum(axis=0) * inv)
+    with np.errstate(over="ignore", divide="ignore"):
+        return -_LOG_PI - 0.5 * s2 * z2 + np.log(h.sum(axis=0) * inv)
 
 
 def _left(z, lam, log=None):

@@ -249,7 +249,9 @@ def _log_inc_beta_cf(log_x, log_1mx, a, b):
             h[live] *= step
         live = live[np.abs(step - 1.0) > _EPS]
         m += 1.0
-    return a * log_x + b * log_1mx - np.log(a) - _sp.betaln(a, b) + np.log(h)
+    # a log x overflows only where log I is below -1.8e308: the limit -inf
+    with np.errstate(over="ignore"):
+        return a * log_x + b * log_1mx - np.log(a) - _sp.betaln(a, b) + np.log(h)
 
 
 def _log_inc_beta_root(p, a, b):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import betasn.bsn
 import betasn.quadrature
 from betasn import (
     DEFAULT_SPEC,
+    REFERENCE_MOMENT_GRID,
+    BetaSkewNormal,
     IntegrationError,
     QuadratureSpec,
     integrate_line,
@@ -234,19 +237,40 @@ def test_unconverged_component_raises_with_its_own_estimate():
 
 
 def test_compare_grid_work_count(monkeypatch):
-    # deterministic perf guard: one compare_grid() is one stacked moment
-    # pass per row (1,599 batches and 65,970 nodes with a pass per moment
-    # and one split per batch)
-    counts = {"batches": 0, "nodes": 0}
+    # deterministic perf guard: one compare_grid() is one adaptive pass
+    # over all 200 row-moment components (6 batches and 900 nodes), and
+    # each batch reads the skew-normal tails once per distinct lam (5);
+    # a pass per row took 196 batches and 20,790 nodes
+    counts = {"batches": 0, "nodes": 0, "tails": 0}
     gk15 = betasn.quadrature._gk15
+    tails = betasn.bsn._tails
 
     def counted(f, a, b):
         counts["batches"] += 1
         counts["nodes"] += betasn.quadrature._NODES.size * np.size(a)
         return gk15(f, a, b)
 
+    def counted_tails(z, lam):
+        counts["tails"] += 1
+        return tails(z, lam)
+
     monkeypatch.setattr(betasn.quadrature, "_gk15", counted)
+    monkeypatch.setattr(betasn.bsn, "_tails", counted_tails)
     rows = compare_grid()
     assert all(r.passed for r in rows)
-    assert counts["batches"] <= 250
-    assert counts["nodes"] <= 25_000
+    assert counts["batches"] <= 10
+    assert counts["nodes"] <= 1_500
+    assert counts["tails"] <= 5 * counts["batches"]
+
+
+def test_grid_log_densities_are_each_laws_logpdf():
+    # the grid's shared-tails log density of every row is, bit for bit,
+    # that row's BetaSkewNormal logpdf, on the first sweep's nodes
+    laws = [BetaSkewNormal(r.lam, r.a, r.b) for r in REFERENCE_MOMENT_GRID]
+    edges = np.linspace(-DEFAULT_SPEC.truncation, DEFAULT_SPEC.truncation, 9)
+    center, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    z = center + half * betasn.quadrature._NODES[:, None]
+    shared = betasn.bsn._logpdf_rows(laws)(z)
+    assert shared.shape == (len(laws),) + z.shape
+    for law, row in zip(laws, shared):
+        assert row.tobytes() == law.logpdf(z).tobytes(), law

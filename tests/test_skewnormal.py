@@ -337,3 +337,20 @@ def test_far_density_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert SkewNormal(0.0, 1.0, 1.0).pdf(1e200) == 0.0
+
+
+@pytest.mark.parametrize("x", [-1e154, -5e153, 5e153, 1e154])
+def test_far_tails_do_not_warn(x):
+    # at lam = 3 the shape rule's (1 + lam^2) x^2 / 2 overflows past
+    # x ~ -6e153 and lam x^2 past -7.7e153, and nearer in the beta-kernel
+    # powers of log F and the continued fraction's a log x: each only where
+    # log F, log I or the log density is below -1.8e308, so every read
+    # returns its limit quietly
+    sn, bsn = SkewNormal(0.0, 1.0, 3.0), BetaSkewNormal(3.0, 2.0, 3.0)
+    reads = (sn.logcdf, sn.cdf, sn.sf, sn.logsf, bsn.logcdf, bsn.cdf, bsn.logsf, bsn.logpdf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [read(x) for read in reads]
+    assert not any(math.isnan(v) for v in values)
+    if x == -1e154:
+        assert values == [-math.inf, 0.0, 1.0, 0.0, -math.inf, 0.0, 0.0, -math.inf]

@@ -76,9 +76,11 @@ def test_output_digest_prints_every_digest():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out.keys() == {"seed", "check_all_sha256", "check_all_bytes", "bulk_digest", "grid_failed_rows"}
+    assert out.keys() == {
+        "seed", "check_all_sha256", "check_all_bytes", "bulk_digest", "grid_digest", "grid_failed_rows"
+    }
     assert out["seed"] == 3
-    for key in ("check_all_sha256", "bulk_digest"):
+    for key in ("check_all_sha256", "bulk_digest", "grid_digest"):
         assert len(out[key]) == 64 and int(out[key], 16) >= 0, key
     assert out["check_all_bytes"] > 0
     assert isinstance(out["grid_failed_rows"], int) and out["grid_failed_rows"] >= 0

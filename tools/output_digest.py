@@ -10,6 +10,11 @@ Prints one JSON object:
 ``bulk_digest``        ``bench/workloads.py``'s digest of every bulk-panel
                        output (pdf, logpdf, cdf, sf, quantile, sample)
                        over ``bulk_inputs(S)``, after ``bulk_setup``;
+``grid_digest``        sha256 of the 50 x 4 computed moments of
+                       ``compare_grid()`` (mean, sd, skewness, kurtosis
+                       per row, as float64 bytes), which moves where the
+                       ``check all`` report, printing each row's largest
+                       deviation only, may not;
 ``grid_failed_rows``   how many rows of ``compare_grid()`` fail.
 
 Two trees print the same object only if these outputs match bit for
@@ -27,6 +32,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,11 +57,13 @@ def main(argv=None):
     workloads.bulk_setup(inputs)
     outputs = [workloads.bulk_unit(item)[0] for item in inputs]
     rows = betasn.compare_grid()
+    moments = [[getattr(row.computed, f) for f in betasn.reference.FIELDS] for row in rows]
     print(json.dumps({
         "seed": args.seed,
         "check_all_sha256": hashlib.sha256(report).hexdigest(),
         "check_all_bytes": len(report),
         "bulk_digest": workloads.bulk_digest(outputs),
+        "grid_digest": hashlib.sha256(np.array(moments, dtype=float).tobytes()).hexdigest(),
         "grid_failed_rows": sum(not row.passed for row in rows),
     }, indent=2))
     return 0
