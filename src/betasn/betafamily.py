@@ -21,6 +21,10 @@ bracketed Halley solve per point whose every evaluation is one read of
 log F and log S, started from a cubic-Hermite table per law and side
 that the composed route builds: the latent root in log space, then the
 base quantile of it.  Both reach q = 1e-300 and below on either side.
+A draw is the construction itself: the latent W ~ Beta(a, b) from two
+gammas in log form, and one base quantile of W's smaller side, with no
+incomplete beta read (a = b = 1 keeps the quantile transform).  Beta,
+GB1 and Kumaraswamy keep the quantile transform.
 """
 
 from __future__ import annotations
@@ -276,6 +280,30 @@ class _BetaGenerated(LocationScale):
     def _mirror(self):
         """The standardized law whose lower side is minus this one's upper side, if any."""
         return None
+
+    def draw(self, rng, n):
+        """Draw n values as base quantiles of a Beta(a, b) latent W = G_a / (G_a + G_b).
+
+        Each gamma is drawn in log form, log G_s = log G_(s+1) - E / s
+        with E standard exponential: Gamma(s) = Gamma(s + 1) U^(1/s)
+        (Marsaglia & Tsang 2000) with -log U = E.  It is exact for every
+        s > 0 and never -inf, where rng.standard_gamma(s) alone returns 0
+        for about half its draws at s = 1e-3.  W's smaller side, log t =
+        min(log G_a, log G_b) - log(G_a + G_b), goes to the base quantile
+        on that side, so no incomplete beta is read and both tails keep
+        relative accuracy.  At a = b = 1 the latent is the uniform
+        itself, and the quantile transform stays.
+        """
+        if self.a == 1.0 and self.b == 1.0:
+            return super().draw(rng, n)
+        n = int(n)
+        log_ga, log_gb = (
+            np.log(rng.standard_gamma(s + 1.0, n)) - rng.standard_exponential(n) / s
+            for s in (self.a, self.b)
+        )
+        log_t = np.minimum(log_ga, log_gb) - np.logaddexp(log_ga, log_gb)
+        z = _by_side(self._base_quantile, log_t, log_ga > log_gb)
+        return self.location + self.scale * z
 
     def _composed_quantile(self, t, upper):
         """The base quantile of the latent w, found as log w or log(1 - w) on t's side."""

@@ -284,7 +284,11 @@ def _build_parser():
         "--method",
         choices=("inverse", "rejection"),
         default="inverse",
-        help="rejection needs family bsn with integer --a >= 1 and --b 1",
+        help=(
+            "inverse is the quantile transform, or for bsn, bn and bhn the base"
+            " quantile of a Beta(a, b) latent; rejection needs family bsn with"
+            " integer --a >= 1 and --b 1"
+        ),
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -14,7 +14,10 @@ check behind every family.  The default sampler is the quantile
 transform of a PCG64 uniform stream (``numpy.random.default_rng``), so
 one seed policy drives every family reproducibly; families with a
 cheaper exact representation override ``draw``, which ``sample`` calls
-on a fresh generator.
+on a fresh generator: the skew-normal draws its two-normal conditioning
+representation, and the beta-generated laws one base quantile of a
+Beta(a, b) latent drawn from two gammas.  ``Distribution.draw(dist,
+rng, n)`` still gives any family's quantile transform.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ from betasn import (
     Beta,
     BetaHalfNormal,
     BetaNormal,
+    BetaSkewNormal,
+    Distribution,
     GB1,
     IntegrationError,
     KS_COEFF_01,
@@ -139,6 +141,51 @@ def test_sampling_ks():
     d = Beta(2.0, 3.0)
     values = d.sample(100_000, 5)
     assert ks_statistic(values, d.cdf) < KS_COEFF_01 / math.sqrt(100_000)
+
+
+# the beta-generated draw: base quantiles of a Beta(a, b) latent
+LATENT_DRAW_LAWS = [
+    (BetaSkewNormal(50.0, 0.05, 2.0), 41),
+    (BetaSkewNormal(-50.0, 3.0, 0.05), 42),
+    (BetaSkewNormal(5.0, 0.05, 0.05), 43),
+    (BetaNormal(0.5, 2.0), 44),
+    (BetaHalfNormal(0.3, 2.0), 45),
+]
+
+
+@pytest.mark.parametrize("dist, seed", LATENT_DRAW_LAWS, ids=[repr(d) for d, _ in LATENT_DRAW_LAWS])
+def test_latent_draw_ks(dist, seed):
+    values = dist.sample(100_000, seed)
+    assert ks_statistic(values, dist.cdf) < KS_COEFF_01 / math.sqrt(100_000)
+
+
+@pytest.mark.parametrize("dist", [
+    BetaNormal(1e-3, 1e-3), BetaNormal(0.01, 1e-3),
+    BetaSkewNormal(3.0, 1e-3, 0.01), BetaSkewNormal(-5.0, 0.01, 1e-3), BetaSkewNormal(0.5, 0.01, 0.01),
+    BetaHalfNormal(1e-3, 0.01), BetaHalfNormal(0.01, 1e-3),
+], ids=repr)
+def test_latent_draw_at_tiny_shapes_stays_in_support(dist):
+    # a plain gamma draw at these shapes is often exactly 0, and W = 0 / 0
+    assert (np.random.default_rng(0).standard_gamma(1e-3, 1000) == 0.0).any()
+    values = dist.sample(20_000, 46)
+    lo, hi = dist.support
+    assert np.all(np.isfinite(values)) and np.all((values >= lo) & (values <= hi))
+
+
+@pytest.mark.parametrize("dist", [
+    BetaSkewNormal(2.0, 1.0, 1.0, mu=1.0, sigma=2.0), BetaNormal(1.0, 1.0), BetaHalfNormal(1.0, 1.0),
+], ids=repr)
+def test_latent_draw_at_unit_shapes_is_the_quantile_transform(dist):
+    got = dist.draw(np.random.default_rng(47), 5_000)
+    assert got.tobytes() == Distribution.draw(dist, np.random.default_rng(47), 5_000).tobytes()
+
+
+def test_latent_draw_placement_and_reproducibility():
+    for placed, std in ((BetaSkewNormal(3.0, 0.5, 2.0, mu=1.5, sigma=2.0), BetaSkewNormal(3.0, 0.5, 2.0)),
+                        (BetaNormal(0.3, 4.0, mu=-2.0, sigma=0.25), BetaNormal(0.3, 4.0))):
+        values = placed.sample(5_000, 48)
+        assert values.tobytes() == placed.sample(5_000, 48).tobytes()
+        assert values.tobytes() == (placed.mu + placed.sigma * std.sample(5_000, 48)).tobytes()
 
 
 def test_moments_match_beta_closed_forms():

@@ -77,10 +77,15 @@ def test_output_digest_prints_every_digest():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out.keys() == {
-        "seed", "check_all_sha256", "check_all_bytes", "bulk_digest", "grid_digest", "grid_failed_rows"
+        "seed", "check_all_sha256", "check_all_bytes", "bulk_digest", "output_digests",
+        "grid_digest", "grid_failed_rows",
     }
     assert out["seed"] == 3
-    for key in ("check_all_sha256", "bulk_digest", "grid_digest"):
-        assert len(out[key]) == 64 and int(out[key], 16) >= 0, key
+    per_output = out["output_digests"]
+    assert list(per_output) == ["pdf", "logpdf", "cdf", "sf", "quantile", "sample"]
+    digests = [out[k] for k in ("check_all_sha256", "bulk_digest", "grid_digest")]
+    for value in digests + list(per_output.values()):
+        assert len(value) == 64 and int(value, 16) >= 0, value
+    assert len(set(per_output.values())) == len(per_output)
     assert out["check_all_bytes"] > 0
     assert isinstance(out["grid_failed_rows"], int) and out["grid_failed_rows"] >= 0

@@ -10,6 +10,10 @@ Prints one JSON object:
 ``bulk_digest``        ``bench/workloads.py``'s digest of every bulk-panel
                        output (pdf, logpdf, cdf, sf, quantile, sample)
                        over ``bulk_inputs(S)``, after ``bulk_setup``;
+``output_digests``     the same digest per output, keyed pdf, logpdf, cdf,
+                       sf, quantile and sample, each over every panel
+                       member that has it, so a change to one output
+                       (a sampler, say) shows every other array unchanged;
 ``grid_digest``        sha256 of the 50 x 4 computed moments of
                        ``compare_grid()`` (mean, sd, skewness, kurtosis
                        per row, as float64 bytes), which moves where the
@@ -63,6 +67,10 @@ def main(argv=None):
         "check_all_sha256": hashlib.sha256(report).hexdigest(),
         "check_all_bytes": len(report),
         "bulk_digest": workloads.bulk_digest(outputs),
+        "output_digests": {
+            key: workloads.digest(*(res[key] for res in outputs if key in res))
+            for key in dict.fromkeys(key for res in outputs for key in res)
+        },
         "grid_digest": hashlib.sha256(np.array(moments, dtype=float).tobytes()).hexdigest(),
         "grid_failed_rows": sum(not row.passed for row in rows),
     }, indent=2))
