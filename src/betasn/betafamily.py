@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .core import Distribution, LocationScale, _by_side, _quantile_domain, _require
+from .core import Distribution, LocationScale, _blocked, _by_side, _quantile_domain, _require
 from .skewnormal import _log_density_limit
 from .special import (
     _MIRRORED_FLOOR,
@@ -129,7 +129,8 @@ class _GB1Law(Distribution):
     def quantile(self, q):
         a, b, p, hi = self._gb1
         q = _quantile_domain(q)
-        out = hi * inv_reg_inc_beta(q, a, b) ** (1.0 / p)
+        w = _blocked(lambda s: inv_reg_inc_beta(s, a, b), q.reshape(-1)).reshape(q.shape)[()]
+        out = hi * w ** (1.0 / p)
         return out if q.ndim else float(out)
 
 
@@ -240,6 +241,10 @@ class _BetaGenerated(LocationScale):
 
     def logpdf(self, x):
         z = self._z(x)
+        return _blocked(self._std_logpdf, z.reshape(-1)).reshape(z.shape)[()]
+
+    def _std_logpdf(self, z):
+        """logpdf at a 1-d array of standardized points z."""
         with np.errstate(invalid="ignore"):
             log_base = self._log_base(z, -log_beta(self.a, self.b))
         return self._logpdf_from(z, log_base, lambda: self._log_tails(z))

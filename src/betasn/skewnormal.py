@@ -52,7 +52,7 @@ import numpy as np
 from scipy.special import ndtri_exp
 
 from .balakrishnan import _log_tail
-from .core import LocationScale, _quantile_domain, _require
+from .core import _BLOCK, LocationScale, _quantile_domain, _require
 from .quadrature import _LAGUERRE_NODES, _LAGUERRE_WEIGHTS
 from .special import (
     _bracketed_newton,
@@ -430,10 +430,25 @@ class SkewNormal(LocationScale):
         """Draw n values from an existing generator.
 
         Uses the conditioning representation delta|U| + sqrt(1-delta^2)V,
-        so each variate consumes exactly two standard normals.
+        so each variate consumes exactly two standard normals: all n U
+        first, then the V.  The V are drawn into one buffer of at most
+        core._BLOCK values at a time, which gives the generator's stream
+        of a single call, and each value is formed in place in U's
+        array, by the operations of xi + psi (delta |u| + c v) with
+        c = sqrt(1 - delta^2).
         """
-        u = rng.standard_normal(int(n))
-        v = rng.standard_normal(int(n))
+        n = int(n)
         d = self.delta
-        z = d * np.abs(u) + np.sqrt(1.0 - d * d) * v
-        return self.xi + self.psi * z
+        c = np.sqrt(1.0 - d * d)
+        out = rng.standard_normal(n)
+        np.abs(out, out=out)
+        out *= d
+        buf = np.empty(min(n, _BLOCK))
+        for lo in range(0, n, _BLOCK):
+            v = rng.standard_normal(out=buf[: min(_BLOCK, n - lo)])
+            v *= c
+            z = out[lo : lo + v.size]
+            z += v
+            z *= self.psi
+            z += self.xi
+        return out

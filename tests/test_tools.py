@@ -78,14 +78,26 @@ def test_output_digest_prints_every_digest():
     out = json.loads(proc.stdout)
     assert out.keys() == {
         "seed", "check_all_sha256", "check_all_bytes", "bulk_digest", "output_digests",
-        "grid_digest", "grid_failed_rows",
+        "large_digests", "grid_digest", "grid_failed_rows",
     }
     assert out["seed"] == 3
-    per_output = out["output_digests"]
-    assert list(per_output) == ["pdf", "logpdf", "cdf", "sf", "quantile", "sample"]
+    per_output, large = out["output_digests"], out["large_digests"]
+    for table in (per_output, large):
+        assert list(table) == ["pdf", "logpdf", "cdf", "sf", "quantile", "sample"]
     digests = [out[k] for k in ("check_all_sha256", "bulk_digest", "grid_digest")]
-    for value in digests + list(per_output.values()):
+    for value in digests + list(per_output.values()) + list(large.values()):
         assert len(value) == 64 and int(value, 16) >= 0, value
-    assert len(set(per_output.values())) == len(per_output)
+    assert len(set(per_output.values()) | set(large.values())) == 2 * len(per_output)
     assert out["check_all_bytes"] > 0
     assert isinstance(out["grid_failed_rows"], int) and out["grid_failed_rows"] >= 0
+
+
+def test_large_digest_calls_cross_blocks():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from output_digest import LARGE_POINTS
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    from betasn.core import _BLOCK
+
+    assert LARGE_POINTS > 3 * _BLOCK

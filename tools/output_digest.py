@@ -14,6 +14,13 @@ Prints one JSON object:
                        sf, quantile and sample, each over every panel
                        member that has it, so a change to one output
                        (a sampler, say) shows every other array unchanged;
+``large_digests``      the same per-output digests over calls of
+                       ``LARGE_POINTS`` points per member (seeded inputs
+                       drawn as the bulk pass draws its own), which the
+                       library evaluates in several blocks
+                       (``betasn.core._BLOCK``), so they match another
+                       tree's only if splitting a call left every value
+                       alone;
 ``grid_digest``        sha256 of the 50 x 4 computed moments of
                        ``compare_grid()`` (mean, sd, skewness, kurtosis
                        per row, as float64 bytes), which moves where the
@@ -40,6 +47,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# three slices of core._BLOCK (8192) and then some: a large call is cut
+# into four near-equal slices; the bulk pass's calls are one slice
+LARGE_POINTS = 3 * 8192 + 17
 
 
 def main(argv=None):
@@ -60,6 +70,7 @@ def main(argv=None):
     inputs = workloads.bulk_inputs(args.seed)
     workloads.bulk_setup(inputs)
     outputs = [workloads.bulk_unit(item)[0] for item in inputs]
+    large = large_outputs(workloads, args.seed)
     rows = betasn.compare_grid()
     moments = [[getattr(row.computed, f) for f in betasn.reference.FIELDS] for row in rows]
     print(json.dumps({
@@ -67,14 +78,34 @@ def main(argv=None):
         "check_all_sha256": hashlib.sha256(report).hexdigest(),
         "check_all_bytes": len(report),
         "bulk_digest": workloads.bulk_digest(outputs),
-        "output_digests": {
-            key: workloads.digest(*(res[key] for res in outputs if key in res))
-            for key in dict.fromkeys(key for res in outputs for key in res)
-        },
+        "output_digests": per_output(workloads, outputs),
+        "large_digests": per_output(workloads, large),
         "grid_digest": hashlib.sha256(np.array(moments, dtype=float).tobytes()).hexdigest(),
         "grid_failed_rows": sum(not row.passed for row in rows),
     }, indent=2))
     return 0
+
+
+def per_output(workloads, outputs):
+    """One digest per output key, over every panel member that has it."""
+    keys = dict.fromkeys(key for res in outputs for key in res)
+    return {key: workloads.digest(*(res[key] for res in outputs if key in res)) for key in keys}
+
+
+def large_outputs(workloads, seed):
+    """Each panel member's outputs, as the bulk pass forms them, on LARGE_POINTS seeded points."""
+    rng = np.random.default_rng([seed, 2])
+    outputs = []
+    for _, dist in workloads.panel():
+        x = workloads._x_points(rng, dist, LARGE_POINTS)
+        q, _ = workloads._q_points(rng, LARGE_POINTS)
+        res = {"pdf": dist.pdf(x), "logpdf": dist.logpdf(x), "cdf": dist.cdf(x)}
+        if hasattr(dist, "sf"):
+            res["sf"] = dist.sf(x)
+        res["quantile"] = dist.quantile(q)
+        res["sample"] = dist.sample(LARGE_POINTS, int(rng.integers(2**31)))
+        outputs.append(res)
+    return outputs
 
 
 if __name__ == "__main__":
