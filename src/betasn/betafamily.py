@@ -75,6 +75,30 @@ def _log_beta_kernel(acc, a, b, tails):
     return acc
 
 
+def _log_latent_side(rng, a, b, n):
+    """(log t, upper) of n draws of W = G_a / (G_a + G_b) ~ Beta(a, b).
+
+    t is the smaller of W and 1 - W, and upper marks t = 1 - W.  Each
+    log G_s = log G_(s+1) - E / s is formed in place over its gamma, and
+    log t over log G_a, so at most three doubles per point are held and
+    one is returned.
+    """
+    log_g, spare = [], None
+    for s in (a, b):
+        g = rng.standard_gamma(s + 1.0, n, out=spare)
+        np.log(g, out=g)
+        spare = rng.standard_exponential(n)
+        spare /= s
+        g -= spare
+        log_g.append(g)
+    log_ga, log_gb = log_g
+    upper = log_ga > log_gb
+    log_sum = np.logaddexp(log_ga, log_gb, out=spare)
+    log_t = np.minimum(log_ga, log_gb, out=log_ga)
+    log_t -= log_sum
+    return log_t, upper
+
+
 class _GB1Law(Distribution):
     """Generalized beta of the first kind (McDonald 1984), written once.
 
@@ -129,9 +153,10 @@ class _GB1Law(Distribution):
     def quantile(self, q):
         a, b, p, hi = self._gb1
         q = _quantile_domain(q)
-        w = _blocked(lambda s: inv_reg_inc_beta(s, a, b), q.reshape(-1)).reshape(q.shape)[()]
-        out = hi * w ** (1.0 / p)
-        return out if q.ndim else float(out)
+        w = _blocked(lambda s: inv_reg_inc_beta(s, a, b), q.reshape(-1))
+        w **= 1.0 / p
+        w *= hi
+        return w.reshape(q.shape) if q.ndim else float(w[0])
 
 
 @dataclass(frozen=True)
@@ -296,19 +321,18 @@ class _BetaGenerated(LocationScale):
         for about half its draws at s = 1e-3.  W's smaller side, log t =
         min(log G_a, log G_b) - log(G_a + G_b), goes to the base quantile
         on that side, so no incomplete beta is read and both tails keep
-        relative accuracy.  At a = b = 1 the latent is the uniform
-        itself, and the quantile transform stays.
+        relative accuracy.  The base quantiles are written over log t
+        (_by_side), and the draw peaks at about three doubles per point
+        while it forms the latent.  At a = b = 1 the latent is the
+        uniform itself, and the quantile transform stays.
         """
         if self.a == 1.0 and self.b == 1.0:
             return super().draw(rng, n)
-        n = int(n)
-        log_ga, log_gb = (
-            np.log(rng.standard_gamma(s + 1.0, n)) - rng.standard_exponential(n) / s
-            for s in (self.a, self.b)
-        )
-        log_t = np.minimum(log_ga, log_gb) - np.logaddexp(log_ga, log_gb)
-        z = _by_side(self._base_quantile, log_t, log_ga > log_gb)
-        return self.location + self.scale * z
+        log_t, upper = _log_latent_side(rng, self.a, self.b, int(n))
+        z = _by_side(self._base_quantile, log_t, upper)
+        z *= self.scale
+        z += self.location
+        return z
 
     def _composed_quantile(self, t, upper):
         """The base quantile of the latent w, found as log w or log(1 - w) on t's side."""

@@ -14,13 +14,14 @@ representation p(u) with pdf(x) = phi(x) p(Phi(x)).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
 
 from .betafamily import BetaHalfNormal, _BetaGenerated, _log_beta_kernel
-from .core import _require
+from .core import _BLOCK, _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
 from .skewnormal import SkewNormal, _log_density, _log_density_slope, _side_quantile, _tails
 from .special import log_beta, norm_logcdf, norm_logpdf, norm_quantile
@@ -196,6 +197,16 @@ def sample_rejection(lam, n_param, count, seed):
     probability 1/n_param.  Trials run in vectorized batches until
     `count` values are accepted; the returned batch keeps total trial
     and acceptance counts so the empirical rate can be audited.
+
+    A batch of N variates takes the stream of one SkewNormal.draw of N:
+    N standard normals for the |U| parts, then N for the V parts.  It is
+    formed in row blocks of about core._BLOCK variates.  A twin of the
+    generator (a deep copy), moved past the batch's first N normals by
+    one pass that discards them into a reused buffer, supplies each
+    block's V as the generator supplies its U; past the batch, the twin
+    draws the next one.  So a batch holds one block, not N variates,
+    and the values, n_trials and n_accepted are those of drawing each
+    batch whole.
     """
     if not (isinstance(n_param, (int, np.integer)) and n_param >= 1):
         raise ValueError("n_param must be a positive integer")
@@ -204,26 +215,30 @@ def sample_rejection(lam, n_param, count, seed):
     base = SkewNormal(0.0, 1.0, float(lam))
     rng = np.random.default_rng(seed)
     n = int(n_param)
-    chunks = []
+    rows = max(_BLOCK // n, 1)
+    u_buf, v_buf = np.empty(rows * n), np.empty(rows * n)
+    values = np.empty(count)
     collected = 0
     n_trials = 0
-    n_accepted = 0
     while collected < count:
-        blocks = int((count - collected) * n * 1.25) + 32
-        blocks = min(blocks, 4_000_000 // n + 1)
-        draws = base.draw(rng, blocks * n).reshape(blocks, n)
-        t = draws[:, 0]
-        if n == 1:
-            acc = t
-        else:
-            acc = t[t >= draws[:, 1:].max(axis=1)]
-        n_trials += blocks
-        n_accepted += acc.size
-        chunks.append(acc)
-        collected += acc.size
-    values = np.concatenate(chunks)[:count]
+        trials = int((count - collected) * n * 1.25) + 32
+        trials = min(trials, 4_000_000 // n + 1)
+        twin = copy.deepcopy(rng)
+        for lo in range(0, trials * n, v_buf.size):
+            twin.standard_normal(out=v_buf[: min(v_buf.size, trials * n - lo)])
+        for lo in range(0, trials, rows):
+            k = min(rows, trials - lo) * n
+            u, v = rng.standard_normal(out=u_buf[:k]), twin.standard_normal(out=v_buf[:k])
+            draws = base._place(u, v).reshape(-1, n)
+            t = draws[:, 0]
+            acc = t if n == 1 else t[t >= draws[:, 1:].max(axis=1)]
+            kept = acc[: max(count - collected, 0)]
+            values[collected : collected + kept.size] = kept
+            collected += acc.size
+        n_trials += trials
+        rng = twin
     return RejectionSampleBatch(
-        seed=int(seed), values=values, n_trials=n_trials, n_accepted=n_accepted
+        seed=int(seed), values=values, n_trials=n_trials, n_accepted=collected
     )
 
 

@@ -499,7 +499,9 @@ def _order_stat_ks_checks(seed):
     # second smallest of five standard normals against the two-shape handle
     rng = np.random.default_rng(seed + 10)
     draws = rng.standard_normal((_KS_TRIALS, 5))
-    second = np.partition(draws, 1, axis=1)[:, 1]
+    draws.partition(1, axis=1)
+    second = draws[:, 1].copy()
+    del draws
     out.append(
         _ks_check(
             "ks normal order statistic vs tbsn mapping (n=5, j=2)",

@@ -24,9 +24,10 @@ function to contiguous slices of at most _BLOCK points of a 1-d array,
 of near-equal sizes, and writes each slice's values into one output;
 a call of at most _BLOCK points is one slice.  The tail reads, the
 quantile sides (_by_side), the beta-generated logpdf and the GB1
-quantile go through it, so the scratch arrays of a read (the
-skew-normal tail rules build (20, n) blocks) stay bounded by the block,
-not the call.  Every per-point function here reads each point on its
+quantile go through it, and the quantile transform draws its uniforms
+in slices of at most two blocks (_slices), so the scratch arrays of a
+read (the skew-normal tail rules build (20, n) blocks) stay bounded by
+the block, not the call.  Every per-point function here reads each point on its
 own, except that the skew-normal shape rule (skewnormal._shape_logcdf)
 sums a lone point in another order.  Near-equal sizes keep every slice
 far from one point; a slice in which the shape rule serves only one
@@ -105,10 +106,26 @@ class Distribution:
         raise NotImplementedError
 
     def draw(self, rng, n):
-        """Draw n values from an existing generator: the quantile transform of its uniforms."""
-        # rng.random lives in [0, 1); nudge an exact 0 into the open
-        # interval the quantile functions require
-        return self.quantile(np.clip(rng.random(int(n)), 1e-300, None))
+        """Draw n values from an existing generator: the quantile transform of its uniforms.
+
+        The uniforms are drawn into one reused buffer, in the fewest
+        near-equal slices of at most 2 _BLOCK points, so that each side
+        of a slice's quantile is about one block (smaller slices cost
+        more solver passes), and each slice's quantiles are written into
+        one output.  The generator gives the stream of a single call
+        however its draws are cut, and quantile reads each point on its
+        own, so the values are those of one whole call, held as one
+        double per point plus a slice's scratch.
+        """
+        n = int(n)
+        out = np.empty(n)
+        buf = np.empty(min(n, 2 * _BLOCK))
+        for lo, hi in _slices(n, 2 * _BLOCK):
+            u = rng.random(out=buf[: hi - lo])
+            # rng.random lives in [0, 1); nudge an exact 0 into the open
+            # interval the quantile functions require
+            out[lo:hi] = self.quantile(np.clip(u, 1e-300, None, out=u))
+        return out
 
     def sample(self, n, seed):
         return self.draw(np.random.default_rng(seed), n)
@@ -188,11 +205,13 @@ class LocationScale(Distribution):
         keeps the same relative accuracy as the lower one.
         """
         q = _quantile_domain(q)
-        qq = q.reshape(-1)
-        upper = qq > 0.5
-        z = _by_side(self._std_quantile, np.where(upper, 1.0 - qq, qq), upper)
-        out = self.location + self.scale * z.reshape(q.shape)
-        return out if q.ndim else float(out)
+        t = q.flatten()
+        upper = t > 0.5
+        np.subtract(1.0, t, out=t, where=upper)
+        z = _by_side(self._std_quantile, t, upper)
+        z *= self.scale
+        z += self.location
+        return z.reshape(q.shape) if q.ndim else float(z[0])
 
 
 def _blocked(fn, flat):
@@ -205,26 +224,30 @@ def _blocked(fn, flat):
     n = flat.size
     if n <= _BLOCK:
         return fn(flat)
-    slices = -(-n // _BLOCK)
-    edges = [n * k // slices for k in range(slices + 1)]
     out = np.empty(n)
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi in _slices(n, _BLOCK):
         out[lo:hi] = fn(flat[lo:hi])
     return out
 
 
+def _slices(n, size):
+    """(lo, hi) of the fewest slices of n points of at most size points, near-equal in size."""
+    slices = max(-(-n // size), 1)
+    edges = [n * k // slices for k in range(slices + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _by_side(solve, t, upper):
-    """solve(t[side], side) for the lower and the upper side, placed back in one array.
+    """solve(t[side], side) for the lower and the upper side, written over t, which is returned.
 
     Each side is solved in blocks (_blocked).  A side without points is
     not solved, so it builds nothing.
     """
-    z = np.empty_like(t)
     for side in (False, True):
         at = upper == side
         if at.any():
-            z[at] = _blocked(lambda s: solve(s, side), t[at])
-    return z
+            t[at] = _blocked(lambda s: solve(s, side), t[at])
+    return t
 
 
 def _quantile_domain(q):

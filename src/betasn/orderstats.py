@@ -178,7 +178,10 @@ def mc_order_stat_ks(spec, trials, seed):
     target = analytic_order_stat(spec)
     n, j = int(spec.sample_size), int(spec.rank)
     draws = spec.base.sample(int(trials) * n, seed).reshape(int(trials), n)
-    stats = np.partition(draws, j - 1, axis=1)[:, j - 1]
+    # partitioned in place, and only the rank column kept
+    draws.partition(j - 1, axis=1)
+    stats = draws[:, j - 1].copy()
+    del draws
     return _ks_report(trials, ks_statistic(stats, target.cdf))
 
 

@@ -433,22 +433,27 @@ class SkewNormal(LocationScale):
         so each variate consumes exactly two standard normals: all n U
         first, then the V.  The V are drawn into one buffer of at most
         core._BLOCK values at a time, which gives the generator's stream
-        of a single call, and each value is formed in place in U's
-        array, by the operations of xi + psi (delta |u| + c v) with
-        c = sqrt(1 - delta^2).
+        of a single call, and each block is formed in place in U's array
+        (_place).
         """
         n = int(n)
-        d = self.delta
-        c = np.sqrt(1.0 - d * d)
         out = rng.standard_normal(n)
-        np.abs(out, out=out)
-        out *= d
         buf = np.empty(min(n, _BLOCK))
         for lo in range(0, n, _BLOCK):
-            v = rng.standard_normal(out=buf[: min(_BLOCK, n - lo)])
-            v *= c
-            z = out[lo : lo + v.size]
-            z += v
-            z *= self.psi
-            z += self.xi
+            self._place(out[lo : lo + _BLOCK], rng.standard_normal(out=buf[: min(_BLOCK, n - lo)]))
         return out
+
+    def _place(self, u, v):
+        """The variates of normals u and v, formed in u in place (v is overwritten) and returned.
+
+        Each is xi + psi (delta |u| + c v) with c = sqrt(1 - delta^2), by
+        the same operations in the same order at every block size.
+        """
+        d = self.delta
+        np.abs(u, out=u)
+        u *= d
+        v *= np.sqrt(1.0 - d * d)
+        u += v
+        u *= self.psi
+        u += self.xi
+        return u

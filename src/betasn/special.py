@@ -268,29 +268,11 @@ def _log_inc_beta_root(p, a, b):
     mirror near 1, in a bracket from I_v <= v^a max(1, 2^(1 - b)) / (a B).
     """
     swap = p > _sp.betainc(a, b, 0.5)
-    log_p, log_q = np.log(p), np.log1p(-p)
-    log_p, log_q = np.where(swap, log_q, log_p), np.where(swap, log_p, log_q)
     # B(a, b) = B(b, a), bit for bit in betaln
     log_b = _sp.betaln(a, b)
     if swap.any():
         a, b = np.where(swap, b, a), np.where(swap, a, b)
-    upper = log_q < log_p
-    log_tail = np.where(upper, log_q, log_p)
-    from_0 = (log_p + np.log(a) + log_b) / a
-    log_1mw = (log_q + np.log(b) + log_b) / b
-    valid_0, valid_1 = from_0 < 0.0, log_1mw < 0.0
-    with np.errstate(divide="ignore"):
-        from_1 = np.log(-np.expm1(np.minimum(log_1mw, 0.0)))
-        # log of each series' second term, relative, at its own start
-        near_0 = np.log(np.abs(a * (b - 1.0) / (a + 1.0))) + from_0 <= (
-            np.log(np.abs(b * (a - 1.0) / (b + 1.0))) + log_1mw
-        )
-    # an asymptote that puts v outside (0, 1) gives way to the other one,
-    # and to the mean where both do
-    start = np.where((valid_0 & near_0) | ~valid_1, from_0, from_1)
-    start = np.where(valid_0 | valid_1, start, np.log(a / (a + b)))
-    lo = np.minimum(from_0 - np.maximum(1.0 - b, 0.0) * _LOG2 / a, _LOG_W_MIN)
-    start = np.clip(start, lo, -_LOG2)
+    upper, log_tail, start, lo = _log_inc_beta_start(p, swap, a, b, log_b)
     sign = np.where(upper, -1.0, 1.0)
     floor = np.where(swap, _MIRRORED_FLOOR, _COMPLEMENT_FLOOR)
 
@@ -309,6 +291,35 @@ def _log_inc_beta_root(p, a, b):
         return g, dg, dg * (a_i - (b_i - 1.0) * w / (1.0 - w) - sign_i * dg)
 
     return _bracketed_newton(log_gap, start, lo, np.full_like(p, -_LOG2)), swap
+
+
+def _log_inc_beta_start(p, swap, a, b, log_b):
+    """(upper, log tail, start, lo) of _log_inc_beta_root's solve, its swap and shapes applied.
+
+    upper marks the points solved on the upper side, log tail is the
+    log of the tail mass each matches, start the endpoint-asymptote
+    start and lo the bracket's lower end.  The asymptotes' arrays are
+    dropped on return, so they hold no memory through the solve.
+    """
+    log_p, log_q = np.log(p), np.log1p(-p)
+    log_p, log_q = np.where(swap, log_q, log_p), np.where(swap, log_p, log_q)
+    upper = log_q < log_p
+    log_tail = np.where(upper, log_q, log_p)
+    from_0 = (log_p + np.log(a) + log_b) / a
+    log_1mw = (log_q + np.log(b) + log_b) / b
+    valid_0, valid_1 = from_0 < 0.0, log_1mw < 0.0
+    with np.errstate(divide="ignore"):
+        from_1 = np.log(-np.expm1(np.minimum(log_1mw, 0.0)))
+        # log of each series' second term, relative, at its own start
+        near_0 = np.log(np.abs(a * (b - 1.0) / (a + 1.0))) + from_0 <= (
+            np.log(np.abs(b * (a - 1.0) / (b + 1.0))) + log_1mw
+        )
+    # an asymptote that puts v outside (0, 1) gives way to the other one,
+    # and to the mean where both do
+    start = np.where((valid_0 & near_0) | ~valid_1, from_0, from_1)
+    start = np.where(valid_0 | valid_1, start, np.log(a / (a + b)))
+    lo = np.minimum(from_0 - np.maximum(1.0 - b, 0.0) * _LOG2 / a, _LOG_W_MIN)
+    return upper, log_tail, np.clip(start, lo, -_LOG2), lo
 
 
 # a segment index holds at most this many buckets per node

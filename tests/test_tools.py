@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -101,3 +103,20 @@ def test_large_digest_calls_cross_blocks():
     from betasn.core import _BLOCK
 
     assert LARGE_POINTS > 3 * _BLOCK
+
+
+def test_check_peaks_reports_every_suite():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "check_peaks.py"), "--seed", "7"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["seed"] == 7 and out["exit_code"] == 0
+    stages = ["import", "identities", "moments", "orderstats"]
+    peaks, cpu = out["peak_rss_mb"], out["cpu_s"]
+    assert list(peaks) == stages and list(cpu) == stages + ["total"]
+    # each peak is the child's peak so far
+    assert all(0.0 < a <= b for a, b in zip(peaks.values(), list(peaks.values())[1:]))
+    assert all(cpu[k] > 0.0 for k in stages)
+    assert cpu["total"] == pytest.approx(sum(cpu[k] for k in stages))
