@@ -395,10 +395,9 @@ class PowerOfPhi(LocationScale):
     def norm_const(self):
         return 1.0 / self.kernel_integral
 
-    def logpdf(self, x):
+    def _std_logpdf(self, z):
         lam1, lam2, n, m, _ = self._key
-        log_kernel = _log_kernel(self._z(x), lam1, lam2, n, m, np.log(self.norm_const))
-        return log_kernel - np.log(self.scale)
+        return _log_kernel(z, lam1, lam2, n, m, np.log(self.norm_const)) - np.log(self.scale)
 
     def _std_tail(self, z, upper, log):
         table = _kernel_table(*self._key)

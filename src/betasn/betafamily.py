@@ -1,30 +1,30 @@
-"""Beta, generalized beta and Kumaraswamy laws, and the beta-generated composition.
-
-GB1 (McDonald 1984) holds Beta and Kumaraswamy as special cases, so
-_GB1Law writes the unit-interval laws once: its validation, support,
-endpoint exponents, logpdf, cdf and quantile read (a, b, p, q), onto
-which GB1, Beta and Kumaraswamy map their own fields.  Kumaraswamy
-keeps its closed-form cdf and quantile.
+"""The beta-generated composition, and the laws written as it.
 
 The beta-generated construction (Jones 2004) composes a base cdf F with
 a Beta(a, b) variable: density F^(a-1) S^(b-1) f / B(a, b), S = 1 - F,
 and cdf I_F(a, b).  _BetaGenerated writes it once, in log space, as the
 two hooks of core.LocationScale's surface (the standardized tail read
 and the one-sided quantile), over a base that supplies log f and its
-slope, log F, log S and a quantile from a log probability; BetaNormal,
-BetaHalfNormal and bsn.BetaSkewNormal only declare their parameters and
-base.  logpdf goes through one kernel that skips a zero exponent (the
-GB1 base uses it too); cdf, sf, logcdf and logsf each keep relative
-accuracy in their own tail far past where F, S or the value underflows.
-The quantile solves log I_F(z)(a, b) = log t directly in z, one
-bracketed Halley solve per point whose every evaluation is one read of
-log F and log S, started from a cubic-Hermite table per law and side
-that the composed route builds: the latent root in log space, then the
-base quantile of it.  Both reach q = 1e-300 and below on either side.
-A draw is the construction itself: the latent W ~ Beta(a, b) from two
-gammas in log form, and one base quantile of W's smaller side, with no
-incomplete beta read (a = b = 1 keeps the quantile transform).  Beta,
-GB1 and Kumaraswamy keep the quantile transform.
+slope, log F, log S and a quantile from a log probability.
+BetaNormal, BetaHalfNormal, bsn.BetaSkewNormal and the unit-interval
+laws only declare their parameters and base.  GB1(a, b, p, q) (McDonald
+1984) is the composition over the power base F(z) = z^p, z = x/q, with
+Beta at p = q = 1 and Kumaraswamy at a = q = 1 (_PowerBase).  logpdf
+goes through one kernel that skips a zero exponent; cdf, sf, logcdf and
+logsf each keep relative accuracy in their own tail far past where F, S
+or the value underflows.  The quantile solves log I_F(z)(a, b) = log t
+directly in z, one bracketed Halley solve per point whose every
+evaluation is one read of log F and log S, started from a
+cubic-Hermite table per law and side that the composed route builds:
+the latent root in log space, then the base quantile of it.  A side
+bounded at an endpoint (both sides of the unit laws, BetaHalfNormal's
+lower side) keeps the composed route, which stays relative in the
+distance to the endpoint, and at a = 1 or b = 1 the latent is a closed
+form, I_F(1, b) = 1 - S^b or I_F(a, 1) = F^a, so the quantile is one
+base quantile.  All reach q = 1e-300 and below on either side.  A draw
+is the construction itself: the latent W ~ Beta(a, b) from two gammas
+in log form, and one base quantile of W's smaller side, with no
+incomplete beta read (a = b = 1 keeps the quantile transform).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, erfinv
 
-from .core import Distribution, LocationScale, _blocked, _by_side, _quantile_domain, _require
+from .core import LocationScale, _by_side, _require
 from .skewnormal import _log_density_limit
 from .special import (
     _MIRRORED_FLOOR,
@@ -46,11 +46,9 @@ from .special import (
     _inc_beta_upper,
     _log_inc_beta_root,
     _norm_quantile_log,
-    inv_reg_inc_beta,
     log_beta,
     norm_logcdf,
     norm_logpdf,
-    reg_inc_beta,
 )
 
 __all__ = ["Beta", "GB1", "Kumaraswamy", "BetaNormal", "BetaHalfNormal"]
@@ -75,6 +73,13 @@ def _log_beta_kernel(acc, a, b, tails):
     return acc
 
 
+def _smaller_side(log_u):
+    """(log v, flipped) of u = e^log_u <= 1: v the smaller of u and 1 - u, flipped where v = 1 - u."""
+    flipped = log_u > -_LOG2
+    with np.errstate(divide="ignore"):
+        return np.where(flipped, np.log(-np.expm1(log_u)), log_u), flipped
+
+
 def _log_latent_side(rng, a, b, n):
     """(log t, upper) of n draws of W = G_a / (G_a + G_b) ~ Beta(a, b).
 
@@ -97,131 +102,6 @@ def _log_latent_side(rng, a, b, n):
     log_t = np.minimum(log_ga, log_gb, out=log_ga)
     log_t -= log_sum
     return log_t, upper
-
-
-class _GB1Law(Distribution):
-    """Generalized beta of the first kind (McDonald 1984), written once.
-
-    Density p x^(ap-1) (1 - (x/q)^p)^(b-1) / (q^(ap) B(a, b)) on (0, q)
-    and cdf I_u(a, b) with u = (x/q)^p.  Subclasses are frozen
-    dataclasses of positive fields that `_gb1` maps onto (a, b, p, q).
-    logpdf and cdf return a Python float for a scalar x and NaN for a
-    NaN x.
-    """
-
-    def __post_init__(self):
-        _require("positive", **{f.name: getattr(self, f.name) for f in fields(self)})
-
-    @property
-    def support(self):
-        return (0.0, self._gb1[3])
-
-    @property
-    def location(self):
-        return 0.5 * self._gb1[3]
-
-    @property
-    def scale(self):
-        return 0.25 * self._gb1[3]
-
-    def _endpoint_singular(self):
-        a, b, p, _ = self._gb1
-        return (a * p - 1.0, b - 1.0)
-
-    def logpdf(self, x):
-        a, b, p, q = self._gb1
-        x = np.asarray(x, dtype=float)
-        inside = (x > 0.0) & (x < q)
-        xs = np.where(inside, x, 0.5 * q)
-        u = (xs / q) ** p
-        ap = a * p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            body = (
-                _log_beta_kernel(np.log(p), ap, b, lambda: (np.log(xs), np.log1p(-u)))
-                - ap * np.log(q)
-                - log_beta(a, b)
-            )
-        out = np.where(inside, body, np.where(np.isnan(x), np.nan, -np.inf))
-        return out if x.ndim else float(out)
-
-    def cdf(self, x):
-        a, b, p, q = self._gb1
-        x = np.asarray(x, dtype=float)
-        out = reg_inc_beta(np.clip(x / q, 0.0, 1.0) ** p, a, b)
-        return out if x.ndim else float(out)
-
-    def quantile(self, q):
-        a, b, p, hi = self._gb1
-        q = _quantile_domain(q)
-        w = _blocked(lambda s: inv_reg_inc_beta(s, a, b), q.reshape(-1))
-        w **= 1.0 / p
-        w *= hi
-        return w.reshape(q.shape) if q.ndim else float(w[0])
-
-
-@dataclass(frozen=True)
-class GB1(_GB1Law):
-    """Generalized beta of the first kind: GB1(a, b, p, q) on (0, q).
-
-    GB1(a, b, 1, 1) is Beta(a, b); GB1(1, b, p, 1) is Kumaraswamy(p, b).
-    """
-
-    a: float
-    b: float
-    p: float
-    q: float
-
-    @property
-    def _gb1(self):
-        return (self.a, self.b, self.p, self.q)
-
-
-@dataclass(frozen=True)
-class Beta(_GB1Law):
-    """Beta distribution on (0, 1) with shape parameters a, b: GB1(a, b, 1, 1)."""
-
-    a: float
-    b: float
-
-    @property
-    def _gb1(self):
-        return (self.a, self.b, 1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Kumaraswamy(_GB1Law):
-    """Kumaraswamy distribution: cdf 1 - (1 - x^p)^b on (0, 1), GB1(1, b, p, 1).
-
-    cdf and quantile are its closed forms; the density is GB1's.
-    """
-
-    p: float
-    b: float
-
-    @property
-    def _gb1(self):
-        return (1.0, self.b, self.p, 1.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        xs = np.clip(x, 0.0, 1.0)
-        # log1p(-1) = -inf at the right endpoint; expm1 maps it back to 1
-        with np.errstate(divide="ignore"):
-            out = -np.expm1(self.b * np.log1p(-(xs**self.p)))
-        return out if x.ndim else float(out)
-
-    def quantile(self, q):
-        # x = exp(log(x^p) / p) with x^p = 1 - (1-q)^(1/b); its log comes
-        # from whichever of x^p and 1 - x^p is below 1/2, so that near x = 1,
-        # where 1/p times the rounding of x^p would swamp 1 - x, log x and
-        # with it 1 - x stay relatively accurate
-        q = _quantile_domain(q)
-        log_s = np.log1p(-q) / self.b
-        v = -np.expm1(log_s)
-        with np.errstate(divide="ignore"):
-            log_v = np.where(v < 0.5, np.log(v), np.log1p(-np.exp(log_s)))
-        out = np.exp(log_v / self.p)
-        return out if q.ndim else float(out)
 
 
 # Start tables of the beta-generated quantile: nodes at tail
@@ -263,10 +143,6 @@ class _BetaGenerated(LocationScale):
     def __post_init__(self):
         super().__post_init__()
         _require("positive", a=self.a, b=self.b)
-
-    def logpdf(self, x):
-        z = self._z(x)
-        return _blocked(self._std_logpdf, z.reshape(-1)).reshape(z.shape)[()]
 
     def _std_logpdf(self, z):
         """logpdf at a 1-d array of standardized points z."""
@@ -335,34 +211,45 @@ class _BetaGenerated(LocationScale):
         return z
 
     def _composed_quantile(self, t, upper):
-        """The base quantile of the latent w, found as log w or log(1 - w) on t's side."""
+        """The base quantile of the latent w, found as log w or log(1 - w) on t's side.
+
+        With (a, b) those of t's side, I_w(a, 1) = w^a and
+        I_w(1, b) = 1 - (1 - w)^b, so at b = 1 or a = 1 the latent is
+        one closed form; else _log_inc_beta_root solves it.
+        """
         # the mass above z is I_S(z)(b, a)
         a, b = (self.b, self.a) if upper else (self.a, self.b)
-        log_v, swap = _log_inc_beta_root(t, a, b)
+        if b == 1.0:
+            log_v, swap = _smaller_side(np.log(t) / a)
+        elif a == 1.0:
+            # the closed form is log(1 - w), so a flip lands on w
+            log_v, flipped = _smaller_side(np.log1p(-t) / b)
+            swap = ~flipped
+        else:
+            log_v, swap = _log_inc_beta_root(t, a, b)
         return _by_side(self._base_quantile, log_v, swap != upper)
 
     def _std_quantile(self, t, upper):
         """z with mass t below it, or above it if upper, by one solve of log I_F(z)(a, b).
 
-        At a = b = 1 the latent is t itself, and the base quantile
-        serves.  An upper side is minus the lower side of _mirror()
-        where there is one, which is exact; else it solves y = -z.
+        At a = 1 or b = 1 the latent is a closed form, and a side
+        bounded at an endpoint keeps the latent solve, which is relative
+        in w, where a root in z near the endpoint would stop at 4 ulp of
+        the endpoint rather than of its distance: both take the composed
+        route.  Else an upper side is minus the lower side of _mirror()
+        where there is one, which is exact, or it solves y = -z.
         Bracketed Halley steps on g(y) = log I - log t, I the tail mass
         and p the density of this law, use g' = p / I and
         g'' = g' (d log p / dy - g'), all from the one _log_tails read of
         each evaluation.  They start from _solve_table, on the panel
         mostly within 1e-9 of the root, so nearly every point ends on its
-        first evaluation.  A lower side bounded at z = 0 keeps the
-        composed route, whose latent solve is relative in w, where a root
-        in z near 0 would stop at 4 ulp of 1 rather than of z.
+        first evaluation.
         """
-        if self.a == 1.0 and self.b == 1.0:
-            return self._base_quantile(np.log(t), upper)
+        if 1.0 in (self.a, self.b) or np.isfinite(self.support[upper]):
+            return self._composed_quantile(t, upper)
         mirror = self._mirror() if upper else None
         if mirror is not None:
             return -mirror._std_quantile(t, False)
-        if not upper and self.support[0] == 0.0:
-            return self._composed_quantile(t, False)
         log_t = np.log(t)
         y, lo, hi, _ = _hermite_start(_solve_table(self._standardized(), upper), log_t)
         a, b, log_b = self.a, self.b, log_beta(self.a, self.b)
@@ -461,3 +348,89 @@ class BetaHalfNormal(_BetaGenerated):
         if upper:
             return -_norm_quantile_log(log_p - _LOG2)
         return _SQRT2 * erfinv(np.exp(log_p))
+
+
+class _PowerBase(_BetaGenerated):
+    """I_F(x/q)(a, b) over the power base F(z) = z^p on (0, 1): GB1 (McDonald 1984).
+
+    Subclasses are frozen dataclasses of positive fields among a, b, p
+    and q, and declare those they fix at 1 as class attributes.  The
+    location is 0 and the scale q.  In z = x/q, log z is
+    log1p(-(1 - z)) above 1/2, where 1 - z is exact, log F = p log z,
+    and log S is log1p(-z^p) where z^p <= 1/2 and log(-expm1(p log z))
+    above, so S keeps its digits as x -> q.  pdf is 0 and logpdf -inf
+    at x <= 0 and x >= q, whatever the endpoint exponents
+    (a p - 1, b - 1).
+    """
+
+    location = 0.0
+
+    def __post_init__(self):
+        _require("positive", **{f.name: getattr(self, f.name) for f in fields(self)})
+
+    @property
+    def scale(self):
+        return self.q
+
+    @property
+    def support(self):
+        return (0.0, self.q)
+
+    def _endpoint_singular(self):
+        return (self.a * self.p - 1.0, self.b - 1.0)
+
+    @staticmethod
+    def _log_z(z):
+        zs = np.clip(z, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.where(zs > 0.5, np.log1p(-(1.0 - zs)), np.log(zs))
+
+    def _log_base(self, z, log_c):
+        log_f = log_c + np.log(self.p) + (self.p - 1.0) * self._log_z(z)
+        return np.where((z <= 0.0) | (z >= 1.0), -np.inf, log_f)
+
+    def _log_base_slope(self, z):
+        return self._log_base(z, 0.0), (self.p - 1.0) / z
+
+    def _log_tails(self, z):
+        log_f = self.p * self._log_z(z)
+        with np.errstate(divide="ignore"):
+            return log_f, np.where(log_f <= -_LOG2, np.log1p(-np.exp(log_f)), np.log(-np.expm1(log_f)))
+
+    def _base_quantile(self, log_p, upper):
+        if upper:
+            log_p = np.log1p(-np.exp(log_p))
+        return np.exp(log_p / self.p)
+
+
+@dataclass(frozen=True)
+class GB1(_PowerBase):
+    """Generalized beta of the first kind: GB1(a, b, p, q) on (0, q).
+
+    GB1(a, b, 1, 1) is Beta(a, b); GB1(1, b, p, 1) is Kumaraswamy(p, b).
+    """
+
+    a: float
+    b: float
+    p: float
+    q: float
+
+
+@dataclass(frozen=True)
+class Beta(_PowerBase):
+    """Beta distribution on (0, 1) with shape parameters a, b: GB1(a, b, 1, 1)."""
+
+    a: float
+    b: float
+
+    p = q = 1.0
+
+
+@dataclass(frozen=True)
+class Kumaraswamy(_PowerBase):
+    """Kumaraswamy distribution: cdf 1 - (1 - x^p)^b on (0, 1), GB1(1, b, p, 1)."""
+
+    p: float
+    b: float
+
+    a = q = 1.0

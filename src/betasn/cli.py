@@ -285,9 +285,9 @@ def _build_parser():
         choices=("inverse", "rejection"),
         default="inverse",
         help=(
-            "inverse is the quantile transform, or for bsn, bn and bhn the base"
-            " quantile of a Beta(a, b) latent; rejection needs family bsn with"
-            " integer --a >= 1 and --b 1"
+            "inverse is the quantile transform, or for bsn, bn, bhn, beta, gb1"
+            " and kumaraswamy the base quantile of a Beta(a, b) latent;"
+            " rejection needs family bsn with integer --a >= 1 and --b 1"
         ),
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")

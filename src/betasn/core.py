@@ -1,37 +1,37 @@
 """Common distribution surface and the generic moment engine.
 
 Every family exposes vectorized pdf/logpdf/cdf/quantile; pdf defaults
-to exp(logpdf).  The eight families placed on the line by
+to exp(logpdf).  All eleven families are placed on the line by
 x = location + scale * z (Normal, SN, SNB, GBSN, TBSN, BetaNormal,
-BetaHalfNormal, BSN) share one surface, LocationScale: it names the two
-fields, validates them and standardizes through _z, and its cdf, sf,
+BetaHalfNormal, BSN, and Beta, GB1 and Kumaraswamy at location 0 and
+scale q) and share one surface, LocationScale: it names the two fields,
+validates them and standardizes through _z, and its logpdf, cdf, sf,
 logcdf, logsf and quantile apply the scalar-in/float-out rule, the
 limits at infinite arguments, the quantile domain, the split of q at
-1/2 and the placement once, over two hooks per family: _std_tail, a
-standardized tail read, and _std_quantile, a quantile on one side, which
-_by_side calls once per side and block.  _require is the one parameter
-check behind every family.  The default sampler is the quantile
-transform of a PCG64 uniform stream (``numpy.random.default_rng``), so
-one seed policy drives every family reproducibly; families with a
-cheaper exact representation override ``draw``, which ``sample`` calls
-on a fresh generator: the skew-normal draws its two-normal conditioning
-representation, and the beta-generated laws one base quantile of a
-Beta(a, b) latent drawn from two gammas.  ``Distribution.draw(dist,
-rng, n)`` still gives any family's quantile transform.
+1/2 and the placement once, over three hooks per family: _std_logpdf,
+_std_tail, a standardized tail read, and _std_quantile, a quantile on
+one side, which _by_side calls once per side and block.  _require is
+the one parameter check behind every family.  The default sampler is
+the quantile transform of a PCG64 uniform stream
+(``numpy.random.default_rng``), so one seed policy drives every family
+reproducibly; families with a cheaper exact representation override
+``draw``, which ``sample`` calls on a fresh generator: the skew-normal
+draws its two-normal conditioning representation, and the
+beta-generated laws one base quantile of a Beta(a, b) latent drawn from
+two gammas.  ``Distribution.draw(dist, rng, n)`` still gives any
+family's quantile transform.
 
 Large calls run in blocks.  _blocked(fn, flat) applies a per-point
 function to contiguous slices of at most _BLOCK points of a 1-d array,
 of near-equal sizes, and writes each slice's values into one output;
-a call of at most _BLOCK points is one slice.  The tail reads, the
-quantile sides (_by_side), the beta-generated logpdf and the GB1
-quantile go through it, and the quantile transform draws its uniforms
-in slices of at most two blocks (_slices), so the scratch arrays of a
-read (the skew-normal tail rules build (20, n) blocks) stay bounded by
-the block, not the call.  Every per-point function here reads each point on its
-own, except that the skew-normal shape rule (skewnormal._shape_logcdf)
-sums a lone point in another order.  Near-equal sizes keep every slice
-far from one point; a slice in which the shape rule serves only one
-point can still differ from the unsplit call in that point's last bit.
+a call of at most _BLOCK points is one slice.  The logpdf and tail
+reads and the quantile sides (_by_side) go through it, and the quantile
+transform draws its uniforms in slices of at most two blocks (_slices),
+so the scratch arrays of a read (the skew-normal tail rules build
+(20, n) blocks) stay bounded by the block, not the call.  Every
+per-point function here reads each point on its own, and a scalar is
+read as a one-point array, so a point's value is the same in a scalar
+call, a one-point array or any slice of any call.
 """
 
 from __future__ import annotations
@@ -147,12 +147,14 @@ class LocationScale(Distribution):
     sigma unless overridden), and read z through `_z`.  The location
     must be finite and the scale positive and finite.
 
-    cdf, sf, logcdf and logsf all read one hook, _std_tail(z, upper,
-    log): the mass below each z of a 1-d array, or above it if upper,
-    as a probability or its log, one block (_blocked) at a time.
+    logpdf reads _std_logpdf(z), the log density at each x of a 1-d
+    array of standardized points z.  cdf, sf, logcdf and logsf all read
+    one hook, _std_tail(z, upper, log): the mass below each z of a 1-d
+    array, or above it if upper, as a probability or its log.  Both go
+    one block (_blocked) at a time.
     quantile reads the other, _std_quantile(t, upper), once per side and
     block: the z with tail mass t below them, or above them if upper,
-    for a 1-d t at most 1/2 (q below 1/2, 1 - q above).  Both return a
+    for a 1-d t at most 1/2 (q below 1/2, 1 - q above).  All return a
     Python float for a scalar.
     """
 
@@ -174,16 +176,31 @@ class LocationScale(Distribution):
     def _z(self, x):
         return (np.asarray(x, dtype=float) - self.location) / self.scale
 
-    def _tail(self, x, upper, log):
+    def _read(self, fn, x):
+        """fn over the standardized points of x as a 1-d array, one block at a time.
+
+        Shaped like x, and a Python float for a scalar x, which is read
+        as a one-point array, so its value is that of the same point in
+        any array.
+        """
         z = self._z(x)
-        zz = z.reshape(-1)
-        out = _blocked(lambda s: self._std_tail(s, upper, log), zz)
-        # at z = +-inf the mass is all or none, whatever a read rounds to
-        inf = np.isinf(zz)
-        if inf.any():
-            whole = (zz[inf] > 0.0) != upper
-            out[inf] = np.where(whole, 0.0, -np.inf) if log else whole
+        out = _blocked(fn, z.reshape(-1))
         return out.reshape(z.shape) if z.ndim else float(out[0])
+
+    def logpdf(self, x):
+        return self._read(self._std_logpdf, x)
+
+    def _tail(self, x, upper, log):
+        return self._read(lambda z: self._tail_at(z, upper, log), x)
+
+    def _tail_at(self, z, upper, log):
+        out = self._std_tail(z, upper, log)
+        # at z = +-inf the mass is all or none, whatever a read rounds to
+        inf = np.isinf(z)
+        if inf.any():
+            whole = (z[inf] > 0.0) != upper
+            out[inf] = np.where(whole, 0.0, -np.inf) if log else whole
+        return out
 
     def cdf(self, x):
         return self._tail(x, upper=False, log=False)
@@ -254,9 +271,8 @@ def _quantile_domain(q):
     """q as a float array; NaN, 0, 1 and anything outside (0, 1) raise ValueError.
 
     Every family's quantile shares this domain and returns a Python float
-    for a scalar q: LocationScale.quantile applies both once for the
-    line families, and betafamily's GB1 base once for the unit-interval
-    ones, with Kumaraswamy's closed-form quantile its one override.
+    for a scalar q: LocationScale.quantile applies both once, and
+    Normal's one-pass quantile again.
     """
     q = np.asarray(q, dtype=float)
     if np.any(~np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):

@@ -85,8 +85,8 @@ class Normal(LocationScale):
     def pdf(self, x):
         return norm_pdf(self._z(x)) / self.sigma
 
-    def logpdf(self, x):
-        return norm_logpdf(self._z(x)) - np.log(self.sigma)
+    def _std_logpdf(self, z):
+        return norm_logpdf(z) - np.log(self.sigma)
 
     def _std_tail(self, z, upper, log):
         z = -z if upper else z
@@ -114,9 +114,10 @@ def _log_density_limit(z, log_dens):
     """log_dens, with -inf where it is NaN at a z that is not.
 
     Only an infinite term against an opposite one makes such a NaN:
-    0 * inf in lam z at lam = 0, or a beta-kernel power of F or S that
+    0 * inf in lam z at lam = 0, a beta-kernel power of F or S that
     overflowed against a density that underflowed, both far out where
-    the density is 0.
+    the density is 0, or a power of F or S that is infinite at an end
+    of a bounded support, where the density is set to 0.
     """
     nan = np.isnan(log_dens)
     if not nan.any():
@@ -159,11 +160,11 @@ def _shape_logcdf(z, lam):
     the exponent and 1 + a^2 are quadratics in s, so one matrix product
     of _SHAPE_POWERS with their coefficients builds both (20, n) blocks.
     r is q + lam z^2, so 1 - lam z^2 / r is q / r and does not cancel.
-    The sum runs down each column in node order, so among two or more
-    points a point's value does not depend on the others.  Accurate to
-    a few ulp of log F from lam |z| >= _SHAPE_CUT (checked against an
-    mpmath oracle for lam from 0.02 to 1e6); nearer z = 0 the power-law
-    factor defeats the rule.
+    The sum runs down each column in node order, so a point's value
+    does not depend on the others, nor on whether there are any.
+    Accurate to a few ulp of log F from lam |z| >= _SHAPE_CUT (checked
+    against an mpmath oracle for lam from 0.02 to 1e6); nearer z = 0 the
+    power-law factor defeats the rule.
     """
     z2 = z * z
     s2 = 1.0 + lam * lam
@@ -185,8 +186,13 @@ def _shape_logcdf(z, lam):
     np.exp(h, out=h)
     h /= d
     h *= _LAGUERRE_WEIGHTS[:, None]
+    # one row after another, as h.sum(axis=0) adds two or more columns
+    # but not a lone one, which it sums pairwise
+    total = h[0]
+    for row in h[1:]:
+        total += row
     with np.errstate(over="ignore", divide="ignore"):
-        return -_LOG_PI - 0.5 * s2 * z2 + np.log(h.sum(axis=0) * inv)
+        return -_LOG_PI - 0.5 * s2 * z2 + np.log(total * inv)
 
 
 def _left(z, lam, log=None):
@@ -396,8 +402,7 @@ class SkewNormal(LocationScale):
     def delta(self):
         return self.lam / np.sqrt(1.0 + self.lam * self.lam)
 
-    def logpdf(self, x):
-        z = self._z(x)
+    def _std_logpdf(self, z):
         with np.errstate(invalid="ignore"):
             out = _log_density(z, norm_logcdf(self.lam * z)) - np.log(self.psi)
         return _log_density_limit(z, out)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,7 +33,13 @@ def test_beta_closed_forms():
     d = Beta(2.0, 3.0)
     direct = UNIT * (1.0 - UNIT) ** 2 / math.exp(log_beta(2.0, 3.0))
     assert np.max(np.abs(d.pdf(UNIT) - direct)) < 1e-13
-    assert np.max(np.abs(d.cdf(UNIT) - reg_inc_beta(UNIT, 2.0, 3.0))) == 0.0
+    # the cdf reads I_x(a, b) below the median and 1 - I_(1-x)(b, a) above,
+    # and the sf the other way round, so both tails stay relative
+    with mpmath.workdps(40):
+        cdf = np.array([float(mpmath.betainc(2, 3, 0, mpmath.mpf(x), regularized=True)) for x in UNIT])
+        sf = np.array([float(mpmath.betainc(2, 3, mpmath.mpf(x), 1, regularized=True)) for x in UNIT])
+    assert np.max(np.abs(d.cdf(UNIT) - cdf)) <= 1e-15
+    assert np.max(np.abs(d.sf(UNIT) - sf) / sf) <= 1e-14
     assert d.pdf(0.0) == 0.0 and d.pdf(1.0) == 0.0
     assert d.cdf(-0.5) == 0.0 and d.cdf(1.5) == 1.0
 
@@ -150,6 +157,8 @@ LATENT_DRAW_LAWS = [
     (BetaSkewNormal(5.0, 0.05, 0.05), 43),
     (BetaNormal(0.5, 2.0), 44),
     (BetaHalfNormal(0.3, 2.0), 45),
+    (GB1(2.0, 0.5, 1.5, 2.0), 49),
+    (Kumaraswamy(0.5, 2.0), 50),
 ]
 
 
@@ -163,6 +172,7 @@ def test_latent_draw_ks(dist, seed):
     BetaNormal(1e-3, 1e-3), BetaNormal(0.01, 1e-3),
     BetaSkewNormal(3.0, 1e-3, 0.01), BetaSkewNormal(-5.0, 0.01, 1e-3), BetaSkewNormal(0.5, 0.01, 0.01),
     BetaHalfNormal(1e-3, 0.01), BetaHalfNormal(0.01, 1e-3),
+    Beta(1e-3, 0.01), GB1(0.01, 1e-3, 0.5, 3.0),
 ], ids=repr)
 def test_latent_draw_at_tiny_shapes_stays_in_support(dist):
     # a plain gamma draw at these shapes is often exactly 0, and W = 0 / 0
@@ -229,8 +239,8 @@ def _lbeta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-# Oracles written out here, not read from the library: Beta and
-# Kumaraswamy share GB1's density code, and GB1's cdf is reg_inc_beta
+# Oracles written out here, not read from the library: Beta, GB1 and
+# Kumaraswamy share the beta-generated composition over the power base
 @pytest.mark.parametrize("a, b", [(2.0, 3.0), (0.5, 1.5), (7.0, 0.8)])
 def test_beta_logpdf_against_lgamma(a, b):
     want = [(a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _lbeta(a, b) for x in UNIT]
@@ -256,3 +266,30 @@ def test_gb1_cdf_at_a_one_against_closed_form(b, p, q):
     x = q * UNIT
     want = np.array([-math.expm1(b * math.log1p(-((v / q) ** p))) for v in x])
     assert np.max(np.abs(GB1(1.0, b, p, q).cdf(x) / want - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("dist", [GB1(2.0, 3.0, 1.5, 2.0), Kumaraswamy(0.5, 2.0)], ids=repr)
+def test_density_near_the_upper_end(dist):
+    # 1 - (x/q)^p from log(x/q), not by cancellation; the oracle forms
+    # q - x exactly
+    a, b, p, q = dist.a, dist.b, dist.p, dist.q
+    for gap in (1e-6, 1e-9, 1e-12):
+        x = q * (1.0 - gap)
+        with mpmath.workdps(50):
+            u = (mpmath.mpf(x) / q) ** p
+            want = p * u**a * (1 - u) ** (b - 1) / (mpmath.mpf(x) * mpmath.beta(a, b))
+            assert abs(dist.pdf(x) / float(want) - 1.0) <= 1e-14, gap
+
+
+def test_kumaraswamy_upper_tail_roundtrip_and_monotone():
+    # the bench member: its upper quantiles are judged through sf to 1e-10
+    # relative, with no allowance for the resolution of x near 1
+    dist = Kumaraswamy(0.5, 2.0)
+    t = np.exp(np.random.default_rng(12).uniform(np.log(1e-12), np.log(0.5), 2500))
+    q = 1.0 - t
+    assert np.max(np.abs(dist.sf(dist.quantile(q)) - (1.0 - q)) / (1.0 - q)) <= 1e-10
+    # the reads switch form at z = 1/2 and at z^p = 1/2
+    switches = np.array([0.5, 0.5 ** (1.0 / dist.p)])
+    near = np.concatenate([switches, np.nextafter(switches, 0.0), np.nextafter(switches, 1.0)])
+    x = np.sort(np.concatenate([np.random.default_rng(13).uniform(0.0, 1.0, 100_000 - near.size), near]))
+    assert np.all(np.diff(dist.cdf(x)) >= 0.0) and np.all(np.diff(dist.sf(x)) <= 0.0)

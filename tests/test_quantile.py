@@ -1,13 +1,14 @@
-"""Quantile contract of every family, tail contract of the eight line
-families, and tail accuracy of the root-solved ones.
+"""Quantile contract of every family, tail contract of the eleven
+location-scale families, and tail accuracy of the root-solved ones.
 
 SN quantiles solve the skew-normal cdf by bracketed Newton in log space;
 SNB, GBSN and TBSN solve the per-segment polynomial of their cumulative
-table the same way.  BSN, BetaNormal and BetaHalfNormal share one
-beta-generated composition, whose quantile solves log I_F(z)(a, b) in z
-the same way, started from a per-law table built by the composed route
-(the latent incomplete-beta root in log space, then the base quantile);
-BetaHalfNormal's lower side keeps that composed route.
+table the same way.  BSN, BetaNormal, BetaHalfNormal, Beta, GB1 and
+Kumaraswamy share one beta-generated composition, whose quantile solves
+log I_F(z)(a, b) in z the same way, started from a per-law table built
+by the composed route (the latent incomplete-beta root in log space,
+then the base quantile); a side bounded at an endpoint keeps that
+composed route, and at a = 1 or b = 1 the latent is a closed form.
 Round trips are judged on q's own side of 1/2: cdf(x) against q, or
 sf(x) against 1 - q where the family has an sf, relative to that tail
 probability.
@@ -285,10 +286,47 @@ def test_quantile_contract(dist):
         with pytest.raises(ValueError):
             dist.quantile(bad)
     assert type(dist.quantile(0.3)) is float
+    assert type(dist.logpdf(0.3)) is float
     q = np.array([[0.1, 0.5, 0.9], [1e-9, 0.25, 1.0 - 1e-9]])
     x = dist.quantile(q)
     assert x.shape == q.shape
     assert np.array_equal(x.ravel(), dist.quantile(q.ravel()))
+
+
+# one law of each family: the bench panel's members where they differ
+CALL_LAWS = [
+    SkewNormal(0.0, 1.0, 3.0),
+    SkewNormal(0.0, 1.0, -0.7),
+    BetaSkewNormal(1.0, 2.0, 3.0),
+    BetaSkewNormal(5.0, 0.05, 0.05),
+    GB1(2.0, 3.0, 1.5, 2.0),
+    Kumaraswamy(0.5, 2.0),
+    Normal(0.3, 2.0),
+    SNB(1.0, 3),
+    GBSN(2.0, 4, 1),
+    TBSN(5.0, -0.5, 3, 2),
+    Beta(0.5, 3.0),
+    BetaNormal(0.5, 2.0),
+    BetaHalfNormal(0.6, 1.3),
+]
+CALL_OUTPUTS = ("pdf", "logpdf", "cdf", "sf", "logcdf", "logsf", "quantile")
+
+
+@pytest.mark.parametrize("dist", CALL_LAWS, ids=repr)
+def test_a_point_does_not_depend_on_its_call(dist):
+    # 60 probabilities in the body and 30 in each tail, down to 1e-12; a
+    # scalar, a one-point array and the whole array give the same bits
+    rng = np.random.default_rng(120)
+    t = np.exp(rng.uniform(np.log(1e-12), np.log(0.01), 60))
+    q = np.concatenate([rng.uniform(0.01, 0.99, 60), t[:30], 1.0 - t[30:]])
+    x = dist.quantile(q)
+    for name in CALL_OUTPUTS:
+        method, points = getattr(dist, name), (q if name == "quantile" else x)
+        whole = method(points).tobytes()
+        for i in range(points.size):
+            alone = np.float64(method(points[i])).tobytes()
+            one = method(points[i : i + 1]).tobytes()
+            assert alone == one == whole[8 * i : 8 * i + 8], (name, points[i])
 
 
 LINE_FAMILIES = [d for d in FAMILIES if isinstance(d, LocationScale)]
@@ -478,16 +516,35 @@ def test_bsn_with_unit_shapes_is_its_skew_normal(lam):
     assert np.array_equal(BetaSkewNormal(lam, 1.0, 1.0).quantile(q), SkewNormal(0.0, 1.0, lam).quantile(q))
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [BetaSkewNormal(2.0, 1.0, 3.0), BetaSkewNormal(-50.0, 4.0, 1.0), BetaNormal(1.0, 0.3), BetaHalfNormal(2.0, 1.0)],
+    ids=repr,
+)
+def test_unit_shape_quantile_is_one_base_quantile(monkeypatch, dist):
+    # I_F(1, b) = 1 - S^b and I_F(a, 1) = F^a: no start table, no latent
+    # and no bg solve, and the same round trips as the solved laws
+    builds = betafamily._solve_table.cache_info().misses
+    solves = _count_evals(monkeypatch, betafamily) + _count_evals(monkeypatch, special)
+    lower, upper = dist.quantile(BOX_LOWER), dist.quantile(BOX_UPPER)
+    assert not solves and betafamily._solve_table.cache_info().misses == builds
+    assert np.all(np.diff(np.concatenate([lower, upper])) > 0.0)
+    assert np.max(np.abs(dist.cdf(lower) - BOX_LOWER) / BOX_LOWER) <= RTOL
+    want = 1.0 - BOX_UPPER
+    assert np.max(np.abs(dist.sf(upper) - want) / want) <= RTOL
+
+
 @pytest.mark.parametrize("dist", BOX + [d for d, _ in LARGE], ids=repr)
 def test_bg_start_table_covers_every_double(dist):
     # the first node sits at the smallest double's v and survives the
     # table's node filter, so no tail probability falls below the table
     v_first = -np.sqrt(-2.0 * np.log(5e-324))
     for upper in (False, True):
-        # the mirrored upper side reads its mirror's lower table, and the
-        # half-normal's lower side keeps the composed route
+        # a side bounded at an endpoint, or a law with a unit shape, keeps
+        # the composed route; the mirrored upper side reads its mirror's
+        # lower table
+        composed = 1.0 in (dist.a, dist.b) or np.isfinite(dist.support[upper])
         mirrored = upper and dist._mirror() is not None
-        composed = not upper and dist.support[0] == 0.0
         if mirrored or composed:
             continue
         v_k = betafamily._solve_table(dist._standardized(), upper)[0]

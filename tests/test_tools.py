@@ -80,7 +80,7 @@ def test_output_digest_prints_every_digest():
     out = json.loads(proc.stdout)
     assert out.keys() == {
         "seed", "check_all_sha256", "check_all_bytes", "bulk_digest", "output_digests",
-        "large_digests", "grid_digest", "grid_failed_rows",
+        "member_digests", "large_digests", "grid_digest", "grid_failed_rows",
     }
     assert out["seed"] == 3
     per_output, large = out["output_digests"], out["large_digests"]
@@ -90,6 +90,9 @@ def test_output_digest_prints_every_digest():
     for value in digests + list(per_output.values()) + list(large.values()):
         assert len(value) == 64 and int(value, 16) >= 0, value
     assert len(set(per_output.values()) | set(large.values())) == 2 * len(per_output)
+    members = out["member_digests"]
+    assert len(members) == 13 and all(set(res) <= set(per_output) for res in members.values())
+    assert all(len(value) == 64 for res in members.values() for value in res.values())
     assert out["check_all_bytes"] > 0
     assert isinstance(out["grid_failed_rows"], int) and out["grid_failed_rows"] >= 0
 

@@ -14,6 +14,9 @@ Prints one JSON object:
                        sf, quantile and sample, each over every panel
                        member that has it, so a change to one output
                        (a sampler, say) shows every other array unchanged;
+``member_digests``     the same digest per panel member and output
+                       (label -> output -> sha256), so the arrays that
+                       moved can be listed one by one;
 ``large_digests``      the same per-output digests over calls of
                        ``LARGE_POINTS`` points per member (seeded inputs
                        drawn as the bulk pass draws its own), which the
@@ -79,6 +82,10 @@ def main(argv=None):
         "check_all_bytes": len(report),
         "bulk_digest": workloads.bulk_digest(outputs),
         "output_digests": per_output(workloads, outputs),
+        "member_digests": {
+            item.label: {key: workloads.digest(value) for key, value in res.items()}
+            for item, res in zip(inputs, outputs)
+        },
         "large_digests": per_output(workloads, large),
         "grid_digest": hashlib.sha256(np.array(moments, dtype=float).tobytes()).hexdigest(),
         "grid_failed_rows": sum(not row.passed for row in rows),
