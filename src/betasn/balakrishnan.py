@@ -29,17 +29,17 @@ the right, so each keeps relative accuracy in its own tail; logcdf and
 logsf take the log before dividing by the total, except below 1e-30 of
 it, where the table misses the kernel's mass beyond the window or
 underflows, and one Gauss-Laguerre rule on the log-concave kernel
-(_log_tail) gives the log tail mass instead.  The
-skew-normal density is twice the n = 1 kernel, so the same rule is the
-skew-normal's t-space tail repair.  A quantile starts from the table's
-cubic-Hermite inverse over the segment edges on its side, like the
-skew-normal and beta-generated solves, finds the segment holding its
-root by a walk on the running sums, taken from the left for q <= 1/2
-and from the right above, from the edge segment of that start, and
-solves the log of that same read by bracketed Halley steps inside the
-segment.  So cdf and quantile are inverses of each other to roundoff,
-the quantile keeps relative accuracy in q, or in 1 - q, down to the far
-tails, and no read evaluates the kernel.
+(_log_tail) gives the log tail mass instead, and above half of it,
+where they take log1p of minus the other side.  The skew-normal
+density is twice the n = 1 kernel, so the same rule is the
+skew-normal's t-space tail repair.  A quantile is the skew-normal and
+beta-generated solve: a start and bracket from the table's
+cubic-Hermite inverse over the segment edges on its side, then
+bracketed Halley steps on its side's own log read, the table's or the
+rule's, with the upper side solved in -z.  So logcdf and quantile are
+inverses of each other to roundoff, the quantile keeps relative
+accuracy in q, or in 1 - q, down to the far tails, and no read above
+1e-30 of the total evaluates the kernel.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ from numpy.polynomial import legendre
 from .core import LocationScale, _require
 from .quadrature import _NODES, _WEIGHTS_K, DEFAULT_SPEC, _log_tail_mass, integrate_line
 from .special import (
+    _LOG2,
     _bracketed_newton,
     _hermite_start,
     _hermite_table,
+    _norm_quantile_log,
     _SegmentIndex,
-    _SortedNodes,
     norm_logcdf,
     norm_logpdf,
 )
@@ -89,7 +90,8 @@ def _log_kernel(z, lam1, lam2, n, m, log_const=None):
 
 
 def _log_tail(z, lam1, lam2, n, m, log_const=None):
-    """log of the kernel's mass below z, times e^log_const, by the Gauss-Laguerre tail rule.
+    """(log of the kernel's mass below z, log k(z), d log k / dz), each plus log_const
+    where it is a log, by the Gauss-Laguerre tail rule.
 
     One 20-point rule in log space (quadrature._log_tail_mass), at 22
     norm_logcdf evaluations per point and factor of nonzero order.  The
@@ -105,7 +107,8 @@ def _log_tail(z, lam1, lam2, n, m, log_const=None):
             slope = slope + order * lam * hazard
             curv = curv + order * lam * lam * np.maximum(hazard * (lam * z + hazard), 0.0)
     log_kernel = lambda t: _log_kernel(t, lam1, lam2, n, m, log_const)
-    return _log_tail_mass(log_kernel, z, log_kernel(z), slope, curv)
+    log_k = log_kernel(z)
+    return _log_tail_mass(log_kernel, z, log_k, slope, curv), log_k, slope
 
 
 def _kernel_key(lam1, lam2, n, m, spec=None):
@@ -212,11 +215,13 @@ def _legendre_sum(coef, i, u, derivs=False):
     return (b1, d1, e1) if derivs else b1
 
 
-def _held(base, seg, partial, upper):
-    """Mass below a point, or above it if upper, of a segment whose antiderivative
-    reads `partial` there, from the running sum `base` on that side of it."""
-    partial = np.clip(partial, 0.0, seg)
-    return base + (seg - partial) if upper else base + partial
+# logcdf and logsf take a tail mass below this fraction of the total from
+# the Gauss-Laguerre rule (_log_tail), not from the table: that covers
+# masses that read 0 (underflowed, or beyond the window), the masses near
+# the window ends, which miss the kernel's mass outside it, and those of
+# the linearly held segments.  The rule keeps a few ulp of the log
+# against quad from 1e-8 down; the table is that good only above ~1e-45.
+_LOG_TAIL_BELOW = 1e-30
 
 
 class _NumericCdf:
@@ -233,9 +238,9 @@ class _NumericCdf:
     are bisected, and segments reaching down to underflow hold their
     mass linear, which keeps every read monotone.  The segment masses
     are summed from both ends, so the mass below and the mass above
-    every edge keep relative accuracy in their own tail.  Reads (cdf,
-    sf, their logs and the quantile) evaluate no kernel, and find a
-    point's segment in the edges' guide table (special._SegmentIndex).
+    every edge keep relative accuracy in their own tail.  Reads
+    evaluate no kernel, and find a point's segment in the edges' guide
+    table (special._SegmentIndex).
     """
 
     def __init__(self, kernel, spec):
@@ -269,20 +274,26 @@ class _NumericCdf:
         self.total = float(self.cum[-1])
         self._edge_index = _SegmentIndex(self.edges, "right")
 
-    def _below(self, i, upper):
-        """Running sum of the segments below segment i, or above it if upper."""
-        return self.cum_right[i + 1] if upper else self.cum[i]
+    def masses(self, z, upper, derivs=False):
+        """Kernel mass below each z of an array, or above it if upper.
 
-    def masses(self, z, upper):
-        """Kernel mass below each z of an array, or above it if upper."""
+        With derivs, also the kernel's interpolant k at z, which is the
+        mass below z's d/dz, and its d/dz: (mass, k, dk/dz).
+        """
         z = np.clip(z, -self.t, self.t)
         i = self._edge_index.find(z)
         lo, hi = self.edges[i], self.edges[i + 1]
-        u = np.clip((z - 0.5 * (lo + hi)) * (2.0 / (hi - lo)), -1.0, 1.0)
+        dudz = 2.0 / (hi - lo)
+        u = np.clip((z - 0.5 * (lo + hi)) * dudz, -1.0, 1.0)
         seg = self.seg[i]
+        partial = _legendre_sum(self.anti, i, u, derivs)
+        if derivs:
+            partial, dpartial, d2partial = partial
         # at a segment's ends, and so beyond the window, the reads are exact
-        partial = np.where(u == -1.0, 0.0, np.where(u == 1.0, seg, _legendre_sum(self.anti, i, u)))
-        return _held(self._below(i, upper), seg, partial, upper)
+        partial = np.where(u == -1.0, 0.0, np.where(u == 1.0, seg, partial))
+        partial = np.clip(partial, 0.0, seg)
+        held = self.cum_right[i + 1] + (seg - partial) if upper else self.cum[i] + partial
+        return (held, dpartial * dudz, d2partial * dudz * dudz) if derivs else held
 
     @cached_property
     def _starts(self):
@@ -290,74 +301,27 @@ class _NumericCdf:
 
         The lower side maps the mass below each edge, as a fraction of
         the total, to the edge z, the upper side the mass above it to
-        -z.  The density at each edge is the kernel's interpolant on
-        the segment to its right, and on the last segment at the last
-        edge, so the tables evaluate no kernel.
+        -z.  An edge whose mass is at most _LOG_TAIL_BELOW of the total
+        is dropped: logcdf and logsf read such masses from the tail
+        rule, which counts the mass beyond the window that the running
+        sums miss.  The density at each edge is the kernel's
+        interpolant on the segment to its right, and on the last
+        segment at the last edge, so the tables evaluate no kernel.
         """
         last = len(self.seg) - 1
         i = np.append(np.arange(last + 1), last)
         u = np.append(np.full(last + 1, -1.0), 1.0)
+        floor = _LOG_TAIL_BELOW * self.total
         with np.errstate(divide="ignore", invalid="ignore"):
             dens = _legendre_sum(self.anti, i, u, derivs=True)[1] * (2.0 / np.diff(self.edges)[i])
             log_dens = np.log(dens) - np.log(self.total)
-            log_below, log_above = np.log(self.cum / self.total), np.log(self.cum_right / self.total)
+            log_below, log_above = (
+                np.log(np.where(cum > floor, cum, 0.0) / self.total) for cum in (self.cum, self.cum_right)
+            )
         return (
             _hermite_table(self.edges, log_below, log_dens),
             _hermite_table(-self.edges[::-1], log_above[::-1], log_dens[::-1]),
         )
-
-    @cached_property
-    def _running(self):
-        """The running sums as _SortedNodes, (lower, upper), in the order of the edges.
-
-        The lower side's nodes are the mass below each edge, searched
-        from the right, the upper side's minus the mass above it, from
-        the left.
-        """
-        return _SortedNodes(self.cum, "right"), _SortedNodes(-self.cum_right, "left")
-
-    def _solve(self, t, upper):
-        """Points with the fraction t of the kernel's mass below them, or above them if upper.
-
-        The side's _starts table gives each root's start, and the edge
-        index the segment holding the start; a walk on the running sums
-        moves that guess onto the one segment holding the root, as a
-        searchsorted on them would.  Inside it, bracketed Halley steps
-        solve the log of the mass the reads return, with the segment's
-        interpolant and its derivative as g' and g''.  They start from
-        the start clipped into that segment, so nearly every point ends
-        on its first evaluation.
-        """
-        mass = t * self.total
-        sign = -1.0 if upper else 1.0
-        start = sign * _hermite_start(self._starts[upper], np.log(t))[0]
-        i = self._running[upper].walk(sign * mass, self._edge_index.find(start))
-        base, seg = self._below(i, upper), self.seg[i]
-        lo, hi = self.edges[i], self.edges[i + 1]
-        log_mass = np.log(mass)
-        mid, dudz = 0.5 * (lo + hi), 2.0 / (hi - lo)
-
-        def log_gap(x, idx):
-            u = (x - mid[idx]) * dudz[idx]
-            partial, dpartial, d2partial = _legendre_sum(self.anti, i[idx], u, derivs=True)
-            held = _held(base[idx], seg[idx], partial, upper)
-            with np.errstate(divide="ignore"):
-                gap = np.log(held) - log_mass[idx]
-            # d/dz of the antiderivative is the kernel's interpolant k, and
-            # g'' = k' / held - sign g'^2
-            dg = dpartial * dudz[idx] / held
-            return sign * gap, dg, d2partial * dudz[idx] ** 2 / held - sign * dg * dg
-
-        return _bracketed_newton(log_gap, np.clip(start, lo, hi), lo, hi)
-
-
-# logcdf and logsf take a tail mass below this fraction of the total from
-# the Gauss-Laguerre rule (_log_tail), not from the table: that covers
-# masses that read 0 (underflowed, or beyond the window), the masses near
-# the window ends, which miss the kernel's mass outside it, and those of
-# the linearly held segments.  The rule keeps a few ulp of the log
-# against quad from 1e-8 down; the table is that good only above ~1e-45.
-_LOG_TAIL_BELOW = 1e-30
 
 
 @lru_cache(maxsize=64)
@@ -401,26 +365,72 @@ class PowerOfPhi(LocationScale):
 
     def _std_tail(self, z, upper, log):
         table = _kernel_table(*self._key)
-        held = table.masses(z, upper)
         if not log:
-            out = held / table.total
+            return np.minimum(table.masses(z, upper) / table.total, 1.0)
+        log_total = np.log(table.total)
+        out = self._log_held(table, z, upper)[0] - log_total
+        # above half the total, the other side's log keeps the digits
+        near = out > -_LOG2
+        if np.any(near):
+            out[near] = np.log1p(-np.exp(self._log_held(table, z[near], not upper)[0] - log_total))
+        return np.minimum(out, 0.0)
+
+    def _log_held(self, table, z, upper, derivs=False):
+        """(log m, g', g'') with m the kernel's mass below each z, or above it if upper.
+
+        m is the table's read, and the Gauss-Laguerre rule's (_log_tail)
+        where that is at most _LOG_TAIL_BELOW of the total.  With derivs,
+        g' and g'' are log m's first two derivatives in y = z, or y = -z
+        if upper: the table's from its interpolant k and k', with
+        dm/dy = k, and the rule's from the kernel and its log slope;
+        else they are None.
+        """
+        sign = -1.0 if upper else 1.0
+        if derivs:
+            held, dens, d_dens = table.masses(z, upper, derivs=True)
+            dg = dens / held
+            d2g = sign * d_dens / held - dg * dg
         else:
-            with np.errstate(divide="ignore"):
-                log_held = np.log(held)
-            far = held <= _LOG_TAIL_BELOW * table.total
-            if np.any(far):
-                lam1, lam2, n, m, _ = self._key
-                sign = -1.0 if upper else 1.0
-                with np.errstate(all="ignore"):
-                    rule = _log_tail(sign * z[far], sign * lam1, sign * lam2, n, m)
-                # at infinite z, and past |z| ~ 1e9, where rounding of
-                # log k swamps the rule's differences, the table's log stays
-                log_held[far] = np.where(np.isfinite(rule), rule, log_held[far])
-            out = log_held - np.log(table.total)
-        return np.minimum(out, 0.0 if log else 1.0)
+            held, dg, d2g = table.masses(z, upper), None, None
+        with np.errstate(divide="ignore"):
+            log_held = np.log(held)
+        far = held <= _LOG_TAIL_BELOW * table.total
+        if np.any(far):
+            lam1, lam2, n, m, _ = self._key
+            with np.errstate(all="ignore"):
+                rule, log_k, slope = _log_tail(sign * z[far], sign * lam1, sign * lam2, n, m)
+            # at infinite z, and past |z| ~ 1e9, where rounding of log k
+            # swamps the rule's differences, the table's log stays
+            log_held[far] = np.where(np.isfinite(rule), rule, log_held[far])
+            if derivs:
+                dg[far] = np.exp(log_k - rule)
+                d2g[far] = dg[far] * (slope - dg[far])
+        return log_held, dg, d2g
 
     def _std_quantile(self, t, upper):
-        return _kernel_table(*self._key)._solve(t, upper)
+        """z with mass t below it, or above it if upper: the root of logcdf, or logsf.
+
+        Solved in y = z, or y = -z if upper, by bracketed Halley steps on
+        g = log(m / total) - log t, m the mass _log_held reads, so the
+        log mass is the log read's own.  Start and bracket come from
+        special._hermite_start on the side's _starts table.  A t below
+        its first node takes the bracket from Phi^-1(t total) to that
+        node: the kernel is at most phi, so m is at most Phi(y) there.
+        """
+        table = _kernel_table(*self._key)
+        starts = table._starts[upper]
+        log_t, log_total = np.log(t), np.log(table.total)
+        y, lo, hi, v = _hermite_start(starts, log_t)
+        far = v < starts.v[0]
+        if far.any():
+            lo[far], hi[far] = _norm_quantile_log(log_t[far] + log_total), starts.z[0]
+        sign = -1.0 if upper else 1.0
+
+        def log_gap(y, idx):
+            log_held, dg, d2g = self._log_held(table, sign * y, upper, derivs=True)
+            return log_held - log_total - log_t[idx], dg, d2g
+
+        return sign * _bracketed_newton(log_gap, np.clip(y, lo, hi), lo, hi)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ form, I_F(1, b) = 1 - S^b or I_F(a, 1) = F^a, so the quantile is one
 base quantile.  All reach q = 1e-300 and below on either side.  A draw
 is the construction itself: the latent W ~ Beta(a, b) from two gammas
 in log form, and one base quantile of W's smaller side, with no
-incomplete beta read (a = b = 1 keeps the quantile transform).
+incomplete beta read; at a = 1 or b = 1, where the quantile is one
+base quantile, the quantile transform stays.
 """
 
 from __future__ import annotations
@@ -199,10 +200,11 @@ class _BetaGenerated(LocationScale):
         on that side, so no incomplete beta is read and both tails keep
         relative accuracy.  The base quantiles are written over log t
         (_by_side), and the draw peaks at about three doubles per point
-        while it forms the latent.  At a = b = 1 the latent is the
-        uniform itself, and the quantile transform stays.
+        while it forms the latent.  At a = 1 or b = 1 the quantile is
+        already one base quantile of a closed-form latent, so the
+        quantile transform stays: one uniform per draw, and no gammas.
         """
-        if self.a == 1.0 and self.b == 1.0:
+        if 1.0 in (self.a, self.b):
             return super().draw(rng, n)
         log_t, upper = _log_latent_side(rng, self.a, self.b, int(n))
         z = _by_side(self._base_quantile, log_t, upper)

@@ -285,8 +285,9 @@ def _build_parser():
         choices=("inverse", "rejection"),
         default="inverse",
         help=(
-            "inverse is the quantile transform, or for bsn, bn, bhn, beta, gb1"
-            " and kumaraswamy the base quantile of a Beta(a, b) latent;"
+            "inverse is the quantile transform, or for bsn, bn, bhn, beta and gb1"
+            " with neither shape a nor b equal to 1 the base quantile of a"
+            " Beta(a, b) latent drawn from two gammas;"
             " rejection needs family bsn with integer --a >= 1 and --b 1"
         ),
     )

@@ -229,7 +229,7 @@ def _left(z, lam, log=None):
     # <= so the repair still fires once norm_cdf itself underflows to 0
     bad = f_owen <= 1e-4 * phi if lam > 0.0 else f_owen < 1e-290
     if bad.any():
-        repaired = _log_tail(z_owen[bad], lam, 0.0, 1, 0, _LOG2)
+        repaired = _log_tail(z_owen[bad], lam, 0.0, 1, 0, _LOG2)[0]
         if log is not False:
             log_owen[bad] = repaired
         if log is not True:

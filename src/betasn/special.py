@@ -4,9 +4,10 @@ Thin wrappers around :mod:`scipy.special` that pin down the domain checks,
 endpoint conventions, and accuracy guarantees the rest of the package
 relies on.  Every function accepts floats or numpy arrays and broadcasts
 like a ufunc.  The incomplete-beta inverse is solved here, on the same
-bracketed root solver as the skew-normal and table quantiles, and so are
-the quantile solves' shared pieces: the cubic-Hermite start tables and
-the segment lookup that reads them without a binary search.
+bracketed root solver as the skew-normal, beta-generated and table
+quantiles, and so are the quantile solves' shared pieces: the
+cubic-Hermite start tables, and the guide-table segment lookup that
+reads them, and the table families' edges, without a binary search.
 """
 
 from __future__ import annotations
@@ -328,58 +329,28 @@ _BUCKETS_PER_NODE = 16
 _V_HALF = -np.sqrt(2.0 * _LOG2)
 
 
-class _SortedNodes:
-    """Sorted nodes x_0 <= ... <= x_(n-1), n >= 2, and the walk onto a key's segment.
+class _SegmentIndex:
+    """Sorted nodes x_0 <= ... <= x_(n-1), n >= 2, and a guide table (Chen & Asau 1974) onto them.
 
-    A key's segment is np.clip(np.searchsorted(x, key, side) - 1, 0, n - 2):
-    side "left" passes the nodes below the key, "right" also those equal
-    to it, and NaN passes every node.  walk steps a guess at each
-    key's segment onto it, bit for bit.  The arrays are read-only.
-    """
-
-    def __init__(self, nodes, side):
-        # x_k, and x_(k+1), of each segment k, with NaN where a walk ends:
-        # two views of one array
-        padded = np.r_[np.nan, nodes[1:-1], np.nan]
-        padded.setflags(write=False)
-        self.behind, self.ahead = padded[:-1], padded[1:]
-        left = side == "left"
-        self.passed = np.less if left else np.less_equal
-        self.short = np.greater_equal if left else np.greater
-
-    def walk(self, keys, k):
-        """The segments of a 1-d array of keys, from guesses k in [0, n - 2] (changed in place).
-
-        Exact from any guess for a key that is not NaN; a NaN key keeps
-        its guess, which must be n - 2.
-        """
-        return _step(_step(k, keys, self.behind, self.short, -1), keys, self.ahead, self.passed, 1)
-
-
-def _step(k, keys, nodes, moves, by):
-    """k, each moved by `by` while moves(nodes[k], key), over the points still off."""
-    off = np.flatnonzero(moves(nodes.take(k), keys))
-    while off.size:
-        k[off] += by
-        off = off[moves(nodes.take(k[off]), keys[off])]
-    return k
-
-
-class _SegmentIndex(_SortedNodes):
-    """_SortedNodes with a guide table (Chen & Asau 1974): find takes no binary search.
-
-    The buckets split [x_0, x_(n-1)] evenly, as narrow as the narrowest
-    segment and at most _BUCKETS_PER_NODE per node; a key past them,
-    +inf or NaN takes one more bucket.  A key's bucket is
-    floor((key - x_0) * scale), clipped: monotone in the key in floating
-    point.  So a key passes every node whose bucket lies below its own,
-    and each bucket holds, as a read-only int32, the count of those
-    nodes less one (so n - 2 past the last node).  That guess is never
-    above the key's segment, and the walk only steps up.
+    find returns a key's segment,
+    np.clip(np.searchsorted(x, key, side) - 1, 0, n - 2), with no binary
+    search: side "left" passes the nodes below the key, "right" also
+    those equal to it, and NaN passes every node.  The buckets split
+    [x_0, x_(n-1)] evenly, as narrow as the narrowest segment and at
+    most _BUCKETS_PER_NODE per node; a key past them, +inf or NaN takes
+    one more bucket.  A key's bucket is floor((key - x_0) * scale),
+    clipped: monotone in the key in floating point.  So a key passes
+    every node whose bucket lies below its own, and each bucket holds,
+    as a read-only int32, the count of those nodes less one (so n - 2
+    past the last node).  That guess is never above the key's segment,
+    and a walk steps it up onto it.  The arrays are read-only.
     """
 
     def __init__(self, nodes, side="left"):
-        super().__init__(nodes, side)
+        # x_(k+1) of each segment k, with NaN where the walk ends
+        self.ahead = np.r_[nodes[1:-1], np.nan]
+        self.ahead.setflags(write=False)
+        self.passed = np.less if side == "left" else np.less_equal
         n = nodes.size
         span = nodes[-1] - nodes[0]
         gaps = np.diff(nodes)
@@ -403,7 +374,13 @@ class _SegmentIndex(_SortedNodes):
         """np.clip(np.searchsorted(nodes, keys, side) - 1, 0, n - 2) bit for bit, shaped like keys."""
         flat = keys.reshape(-1)
         k = self.guess.take(self._bucket(flat)).astype(np.intp)
-        return _step(k, flat, self.ahead, self.passed, 1).reshape(keys.shape)
+        # step each guess up while the key passes its segment's upper node,
+        # over the points still off
+        off = np.flatnonzero(self.passed(self.ahead.take(k), flat))
+        while off.size:
+            k[off] += 1
+            off = off[self.passed(self.ahead.take(k[off]), flat[off])]
+        return k.reshape(keys.shape)
 
 
 class _HermiteTable(NamedTuple):

@@ -111,6 +111,18 @@ def test_quantile_roundtrips():
         assert np.max(np.abs(dist.cdf(dist.quantile(q)) - q)) < 1e-10, dist
 
 
+@pytest.mark.parametrize("dist", [SNB(1.0, 3), GBSN(2.0, 4, 1), TBSN(5.0, -0.5, 3, 2)], ids=repr)
+def test_far_side_logs_keep_their_digits(dist):
+    # above half the total, a log read is log1p of minus the other side,
+    # not the log of a mass that rounds toward the total
+    t = 10.0 ** -np.arange(3.0, 16.0)
+    x = dist.quantile(1.0 - t)
+    assert np.max(np.abs(dist.logcdf(x) / np.log1p(-dist.sf(x)) - 1.0)) <= 1e-14
+    x = dist.quantile(t)
+    assert np.max(np.abs(dist.logsf(x) / np.log1p(-dist.cdf(x)) - 1.0)) <= 1e-14
+    assert GBSN(2.0, 4, 1).logcdf(4.0) < 0.0
+
+
 def test_cdf_derivative_matches_pdf():
     h = 1e-6
     x = np.linspace(-3.5, 3.5, 29)

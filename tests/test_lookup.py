@@ -1,8 +1,8 @@
-"""Segment lookups of the quantile starts and table solves against np.searchsorted.
+"""Segment lookups of the quantile starts and table reads against np.searchsorted.
 
 Every start table (skew-normal, beta-generated, and both sides of the
-table families'), the table edges and the running sums find a key's
-segment without a binary search; each must return, bit for bit, what
+table families') and the table edges find a key's segment without a
+binary search; each must return, bit for bit, what
 np.clip(np.searchsorted(nodes, keys, side) - 1, 0, n - 2) returns.
 """
 
@@ -50,17 +50,6 @@ def _hermite(table):
     return table.v, "left", table.index
 
 
-@lru_cache(maxsize=None)
-def running():
-    """(label, nodes, side, walker) of the table families' running sums."""
-    out = []
-    for law in TABLE_LAWS:
-        table = balakrishnan._kernel_table(*law._key)
-        out.append((f"cum {law!r}", table.cum, "right", table._running[False]))
-        out.append((f"-cum_right {law!r}", -table.cum_right, "left", table._running[True]))
-    return tuple(out)
-
-
 def _keys(nodes, fractions, picks):
     """Exact nodes, points between them, points past both ends, +-inf and NaN."""
     span = nodes[-1] - nodes[0]
@@ -94,30 +83,15 @@ def test_index_matches_searchsorted(fractions, picks, seed):
         assert np.array_equal(found, _searched(nodes, keys, side)), label
 
 
-@settings(max_examples=8, derandomize=True, database=None, deadline=None)
-@given(fractions=fractions, picks=picks, seed=st.integers(0, 2**32 - 1))
-def test_running_sum_walk_matches_searchsorted(fractions, picks, seed):
-    # the walk is exact from any guess; a NaN key keeps its guess, which
-    # the edge index of a NaN start makes the last segment
-    rng = np.random.default_rng(seed)
-    for label, nodes, side, walker in running():
-        keys = _keys(nodes, fractions, picks)
-        guess = rng.integers(0, nodes.size - 1, keys.size)
-        guess[np.isnan(keys)] = nodes.size - 2
-        assert np.array_equal(walker.walk(keys, guess), _searched(nodes, keys, side)), label
-
-
 def test_every_index_array_is_read_only_and_small():
     for label, nodes, _, index in indexes():
         assert index.guess.dtype == np.int32, label
         assert index.guess.size <= _BUCKETS_PER_NODE * nodes.size, label
-        for array in (index.guess, index.behind, index.ahead):
+        for array in (index.guess, index.ahead):
             assert not array.flags.writeable, label
         if not label.startswith("edges"):
             # starts read at v <= v(1/2), and a segment's bracket one node past it
             assert np.count_nonzero(nodes > _V_HALF) <= 2, label
-    for label, _, _, walker in running():
-        assert not walker.behind.flags.writeable and not walker.ahead.flags.writeable, label
     table = skewnormal._start_table(3.0)
     assert not any(a.flags.writeable for a in (table.v, table.z, table.lo, table.hi, table.cubic))
 

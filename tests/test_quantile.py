@@ -465,6 +465,32 @@ def test_quantile_solver_evaluations(monkeypatch, dist, solve, most):
     assert sum(evals.sum() for evals in solves) / q.size <= most
 
 
+# table solves on 2,000 q log-uniform in [1e-300, 1e-30], below the first
+# node of every start table: bracketed by Phi^-1(q total) and that node
+# and solved on the tail rule's read; each bound is about 5% above the
+# count, and no point takes more than 3 evaluations
+DEEP_TABLE_EVALS_PER_POINT = [
+    ("snb(1,3)", SNB(1.0, 3), 2.83),
+    ("gbsn(2,4,1)", GBSN(2.0, 4, 1), 2.76),
+    ("tbsn(5,-0.5,3,2)", TBSN(5.0, -0.5, 3, 2), 2.9),
+    ("snb(-50,2)", SNB(-50.0, 2), 1.05),
+]
+
+
+@pytest.mark.parametrize(
+    "dist, most",
+    [case[1:] for case in DEEP_TABLE_EVALS_PER_POINT],
+    ids=[label for label, _, _ in DEEP_TABLE_EVALS_PER_POINT],
+)
+def test_deep_table_quantile_evaluations(monkeypatch, dist, most):
+    q = np.exp(np.random.default_rng(2026).uniform(np.log(1e-300), np.log(1e-30), 2000))
+    dist.quantile(q[:2])
+    solves = _count_evals(monkeypatch, balakrishnan)
+    dist.quantile(q)
+    evals = np.concatenate(solves)
+    assert evals.sum() / q.size <= most and evals.max() <= 3
+
+
 def test_sn_root_near_the_median_stops_early(monkeypatch):
     # at lam > 0 and p near 1/2 the root sat against the bracket end
     # Phi^-1((1 + p)/2) of the tail-asymptote start, and a solve that

@@ -6,6 +6,7 @@ I_Phi(x)(n+1, m+1).  Steep kernels (|lam| = 50) and the underflow edge
 of TBSN(5, -0.5, 3, 2) are checked against the quad oracle of
 ``table_oracle`` and for monotone reads; an interpolant on the fixed
 starting grid, without bisection or the linear hold, fails them.
+Quantiles from q = 1e-300 to 1e-30 invert logcdf and match the oracle.
 """
 
 import numpy as np
@@ -75,6 +76,30 @@ def test_steep_tail_roundtrips_against_the_oracle(dist):
         got = [table_oracle.log_mass(xi, shape, upper) - log_total for xi in x]
         miss = np.abs(np.expm1(np.array(got) - want))
         assert np.max(miss) <= ROUNDTRIP_RTOL, (upper, float(np.max(miss)))
+
+
+DEEP = {
+    "snb(1,3)": SNB(1.0, 3),
+    "gbsn(2,4,1)": GBSN(2.0, 4, 1),
+    "tbsn(5,-0.5,3,2)": TBSN(5.0, -0.5, 3, 2),
+    "snb(-50,2)": SNB(-50.0, 2),
+    "snb(0.3,1)": SNB(0.3, 1),
+}
+DEEP_Q = np.geomspace(1e-300, 1e-30, 12)
+
+
+@pytest.mark.parametrize("dist", DEEP.values(), ids=DEEP.keys())
+def test_deep_quantiles_invert_the_log_read(dist):
+    # below 1e-30 of the total logcdf reads the tail rule, which counts the
+    # mass beyond the window, and the quantile solves that same read: no
+    # root stops at the window end or inside a linearly held segment
+    x = dist.quantile(DEEP_Q)
+    assert np.max(np.abs(dist.logcdf(x) - np.log(DEEP_Q))) <= 1e-12
+    shape = dist._key[:4]
+    log_total = table_oracle.log_total(shape)
+    for xi, qi in zip(x[::4], DEEP_Q[::4]):
+        got = table_oracle.log_mass(xi, shape) - log_total
+        assert abs(got / np.log(qi) - 1.0) <= ROUNDTRIP_RTOL, (xi, got)
 
 
 @pytest.mark.parametrize("dist", STEEP.values(), ids=STEEP.keys())

@@ -48,6 +48,9 @@ def test_solver_evals_reports_every_solve():
     assert members["bn(0.5,2)"]["start_table_builds"] == 0
     for row in out["tables"].values():
         assert {"points", "evals_per_point", "evals_p90", "evals_max", "build_nodes"} <= row.keys()
+        # the table solves end on about one evaluation per point, and their
+        # reads, like cdf's and sf's, evaluate no kernel
+        assert row["read_nodes_per_point"] == 0 and row["evals_per_point"] <= 1.02
 
 
 def test_tail_routes_counts_every_point():
