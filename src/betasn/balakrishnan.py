@@ -274,11 +274,11 @@ class _NumericCdf:
         self.total = float(self.cum[-1])
         self._edge_index = _SegmentIndex(self.edges, "right")
 
-    def masses(self, z, upper, derivs=False):
-        """Kernel mass below each z of an array, or above it if upper.
+    def _partial(self, z, derivs=False):
+        """(i, partial) with i each z's segment and partial the kernel mass on it below z.
 
-        With derivs, also the kernel's interpolant k at z, which is the
-        mass below z's d/dz, and its d/dz: (mass, k, dk/dz).
+        One guide-table find and one Legendre sum per point.  With
+        derivs, also the kernel's interpolant k at z and its d/dz.
         """
         z = np.clip(z, -self.t, self.t)
         i = self._edge_index.find(z)
@@ -292,8 +292,26 @@ class _NumericCdf:
         # at a segment's ends, and so beyond the window, the reads are exact
         partial = np.where(u == -1.0, 0.0, np.where(u == 1.0, seg, partial))
         partial = np.clip(partial, 0.0, seg)
-        held = self.cum_right[i + 1] + (seg - partial) if upper else self.cum[i] + partial
-        return (held, dpartial * dudz, d2partial * dudz * dudz) if derivs else held
+        return (i, partial, dpartial * dudz, d2partial * dudz * dudz) if derivs else (i, partial)
+
+    def _held(self, i, partial, upper):
+        """The mass below, or above if upper, of points on segments i with partial below them."""
+        return self.cum_right[i + 1] + (self.seg[i] - partial) if upper else self.cum[i] + partial
+
+    def masses(self, z, upper, derivs=False):
+        """Kernel mass below each z of an array, or above it if upper.
+
+        With derivs, also the kernel's interpolant k at z, which is the
+        mass below z's d/dz, and its d/dz: (mass, k, dk/dz).
+        """
+        i, partial, *dens = self._partial(z, derivs)
+        held = self._held(i, partial, upper)
+        return (held, *dens) if derivs else held
+
+    def both_masses(self, z):
+        """(mass below, mass above) each z, from one segment read: the bits of masses on each side."""
+        i, partial = self._partial(z)
+        return self._held(i, partial, False), self._held(i, partial, True)
 
     @cached_property
     def _starts(self):
@@ -368,22 +386,26 @@ class PowerOfPhi(LocationScale):
         if not log:
             return np.minimum(table.masses(z, upper) / table.total, 1.0)
         log_total = np.log(table.total)
-        out = self._log_held(table, z, upper)[0] - log_total
+        # one segment read gives both sides' table masses
+        below, above = table.both_masses(z)
+        held, other = (above, below) if upper else (below, above)
+        out = self._log_held(table, z, upper, held=held)[0] - log_total
         # above half the total, the other side's log keeps the digits
         near = out > -_LOG2
         if np.any(near):
-            out[near] = np.log1p(-np.exp(self._log_held(table, z[near], not upper)[0] - log_total))
+            log_other = self._log_held(table, z[near], not upper, held=other[near])[0]
+            out[near] = np.log1p(-np.exp(log_other - log_total))
         return np.minimum(out, 0.0)
 
-    def _log_held(self, table, z, upper, derivs=False):
+    def _log_held(self, table, z, upper, derivs=False, held=None):
         """(log m, g', g'') with m the kernel's mass below each z, or above it if upper.
 
-        m is the table's read, and the Gauss-Laguerre rule's (_log_tail)
-        where that is at most _LOG_TAIL_BELOW of the total.  With derivs,
-        g' and g'' are log m's first two derivatives in y = z, or y = -z
-        if upper: the table's from its interpolant k and k', with
-        dm/dy = k, and the rule's from the kernel and its log slope;
-        else they are None.
+        m is the table's read, or held where the caller has read it
+        already, and the Gauss-Laguerre rule's (_log_tail) where that is
+        at most _LOG_TAIL_BELOW of the total.  With derivs, g' and g''
+        are log m's first two derivatives in y = z, or y = -z if upper:
+        the table's from its interpolant k and k', with dm/dy = k, and
+        the rule's from the kernel and its log slope; else they are None.
         """
         sign = -1.0 if upper else 1.0
         if derivs:
@@ -391,7 +413,8 @@ class PowerOfPhi(LocationScale):
             dg = dens / held
             d2g = sign * d_dens / held - dg * dg
         else:
-            held, dg, d2g = table.masses(z, upper), None, None
+            held = table.masses(z, upper) if held is None else held
+            dg = d2g = None
         with np.errstate(divide="ignore"):
             log_held = np.log(held)
         far = held <= _LOG_TAIL_BELOW * table.total

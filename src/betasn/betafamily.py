@@ -12,11 +12,12 @@ laws only declare their parameters and base.  GB1(a, b, p, q) (McDonald
 Beta at p = q = 1 and Kumaraswamy at a = q = 1 (_PowerBase).  logpdf
 goes through one kernel that skips a zero exponent; cdf, sf, logcdf and
 logsf each keep relative accuracy in their own tail far past where F, S
-or the value underflows.  The quantile solves log I_F(z)(a, b) = log t
-directly in z, one bracketed Halley solve per point whose every
-evaluation is one read of log F and log S, started from a
-cubic-Hermite table per law and side that the composed route builds:
-the latent root in log space, then the base quantile of it.  A side
+or the value underflows, and at a = 1 or b = 1 are closed forms in
+log F and log S, with no incomplete beta read.  The quantile solves
+log I_F(z)(a, b) = log t directly in z, one bracketed Halley solve per
+point whose every evaluation is one read of log F and log S, started
+from a cubic-Hermite table per law and side that the composed route
+builds: the latent root in log space, then the base quantile of it.  A side
 bounded at an endpoint (both sides of the unit laws, BetaHalfNormal's
 lower side) keeps the composed route, which stays relative in the
 distance to the endpoint, and at a = 1 or b = 1 the latent is a closed
@@ -39,6 +40,7 @@ from scipy.special import erf, erfinv
 from .core import LocationScale, _by_side, _require
 from .skewnormal import _log_density_limit
 from .special import (
+    _LOG_TINY,
     _MIRRORED_FLOOR,
     _bracketed_newton,
     _hermite_start,
@@ -72,6 +74,30 @@ def _log_beta_kernel(acc, a, b, tails):
     if b != 1.0:
         acc = acc + (b - 1.0) * log_s
     return acc
+
+
+def _unit_beta_tail(log_v, own, a, b, log):
+    """I_w(a, b) at a = 1 or b = 1, or its log, from log v, v = min(w, 1 - w) and own where v = w.
+
+    I_w(a, 1) = w^a is exp(a log w), and I_w(1, b) = 1 - (1 - w)^b is
+    -expm1(b log(1 - w)), with log w and log(1 - w) each log v or
+    log1p(-v).  So I keeps relative accuracy in both tails, its log too:
+    log(-expm1(x)) where I < 1/2, else log1p(-e^x), and log b + log w
+    where w is below the normal doubles and loses its bits, while
+    1 - (1 - w)^b is b w to within (b - 1) w / 2 of it.
+    """
+    with np.errstate(divide="ignore"):
+        log_u = np.log1p(-np.exp(log_v))
+    if b == 1.0:
+        x = a * np.where(own, log_v, log_u)
+        return x if log else np.exp(x)
+    x = b * np.where(own, log_u, log_v)
+    if not log:
+        # 0 - expm1, not -expm1, which reads -0.0 at x = 0
+        return 0.0 - np.expm1(x)
+    with np.errstate(divide="ignore"):
+        log_i = np.where(x > -_LOG2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    return np.where(own & (log_v < _LOG_TINY), np.log(b) + log_v, log_i)
 
 
 def _smaller_side(log_u):
@@ -146,23 +172,18 @@ class _BetaGenerated(LocationScale):
         _require("positive", a=self.a, b=self.b)
 
     def _std_logpdf(self, z):
-        """logpdf at a 1-d array of standardized points z."""
-        with np.errstate(invalid="ignore"):
-            log_base = self._log_base(z, -log_beta(self.a, self.b))
-        return self._logpdf_from(z, log_base, lambda: self._log_tails(z))
+        """logpdf at a 1-d array of standardized points z.
 
-    def _logpdf_from(self, z, log_base, tails):
-        """logpdf at standardized z, from log_base = _log_base(z, -log B(a, b))
-        and tails() = (log F(z), log S(z)), which a zero exponent leaves unread.
-
-        The one beta-kernel composition of the density: logpdf reads its own
-        tails, and a caller that holds them for the same z, shared across
-        laws, passes them in and gets the same bits.
+        The one beta-kernel composition of the density, over
+        _log_base(z, -log B(a, b)) and the tails, which a zero exponent
+        leaves unread.
         """
         # one of log F and log S is above -log 2, so a power or a sum overflows
         # only to -inf, where the log density is below -1.8e308: its limit
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _log_beta_kernel(log_base - np.log(self.scale), self.a, self.b, tails)
+            log_base = self._log_base(z, -log_beta(self.a, self.b))
+            log_base -= np.log(self.scale)
+            out = _log_beta_kernel(log_base, self.a, self.b, lambda: self._log_tails(z))
         return _log_density_limit(z, out)
 
     def _small_tail(self, z):
@@ -176,9 +197,12 @@ class _BetaGenerated(LocationScale):
     def _beta_tail(self, log_v, on_f, upper, log):
         """I_w(a, b) with w = F, or w = S and a, b swapped if upper: from w
         where w <= 1/2, above as 1 - I_(1-w)(b, a), which keeps 1 - w's digits.
+        At a = 1 or b = 1 it is a closed form (_unit_beta_tail).
         """
         a, b = (self.b, self.a) if upper else (self.a, self.b)
         own = on_f != upper
+        if 1.0 in (a, b):
+            return _unit_beta_tail(log_v, own, a, b, log)
         out = np.empty_like(log_v)
         out[own] = _inc_beta_lower(log_v[own], a, b, log)
         out[~own] = _inc_beta_upper(log_v[~own], b, a, _MIRRORED_FLOOR, log)

@@ -16,14 +16,20 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import cache, partial
 
 import numpy as np
 
 from .betafamily import BetaHalfNormal, _BetaGenerated, _log_beta_kernel
 from .core import _BLOCK, _require
 from .quadrature import DEFAULT_SPEC, integrate_line, integrate_unit
-from .skewnormal import SkewNormal, _log_density, _log_density_slope, _side_quantile, _tails
+from .skewnormal import (
+    SkewNormal,
+    _log_density,
+    _log_density_limit,
+    _log_density_slope,
+    _side_quantile,
+    _tails,
+)
 from .special import log_beta, norm_logcdf, norm_logpdf, norm_quantile
 
 __all__ = [
@@ -75,11 +81,6 @@ class RejectionSampleBatch:
         return self.n_accepted / self.n_trials
 
 
-def _sn_log_base(log_c, log_phi_z, log_phi_lz):
-    """log c + log 2 phi(z) Phi(lam z), from log phi(z) and log Phi(lam z), summed in one order."""
-    return _LOG2 + log_c + log_phi_z + log_phi_lz
-
-
 @dataclass(frozen=True)
 class BetaSkewNormal(_BetaGenerated):
     """BSN(lam, a, b) shifted by mu and scaled by sigma.
@@ -104,7 +105,8 @@ class BetaSkewNormal(_BetaGenerated):
         return SkewNormal(0.0, 1.0, self.lam)
 
     def _log_base(self, z, log_c):
-        return _sn_log_base(log_c, norm_logpdf(z), norm_logcdf(self.lam * z))
+        # the order of _logpdf_rows's heads
+        return _LOG2 + log_c + norm_logpdf(z) + norm_logcdf(self.lam * z)
 
     def _log_base_slope(self, z):
         return _log_density_slope(z, self.lam)
@@ -242,30 +244,76 @@ def sample_rejection(lam, n_param, count, seed):
     )
 
 
+def _paired_tails(z, lam):
+    """(_tails(z, lam), _tails(z, -lam)) at a 1-d z, from one _tails read of z and -z.
+
+    At z != 0 the tails of SN(-lam) at z are those of SN(lam) at -z with
+    the sides swapped, and _tails reads both through the same
+    skewnormal._left call on the same values, whose every sum runs per
+    point (quadrature._laguerre_sum), so the bits match.  At z = 0 both
+    reads are left-side ones, of lam and of -lam, so those points take
+    their own read.
+    """
+    n = z.size
+    live = z != 0.0
+    log_f, log_s = _tails(np.concatenate([z, -z[live]]), lam)
+    mirror_f, mirror_s = np.empty(n), np.empty(n)
+    mirror_f[live], mirror_s[live] = log_s[n:], log_f[n:]
+    if not live.all():
+        mirror_f[~live], mirror_s[~live] = _tails(z[~live], -lam)
+    return (log_f[:n], log_s[:n]), (mirror_f, mirror_s)
+
+
 def _logpdf_rows(laws):
     """A function of standardized nodes z giving the BSN laws' log densities, one row per law.
 
-    Row i is laws[i].logpdf at z bit for bit, from the same
-    _logpdf_from, over reads the laws share: log phi(z) once, and
-    log Phi(lam z) and _tails(z, lam) once per distinct lam (the tails
-    only if some law of that lam has an exponent to apply them to).  So
-    one call costs one tail read per shape, not one per law.
+    Row i is laws[i].logpdf at z bit for bit: the operations of
+    _BetaGenerated._std_logpdf in the same order, composed for all
+    rows as one (laws, nodes) block.  The heads log 2 - log B(a, b) +
+    log phi(z) + log Phi(lam z) - log sigma take log phi once and
+    log Phi once per distinct lam; (a - 1) log F and (b - 1) log S are
+    added on the rows whose exponent is not 0, as _log_beta_kernel
+    skips it; and one pass sends the NaN of an infinite term against
+    an opposite one to -inf (skewnormal._log_density_limit).  The tails
+    are read once per distinct |lam|, a shape and its negative through
+    one _paired_tails, and not for a lam whose laws all have
+    a = b = 1.  The row plan is built here, once; the returned reader
+    runs no loop over the laws.
     """
-    log_c = [-log_beta(law.a, law.b) for law in laws]
-    lams = dict.fromkeys(law.lam for law in laws)
+    lams = list(dict.fromkeys(law.lam for law in laws))
+    row_lam = np.array([lams.index(law.lam) for law in laws], dtype=np.intp)
+    lam_col = np.array(lams)[:, None]
+    head = np.array([_LOG2 + -log_beta(law.a, law.b) for law in laws])[:, None]
+    log_scale = np.log([law.scale for law in laws])[:, None]
+    kernel = []
+    for name in ("a", "b"):
+        rows = np.array([i for i, law in enumerate(laws) if getattr(law, name) != 1.0], dtype=np.intp)
+        exponent = np.array([getattr(laws[i], name) - 1.0 for i in rows])[:, None]
+        kernel.append((rows, exponent, row_lam[rows]))
+    needed = {lams[j] for rows, _, lam_of in kernel for j in lam_of}
+    # (j, k): read the tails of lams[j], and of lams[k] = -lams[j] from the same read
+    reads = []
+    for j, lam in enumerate(lams):
+        if lam in needed and not (lam < 0.0 and -lam in needed):
+            reads.append((j, lams.index(-lam) if lam > 0.0 and -lam in needed else None))
 
     def log_densities(z):
-        out = np.empty((len(laws),) + z.shape)
-        with np.errstate(invalid="ignore"):
-            log_phi_z = norm_logpdf(z)
-            for lam in lams:
-                log_phi_lz = norm_logcdf(lam * z)
-                tails = cache(partial(_tails, z, lam))
-                for i, law in enumerate(laws):
-                    if law.lam == lam:
-                        log_base = _sn_log_base(log_c[i], log_phi_z, log_phi_lz)
-                        out[i] = law._logpdf_from(z, log_base, tails)
-        return out
+        zz = z.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = head + norm_logpdf(zz)
+            out += norm_logcdf(lam_col * zz)[row_lam]
+            out -= log_scale
+            if reads:
+                log_f, log_s = np.empty((2, len(lams), zz.size))
+                for j, k in reads:
+                    if k is None:
+                        log_f[j], log_s[j] = _tails(zz, lams[j])
+                    else:
+                        (log_f[j], log_s[j]), (log_f[k], log_s[k]) = _paired_tails(zz, lams[j])
+                for (rows, exponent, lam_of), tail in zip(kernel, (log_f, log_s)):
+                    if rows.size:
+                        out[rows] += exponent * tail[lam_of]
+        return _log_density_limit(zz, out).reshape((len(laws),) + z.shape)
 
     return log_densities
 

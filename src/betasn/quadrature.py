@@ -198,12 +198,29 @@ def _log_tail_mass(log_g, z, log_g_z, slope, curv):
     faster than e^(s (1 - slope/r)); deep in the tail, where the slope
     dominates, h is nearly flat, and where log g is nearly a parabola
     the curvature term stretches its decay in s over several nodes.
-    Costs one log_g call on a (20,) + z.shape block.
+    Costs one log_g call on a (20,) + z.shape block, summed by
+    _laguerre_sum, so a point's value does not depend on its call.
     """
     rate = np.maximum(slope, 1e-2) + 4.0 * np.sqrt(curv)
     s = _LAGUERRE_NODES[:, None]
     rel = np.exp(log_g(z - s / rate) - log_g_z + s)
-    return log_g_z - np.log(rate) + np.log(_LAGUERRE_WEIGHTS @ rel)
+    return log_g_z - np.log(rate) + np.log(_laguerre_sum(rel))
+
+
+def _laguerre_sum(h):
+    """The Gauss-Laguerre rule over a (20, n) block of integrand values h, one sum per column.
+
+    h is weighted in place and summed one row after another, so each
+    column's sum runs down its own nodes in order and does not depend
+    on the other columns, nor on whether there are any: a BLAS product
+    rounds by how the call is blocked, and h.sum(axis=0) adds two or
+    more columns but sums a lone one pairwise.
+    """
+    h *= _LAGUERRE_WEIGHTS[:, None]
+    total = h[0]
+    for row in h[1:]:
+        total += row
+    return total
 
 
 def _gk15(f, a, b):

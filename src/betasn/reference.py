@@ -5,7 +5,7 @@ reported mean, standard deviation, skewness, and non-excess kurtosis,
 plus the machinery to recompute every row by quadrature and compare.
 compare_grid recomputes all fifty in one adaptive pass: 200 components,
 the raw moments of orders 1-4 of each row, each to its own tolerance,
-with one skew-normal tail read per distinct lambda per batch of nodes.
+with one skew-normal tail read per distinct |lambda| per batch of nodes.
 
 The published values are themselves numerical output, and 39 of the 200
 cells are off by more than the row tolerance (1e-3 when both shapes are
@@ -31,6 +31,7 @@ other cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -174,8 +175,9 @@ def _mirror_of(row):
     return _BY_KEY.get((row.b, row.a, -row.lam))
 
 
+@cache
 def excluded_cells():
-    """Cells whose published digits contradict the reflection symmetry.
+    """Cells whose published digits contradict the reflection symmetry, as a frozenset built once.
 
     Reflection forces mean/skewness to be opposite and sd/kurtosis equal
     between a row and its mirror; when the printed pair disagrees by
@@ -236,23 +238,29 @@ def compare_row(row, computed, excluded):
     )
 
 
+@cache
+def _grid_log_densities():
+    """bsn._logpdf_rows over the grid's fifty laws: the laws and row plan, built once."""
+    return _logpdf_rows([BetaSkewNormal(row.lam, row.a, row.b) for row in REFERENCE_MOMENT_GRID])
+
+
 def compare_grid(spec=None):
     """Recompute all fifty rows in one quadrature pass and compare each.
 
     The pass integrates 200 components, each row's raw moments of orders
-    1-4, each to its own tolerance.  Every batch of nodes reads the
-    skew-normal tails once per distinct lam (five in the grid) and
-    composes each row's density from them (bsn._logpdf_rows), bit for
-    bit the row's BetaSkewNormal logpdf.
+    1-4, each to its own tolerance.  Every batch of nodes composes the
+    fifty log densities as one block (bsn._logpdf_rows), bit for bit
+    each row's BetaSkewNormal logpdf, on one skew-normal tail read per
+    distinct |lam| (three in the grid: 0, 1 and 10, each shape read
+    with its negative).
     """
-    laws = [BetaSkewNormal(row.lam, row.a, row.b) for row in REFERENCE_MOMENT_GRID]
-    log_densities = _logpdf_rows(laws)
+    log_densities = _grid_log_densities()
 
     def integrand(z):
         powers = np.stack([z**k for k in _ORDERS])
         return (powers * np.exp(log_densities(z))[:, None]).reshape((-1,) + z.shape)
 
-    raw = integrate_line(integrand, spec).reshape(len(laws), len(_ORDERS))
+    raw = integrate_line(integrand, spec).reshape(len(REFERENCE_MOMENT_GRID), len(_ORDERS))
     excluded = excluded_cells()
     return [
         compare_row(row, _summary(*map(float, m)), excluded)

@@ -53,7 +53,7 @@ from scipy.special import ndtri_exp
 
 from .balakrishnan import _log_tail
 from .core import _BLOCK, LocationScale, _quantile_domain, _require
-from .quadrature import _LAGUERRE_NODES, _LAGUERRE_WEIGHTS
+from .quadrature import _LAGUERRE_NODES, _laguerre_sum
 from .special import (
     _bracketed_newton,
     _hermite_start,
@@ -160,8 +160,9 @@ def _shape_logcdf(z, lam):
     the exponent and 1 + a^2 are quadratics in s, so one matrix product
     of _SHAPE_POWERS with their coefficients builds both (20, n) blocks.
     r is q + lam z^2, so 1 - lam z^2 / r is q / r and does not cancel.
-    The sum runs down each column in node order, so a point's value
-    does not depend on the others, nor on whether there are any.
+    quadrature._laguerre_sum runs each column down its nodes in order,
+    so a point's value does not depend on the others, nor on whether
+    there are any.
     Accurate to a few ulp of log F from lam |z| >= _SHAPE_CUT (checked
     against an mpmath oracle for lam from 0.02 to 1e6); nearer z = 0 the
     power-law factor defeats the rule.
@@ -185,14 +186,8 @@ def _shape_logcdf(z, lam):
     h, d = _SHAPE_POWERS @ c
     np.exp(h, out=h)
     h /= d
-    h *= _LAGUERRE_WEIGHTS[:, None]
-    # one row after another, as h.sum(axis=0) adds two or more columns
-    # but not a lone one, which it sums pairwise
-    total = h[0]
-    for row in h[1:]:
-        total += row
     with np.errstate(over="ignore", divide="ignore"):
-        return -_LOG_PI - 0.5 * s2 * z2 + np.log(total * inv)
+        return -_LOG_PI - 0.5 * s2 * z2 + np.log(_laguerre_sum(h) * inv)
 
 
 def _left(z, lam, log=None):

@@ -9,7 +9,11 @@ the bases whose F and S have closed forms:
 ``"bsn-1"``      the skew-normal at lam = -1: F = Phi(z) (1 + Phi(-z)), S = Phi(-z)^2;
 ``"normal"``     Phi, the base of BetaNormal and of BSN at lam = 0;
 ``"half_normal"`` erf(x / sqrt 2) and erfc(x / sqrt 2), the base of
-                 BetaHalfNormal (x > 0).
+                 BetaHalfNormal (x > 0);
+``"bsn0.5"``     the skew-normal at lam = 1/2, from Owen's T as a positive
+                 integral: F = (1/pi) int_lam^inf e^(-(1 + t^2) x^2 / 2)
+                 / (1 + t^2) dt at x <= 0, S = Phi(-x) + 2 T(x, lam) at x > 0;
+``"power0.5"``   F = x^(1/2) on (0, 1), the base of Kumaraswamy(0.5, b).
 
 F and S are each formed from their own closed form, never as 1 minus the
 other, and mpmath's exponent range has no underflow, so both tails keep
@@ -36,7 +40,31 @@ def base_tails(base, x):
         if x <= 0:
             return mp.mpf(0), mp.mpf(1)
         return mp.erf(x / mp.sqrt(2)), mp.erfc(x / mp.sqrt(2))
+    if base == "bsn0.5":
+        return _sn_tails(mp.mpf(1) / 2, x)
+    if base == "power0.5":
+        f = mp.sqrt(min(max(x, 0), 1))
+        return f, 1 - f
     raise ValueError(f"unknown base {base!r}")
+
+
+def _sn_tails(lam, x):
+    """(F, S) of SN(0, 1, lam), lam > 0, each tail from a positive integral.
+
+    Both integrands decay on the scale 1/x^2 from one end, so the
+    integration interval is cut at geometric multiples of that scale.
+    """
+    scale = 1 / max(x * x, 1)
+    cuts = [k * scale for k in (0, 1, 4, 16, 64, 256)]
+    if x <= 0:
+        # the integrand at t = lam + u, with e^(-(1 + lam^2) x^2 / 2) taken out
+        g = lambda u: mp.exp(-(2 * lam * u + u * u) * x * x / 2) / (1 + (lam + u) ** 2)
+        f = mp.exp(-(1 + lam * lam) * x * x / 2) * mp.quad(g, cuts + [mp.inf]) / mp.pi
+        return f, 1 - f
+    h = lambda t: mp.exp(-x * x * t * t / 2) / (1 + t * t)
+    owen = mp.exp(-x * x / 2) * mp.quad(h, [c for c in cuts if c < lam] + [lam]) / (2 * mp.pi)
+    s = mp.ncdf(-x) + 2 * owen
+    return 1 - s, s
 
 
 def _tails(base, a, b, x):

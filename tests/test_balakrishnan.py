@@ -123,6 +123,27 @@ def test_far_side_logs_keep_their_digits(dist):
     assert GBSN(2.0, 4, 1).logcdf(4.0) < 0.0
 
 
+@pytest.mark.parametrize("dist", [SNB(1.0, 3), GBSN(2.0, 4, 1), TBSN(5.0, -0.5, 3, 2)], ids=repr)
+def test_log_reads_take_one_segment_read(dist, monkeypatch):
+    # logcdf and logsf find each point's segment and sum its Legendre
+    # series once, and take both sides' running sums from that read: the
+    # far side above half the total costs no second find
+    x = np.linspace(-6.0, 6.0, 5_000)
+    want = dist.logcdf(x), dist.logsf(x)
+    calls = []
+    partial = balakrishnan._NumericCdf._partial
+
+    def counted(self, z, derivs=False):
+        calls.append(np.size(z))
+        return partial(self, z, derivs)
+
+    monkeypatch.setattr(balakrishnan._NumericCdf, "_partial", counted)
+    got = dist.logcdf(x), dist.logsf(x)
+    assert calls == [x.size, x.size]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_cdf_derivative_matches_pdf():
     h = 1e-6
     x = np.linspace(-3.5, 3.5, 29)

@@ -1,7 +1,8 @@
 """The beta-generated composition against tests/beta_oracle.py.
 
 BetaSkewNormal at lam in {1, -1, 0}, BetaNormal and BetaHalfNormal have
-closed-form bases, so their cdf, sf, logcdf and logsf, and the round
+closed-form bases (and BetaSkewNormal at lam = 1/2 and Kumaraswamy(0.5, b)
+bases that mpmath integrates or forms directly), so their cdf, sf, logcdf and logsf, and the round
 trips of their quantiles, have a 50-digit mpmath oracle that imports
 nothing from betasn.  The last tests pin the defects of the linear
 latent that the log-space composition replaced.
@@ -13,7 +14,7 @@ import pytest
 pytest.importorskip("mpmath")
 from beta_oracle import cdf_sf, logcdf_logsf  # noqa: E402
 
-from betasn import BetaHalfNormal, BetaNormal, BetaSkewNormal  # noqa: E402
+from betasn import BetaHalfNormal, BetaNormal, BetaSkewNormal, Kumaraswamy  # noqa: E402
 
 RTOL = 1e-10
 LOG_RTOL = 1e-12
@@ -40,9 +41,8 @@ def _points(base):
     return HALF_LINE if base == "half_normal" else LINE
 
 
-@pytest.mark.parametrize("base, dist", CASES)
-def test_tails_against_oracle(base, dist):
-    for x in _points(base):
+def _assert_tails(base, dist, points):
+    for x in points:
         want = cdf_sf(base, dist.a, dist.b, x)
         got = (dist.cdf(x), dist.sf(x))
         for g, w in zip(got, want):
@@ -52,6 +52,26 @@ def test_tails_against_oracle(base, dist):
         want = logcdf_logsf(base, dist.a, dist.b, x)
         for g, w in zip((dist.logcdf(x), dist.logsf(x)), want):
             assert abs(g - w) <= LOG_RTOL * max(1.0, abs(w)), (x, g, w)
+
+
+@pytest.mark.parametrize("base, dist", CASES)
+def test_tails_against_oracle(base, dist):
+    _assert_tails(base, dist, _points(base))
+
+
+@pytest.mark.parametrize(
+    "base, dist, points",
+    [
+        ("power0.5", Kumaraswamy(0.5, 2.0), (1e-300, 1e-12, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12)),
+        ("bsn1", BetaSkewNormal(1.0, 1.0, 3.0), LINE),
+        ("bsn0.5", BetaSkewNormal(0.5, 3.0, 1.0), (-20.0, -8.0, -2.0, -0.5, 0.0, 0.5, 2.0, 8.0, 20.0)),
+    ],
+    ids=repr,
+)
+def test_unit_shape_tails_against_oracle(base, dist, points):
+    # at a = 1 or b = 1 the tails are closed forms, w^a and 1 - (1 - w)^b,
+    # and stay relative in both tails, their logs too
+    _assert_tails(base, dist, points)
 
 
 @pytest.mark.parametrize("base, dist", CASES)

@@ -272,6 +272,31 @@ def test_gb1_cdf_at_a_one_against_closed_form(b, p, q):
     assert np.max(np.abs(GB1(1.0, b, p, q).cdf(x) / want - 1.0)) < 1e-13
 
 
+def test_unit_shape_tails_read_no_incomplete_beta(monkeypatch):
+    # at a = 1 or b = 1, I_F(a, 1) = F^a and I_F(1, b) = 1 - S^b, so
+    # cdf, sf and their logs make no betainc or betaincc call
+    import betasn.special
+
+    calls = []
+    for name in ("betainc", "betaincc"):
+        real = getattr(betasn.special._sp, name)
+        monkeypatch.setattr(
+            betasn.special._sp, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    for dist, x in (
+        (Kumaraswamy(0.5, 2.0), UNIT),
+        (BetaSkewNormal(1.0, 1.0, 3.0), LINE),
+        (BetaSkewNormal(0.5, 3.0, 1.0), LINE),
+        (BetaNormal(1.0, 1.0), LINE),
+        (GB1(1.0, 3.0, 2.0, 1.5), 1.5 * UNIT),
+    ):
+        for read in (dist.cdf, dist.sf, dist.logcdf, dist.logsf):
+            read(x)
+    assert calls == []
+    BetaSkewNormal(0.5, 3.0, 2.0).cdf(LINE)
+    assert calls
+
+
 @pytest.mark.parametrize("dist", [GB1(2.0, 3.0, 1.5, 2.0), Kumaraswamy(0.5, 2.0)], ids=repr)
 def test_density_near_the_upper_end(dist):
     # 1 - (x/q)^p from log(x/q), not by cancellation; the oracle forms

@@ -171,21 +171,32 @@ def test_moment_recursion_lattice():
 def test_moment_recursion_work_count(monkeypatch):
     # deterministic perf guard: E[X^k], E[X^(k-2)] and the hazard term
     # share one pass over the BSN pdf (5 scalar passes made 20 batches
-    # and 2,070 nodes)
+    # and 2,070 nodes), and the three densities, all of one lam, one
+    # tail read of the batch's n nodes (no mirrored read of -z)
+    import betasn.bsn
     import betasn.quadrature
 
-    counts = {"batches": 0, "nodes": 0}
+    counts = {"batches": 0, "nodes": 0, "tails": 0, "tail_points": 0}
     gk15 = betasn.quadrature._gk15
+    tails = betasn.bsn._tails
 
     def counted(f, a, b):
         counts["batches"] += 1
         counts["nodes"] += betasn.quadrature._NODES.size * np.size(a)
         return gk15(f, a, b)
 
+    def counted_tails(z, lam):
+        counts["tails"] += 1
+        counts["tail_points"] += np.size(z)
+        return tails(z, lam)
+
     monkeypatch.setattr(betasn.quadrature, "_gk15", counted)
+    monkeypatch.setattr(betasn.bsn, "_tails", counted_tails)
     assert moment_recursion_gap(1.5, 2.0, 3.0, 4) < 1e-6
     assert counts["batches"] <= 12
     assert counts["nodes"] <= 1_260
+    assert counts["tails"] == counts["batches"]
+    assert counts["tail_points"] == counts["nodes"]
 
 
 def test_moment_recursion_domain():

@@ -239,11 +239,14 @@ def test_unconverged_component_raises_with_its_own_estimate():
 def test_compare_grid_work_count(monkeypatch):
     # deterministic perf guard: one compare_grid() is one adaptive pass
     # over all 200 row-moment components (6 batches and 900 nodes), and
-    # each batch reads the skew-normal tails once per distinct lam (5);
-    # a pass per row took 196 batches and 20,790 nodes
-    counts = {"batches": 0, "nodes": 0, "tails": 0}
+    # each batch reads the skew-normal tails once per distinct |lam| (3):
+    # n points at lam = 0, and 2n, at z and -z, for each of 1 and 10 with
+    # their negatives.  A pass per row took 196 batches and 20,790 nodes,
+    # a read per lam 5 per batch.  The grid's laws are built once.
+    counts = {"batches": 0, "nodes": 0, "tails": 0, "tail_points": 0, "laws": 0}
     gk15 = betasn.quadrature._gk15
     tails = betasn.bsn._tails
+    post_init = BetaSkewNormal.__post_init__
 
     def counted(f, a, b):
         counts["batches"] += 1
@@ -252,25 +255,44 @@ def test_compare_grid_work_count(monkeypatch):
 
     def counted_tails(z, lam):
         counts["tails"] += 1
+        counts["tail_points"] += np.size(z)
         return tails(z, lam)
 
+    def counted_law(self):
+        counts["laws"] += 1
+        post_init(self)
+
+    compare_grid()
     monkeypatch.setattr(betasn.quadrature, "_gk15", counted)
     monkeypatch.setattr(betasn.bsn, "_tails", counted_tails)
+    monkeypatch.setattr(BetaSkewNormal, "__post_init__", counted_law)
     rows = compare_grid()
     assert all(r.passed for r in rows)
     assert counts["batches"] <= 10
     assert counts["nodes"] <= 1_500
-    assert counts["tails"] <= 5 * counts["batches"]
+    assert counts["tails"] <= 3 * counts["batches"]
+    assert counts["tail_points"] == 5 * counts["nodes"]
+    assert counts["laws"] == 0
+    assert betasn.reference._grid_log_densities() is betasn.reference._grid_log_densities()
+    assert betasn.reference.excluded_cells() is betasn.reference.excluded_cells()
+
+
+def _kronrod_nodes(intervals):
+    """The 15 Kronrod nodes of each of `intervals` equal intervals of the window."""
+    edges = np.linspace(-DEFAULT_SPEC.truncation, DEFAULT_SPEC.truncation, intervals + 1)
+    center, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return center + half * betasn.quadrature._NODES[:, None]
 
 
 def test_grid_log_densities_are_each_laws_logpdf():
     # the grid's shared-tails log density of every row is, bit for bit,
-    # that row's BetaSkewNormal logpdf, on the first sweep's nodes
+    # that row's BetaSkewNormal logpdf: on the first sweep's nodes (eight
+    # intervals), and on nine, whose middle center is z = 0 exactly, where
+    # a shape and its negative take separate tail reads
     laws = [BetaSkewNormal(r.lam, r.a, r.b) for r in REFERENCE_MOMENT_GRID]
-    edges = np.linspace(-DEFAULT_SPEC.truncation, DEFAULT_SPEC.truncation, 9)
-    center, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    z = center + half * betasn.quadrature._NODES[:, None]
-    shared = betasn.bsn._logpdf_rows(laws)(z)
-    assert shared.shape == (len(laws),) + z.shape
-    for law, row in zip(laws, shared):
-        assert row.tobytes() == law.logpdf(z).tobytes(), law
+    for z in (_kronrod_nodes(8), _kronrod_nodes(9), np.array([-0.0, 0.0, np.inf, -np.inf, 3.0])):
+        shared = betasn.bsn._logpdf_rows(laws)(z)
+        assert shared.shape == (len(laws),) + z.shape
+        for law, row in zip(laws, shared):
+            assert row.tobytes() == law.logpdf(z).tobytes(), law
+    assert np.count_nonzero(_kronrod_nodes(9) == 0.0) == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from betasn import (
+    GBSN,
     KS_COEFF_01,
     BetaSkewNormal,
     Normal,
@@ -281,6 +282,53 @@ def test_shape_rule_value_does_not_depend_on_other_points():
             for start in range(0, z.size - n, 37):
                 part = slice(start, start + n)
                 assert np.array_equal(skewnormal._shape_logcdf(z[part], lam), full[part])
+
+
+@pytest.mark.parametrize(
+    "dist, x, i",
+    [
+        (GBSN(2.0, 4, 1), np.linspace(-7.5, -5.0, 21_600), 274),
+        (SkewNormal(0.0, 1.0, -2.0), np.linspace(-41.0, -39.0, 21_600), 201),
+    ],
+    ids=["gbsn", "skew-normal"],
+)
+def test_tail_rule_value_does_not_depend_on_its_call(dist, x, i):
+    # every point here is served by the Gauss-Laguerre tail rule
+    # (quadrature._log_tail_mass), whose node sum runs down each column
+    # in order: a BLAS matrix-vector sum read x[i] one ulp apart alone
+    # and inside the whole call, which core._blocked cuts in three
+    whole = dist.logcdf(x)
+    # below 1e-30 of the total, so the table's read is not the one served
+    assert np.all(whole < np.log(1e-30))
+    for k in (i, *np.random.default_rng(5).choice(x.size, 40, replace=False)):
+        assert dist.logcdf(x[k]) == whole[k], k
+        lo = max(k - 6, 0)
+        assert np.array_equal(dist.logcdf(x[lo : k + 7]), whole[lo : k + 7]), k
+
+
+@pytest.mark.parametrize("lam", (0.5, 1.0, 10.0, 50.0))
+def test_tails_of_a_negated_shape_are_the_mirrored_tails(lam, monkeypatch):
+    # for z != 0, _tails(z, -lam) is _tails(-z, lam) with the sides
+    # swapped, bit for bit, which the grid's paired tail read relies on:
+    # the same _left call on the same values, over Owen's T, the shape
+    # rule and the t-space repair (counted, so each region is reached)
+    from betasn import skewnormal
+
+    counts = {"_shape_logcdf": 0, "_log_tail": 0}
+    for name in counts:
+
+        def counted(z, *rest, _inner=getattr(skewnormal, name), _name=name):
+            counts[_name] += np.size(z)
+            return _inner(z, *rest)
+
+        monkeypatch.setattr(skewnormal, name, counted)
+    near = np.geomspace(1e-6, 45.0, 1500)
+    z = np.concatenate([-near, near, np.random.default_rng(9).uniform(-45.0, 45.0, 1000)])
+    log_f, log_s = skewnormal._tails(z, -lam)
+    mirror_f, mirror_s = skewnormal._tails(-z, lam)
+    assert log_f.tobytes() == mirror_s.tobytes()
+    assert log_s.tobytes() == mirror_f.tobytes()
+    assert counts["_shape_logcdf"] > 0 and counts["_log_tail"] > 0
 
 
 # 4 lies inside the shape rule's range, where its rate follows lam |z|
